@@ -133,17 +133,14 @@ def _as_number(text: str) -> Optional[float]:
         return None
 
 
+_IRI = re.compile(r"<([^<>\n]*)>")
+_VAR = re.compile(r"\?(\w+)")
+_STRING_LITERAL = re.compile(r'"([^"\n]*)"')
+_NUMBER_LITERAL = re.compile(r"-?\d+(?:\.\d+)?")
+
+
 class _Scanner:
     """Token scanner for the subset grammar; whitespace-insensitive."""
-
-    _PATTERNS = [
-        ("IRI", re.compile(r"<([^<>\n]*)>")),
-        ("VAR", re.compile(r"\?(\w+)")),
-        ("WORD", re.compile(r"SELECT|WHERE|FILTER", re.IGNORECASE)),
-        ("CMP", re.compile(r"<=|>=|!=|=|<|>")),
-        ("PUNCT", re.compile(r"[{}().]")),
-        ("LITERAL", re.compile(r'"([^"\n]*)"|(-?\d+(?:\.\d+)?)')),
-    ]
 
     def __init__(self, text: str):
         self.text = text
@@ -167,37 +164,33 @@ class _Scanner:
             raise SparqlSyntaxError(self.pos, word)
         self.pos += len(word)
 
-    def expect_var(self) -> str:
+    def _match(self, pattern: re.Pattern) -> Optional[re.Match]:
+        """Consume `pattern` at the next non-space position, if it matches there."""
         self.skip_ws()
-        m = re.compile(r"\?(\w+)").match(self.text, self.pos)
-        if not m:
-            raise SparqlSyntaxError(self.pos, "?variable")
-        self.pos = m.end()
-        return m.group(1)
-
-    def expect_iri(self) -> str:
-        self.skip_ws()
-        m = re.compile(r"<([^<>\n]*)>").match(self.text, self.pos)
-        if not m:
-            raise SparqlSyntaxError(self.pos, "<iri>")
-        self.pos = m.end()
-        return m.group(1)
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        return m
 
     def try_iri(self) -> Optional[str]:
-        self.skip_ws()
-        m = re.compile(r"<([^<>\n]*)>").match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group(1)
+        m = self._match(_IRI)
+        return m.group(1) if m else None
 
     def try_var(self) -> Optional[str]:
-        self.skip_ws()
-        m = re.compile(r"\?(\w+)").match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group(1)
+        m = self._match(_VAR)
+        return m.group(1) if m else None
+
+    def expect_iri(self) -> str:
+        iri = self.try_iri()
+        if iri is None:
+            raise SparqlSyntaxError(self.pos, "<iri>")
+        return iri
+
+    def expect_var(self) -> str:
+        var = self.try_var()
+        if var is None:
+            raise SparqlSyntaxError(self.pos, "?variable")
+        return var
 
     def expect_comparator(self) -> str:
         self.skip_ws()
@@ -208,14 +201,11 @@ class _Scanner:
         raise SparqlSyntaxError(self.pos, "comparator")
 
     def expect_literal(self) -> str:
-        self.skip_ws()
-        m = re.compile(r'"([^"\n]*)"').match(self.text, self.pos)
+        m = self._match(_STRING_LITERAL)
         if m:
-            self.pos = m.end()
             return m.group(1)
-        m = re.compile(r"-?\d+(?:\.\d+)?").match(self.text, self.pos)
+        m = self._match(_NUMBER_LITERAL)
         if m:
-            self.pos = m.end()
             return m.group(0)
         raise SparqlSyntaxError(self.pos, "literal")
 

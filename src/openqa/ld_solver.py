@@ -142,15 +142,21 @@ def extract_mention(tags: TagSequence, tokens) -> str:
 
 
 def link_entity(mention: str, dictionary: EntityDictionary, max_distance: int = MAX_LINK_DISTANCE) -> list[EntityCandidate]:
-    """Dictionary entries within edit distance of the normalized mention."""
+    """Dictionary entries within edit distance of the normalized mention.
+
+    The edit distance is at least the difference in length, so a key whose
+    length differs from the mention's by more than max_distance is skipped
+    without computing it."""
     if not mention:
         return []
     norm = normalize(mention)
-    out = [
-        EntityCandidate(canonical, levenshtein(norm, key), mention)
-        for key, canonical in dictionary.entries.items()
-        if levenshtein(norm, key) <= max_distance
-    ]
+    out = []
+    for key, canonical in dictionary.entries.items():
+        if abs(len(key) - len(norm)) > max_distance:
+            continue
+        distance = levenshtein(norm, key)
+        if distance <= max_distance:
+            out.append(EntityCandidate(canonical, distance, mention))
     return sorted(out, key=lambda c: (c.distance, -len(c.entity), c.entity))
 
 

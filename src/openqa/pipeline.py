@@ -27,6 +27,7 @@ from .text import EntityDictionary, Vocabulary, normalize
 log = logging.getLogger("openqa")
 
 SOLVER_TIMEOUT_SECONDS = 5.0
+REQUIRED_CONFIG_KEYS = ("kb_path", "passages_path", "templates_path", "vocab_path")
 
 
 @dataclass
@@ -47,9 +48,8 @@ class SystemConfig:
     def __post_init__(self):
         if self.retrieval_k < 1:
             raise ConfigError("retrieval_k must be >= 1")
-        required = {"kb_path": self.kb_path, "passages_path": self.passages_path,
-                    "templates_path": self.templates_path, "vocab_path": self.vocab_path}
-        for name, path in required.items():
+        for name in REQUIRED_CONFIG_KEYS:
+            path = getattr(self, name)
             if not os.path.exists(path):
                 raise ConfigError(f"{name} does not exist: {path}")
         for name in ("tagger_model", "scorer_model", "reader_model", "selector_model"):
@@ -60,7 +60,15 @@ class SystemConfig:
     @classmethod
     def load(cls, path: str) -> "SystemConfig":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        missing = [key for key in REQUIRED_CONFIG_KEYS if key not in doc]
+        if missing:
+            raise ConfigError(f"{path}: missing required key(s): {', '.join(missing)}")
         base = os.path.dirname(os.path.abspath(path))
 
         def resolve(p):
@@ -68,7 +76,10 @@ class SystemConfig:
                 return None
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        hyper = Hyper(**doc.get("hyper", {}))
+        try:
+            hyper = Hyper(**doc.get("hyper", {}))
+        except TypeError as exc:
+            raise ConfigError(f"{path}: invalid hyper: {exc}") from exc
         return cls(
             kb_path=resolve(doc["kb_path"]),
             passages_path=resolve(doc["passages_path"]),
@@ -172,18 +183,26 @@ def run_solvers(system: System, question: str) -> tuple[dict[str, list[AnswerCan
     """All three solvers concurrently; failures/timeouts become empty lists."""
     fns = system.solver_fns()
     candidates: dict[str, list[AnswerCandidate]] = {}
-    timings: dict[str, float] = {}
-    with ThreadPoolExecutor(max_workers=len(fns)) as pool:
+    elapsed: dict[str, float] = {}
+
+    def timed(tag: str, fn: Callable[[str], list[AnswerCandidate]]) -> list[AnswerCandidate]:
+        """Runs in the worker, so each solver is timed from its own start."""
         started = time.perf_counter()
-        futures = {tag: pool.submit(fn, question) for tag, fn in fns.items()}
+        try:
+            return fn(question)
+        finally:
+            elapsed[tag] = (time.perf_counter() - started) * 1000.0
+
+    with ThreadPoolExecutor(max_workers=len(fns)) as pool:
+        futures = {tag: pool.submit(timed, tag, fn) for tag, fn in fns.items()}
         for tag, fut in futures.items():
             try:
                 candidates[tag] = fut.result(timeout=system.config.solver_timeout)
             except Exception:
                 log.exception("solver %s failed on %r", tag, question)
                 candidates[tag] = []
-            timings[tag] = (time.perf_counter() - started) * 1000.0
-    return candidates, timings
+    # leaving the pool joined every worker, so each has recorded its time
+    return candidates, {tag: elapsed[tag] for tag in fns}
 
 
 def ask(system: System, question: str) -> AskResponse:

@@ -50,20 +50,27 @@ def init_reader(vocab_size: int, hyper: Hyper) -> nn.ModelParameters:
     return params
 
 
-def _forward(params: nn.ModelParameters, q_ids: list[int], p_ids: list[int]):
+def _encode_question(params: nn.ModelParameters, q_ids: list[int]):
+    """Question side: the start/end query vectors v_s, v_e and the cache."""
     q_emb = nn.embedding_lookup(params["emb"], q_ids)
     q_states, q_bi = nn.bidirectional_encode("gru", params, "q.", q_emb)
     q_vec, _, q_att = nn.attention(params["q_pool"], q_states, q_states)
-
-    p_emb = nn.embedding_lookup(params["emb"], p_ids)
-    p_states, p_bi = nn.bidirectional_encode("gru", params, "p.", p_emb)
-
     v_s = params["W_s"] @ q_vec
     v_e = params["W_e"] @ q_vec
+    return v_s, v_e, {"q_ids": q_ids, "q_bi": q_bi, "q_att": q_att, "q_vec": q_vec, "v_s": v_s, "v_e": v_e}
+
+
+def _encode_passage(params: nn.ModelParameters, p_ids: list[int]):
+    p_emb = nn.embedding_lookup(params["emb"], p_ids)
+    return nn.bidirectional_encode("gru", params, "p.", p_emb)
+
+
+def _forward(params: nn.ModelParameters, q_ids: list[int], p_ids: list[int]):
+    v_s, v_e, cache = _encode_question(params, q_ids)
+    p_states, p_bi = _encode_passage(params, p_ids)
     start_logits = p_states @ v_s
     end_logits = p_states @ v_e
-    cache = {"q_ids": q_ids, "p_ids": p_ids, "q_bi": q_bi, "q_att": q_att,
-             "p_bi": p_bi, "p_states": p_states, "q_vec": q_vec, "v_s": v_s, "v_e": v_e}
+    cache.update({"p_ids": p_ids, "p_bi": p_bi, "p_states": p_states})
     return start_logits, end_logits, cache
 
 
@@ -95,12 +102,16 @@ def _backward(params: nn.ModelParameters, cache, d_start: np.ndarray, d_end: np.
     return grads
 
 
+def _question_tokens(question: str) -> list[str]:
+    return list(tokenize(question).tokens) or ["<unk>"]
+
+
 def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Raw, per-position start/end scores (no per-passage normalization)."""
     if not passage_tokens:
         raise EmptyPassage("passage has no tokens")
-    q_tokens = list(tokenize(question).tokens) or ["<unk>"]
-    start, end, _ = _forward(model.params, encode(model.vocab, q_tokens), encode(model.vocab, passage_tokens))
+    start, end, _ = _forward(model.params, encode(model.vocab, _question_tokens(question)),
+                             encode(model.vocab, passage_tokens))
     return start, end
 
 
@@ -125,23 +136,47 @@ def enumerate_spans(
     return spans
 
 
+def best_span(
+    start_logits: np.ndarray,
+    end_logits: np.ndarray,
+    max_span_len: int,
+    doc_id: int,
+    tokens: list[str],
+) -> SpanPrediction:
+    """`enumerate_spans(...)[0]` without enumerating: a banded argmax.
+
+    Row i, column w of the band holds start[i] + end[i + w] for
+    w < max_span_len, and -inf past the passage end. The row-major argmax
+    takes the first maximum, that is the smallest start and then the
+    smallest end, which is `enumerate_spans`' tie-break.
+    """
+    n = len(tokens)
+    padded_end = np.concatenate([end_logits, np.full(max_span_len - 1, -np.inf)])
+    band = start_logits[:, None] + np.lib.stride_tricks.sliding_window_view(padded_end, max_span_len)[:n]
+    i, w = divmod(int(np.argmax(band)), max_span_len)
+    return SpanPrediction(doc_id, i, i + w, float(band[i, w]), " ".join(tokens[i : i + w + 1]))
+
+
 def read(
     model: ReaderModel,
     question: str,
     results: list[RetrievalResult],
     top_k_passages: int = TOP_K_PASSAGES,
 ) -> list[AnswerCandidate]:
-    """Best span per passage; confidences are a softmax over raw scores."""
-    passages = [r for r in results if r.doc.kind == KIND_PASSAGE][:top_k_passages]
-    best_spans: list[SpanPrediction] = []
-    for r in passages:
-        tokens = list(tokenize(r.doc.value_field).tokens)
-        if not tokens:
-            continue
-        start, end = predict_logits(model, question, tokens)
-        best_spans.append(enumerate_spans(start, end, model.max_span_len, r.doc.doc_id, tokens)[0])
-    if not best_spans:
+    """Best span per passage; confidences are a softmax over raw scores.
+
+    The question is encoded once and shared by every passage."""
+    docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:top_k_passages]
+    passages = [(doc.doc_id, list(tokenize(doc.value_field).tokens)) for doc in docs]
+    passages = [(doc_id, tokens) for doc_id, tokens in passages if tokens]
+    if not passages:
         return []
+    v_s, v_e = _encode_question(model.params, encode(model.vocab, _question_tokens(question)))[:2]
+    best_spans: list[SpanPrediction] = []
+    for doc_id, tokens in passages:
+        # [0]: no passage's encoder cache outlives its own iteration
+        p_states = _encode_passage(model.params, encode(model.vocab, tokens))[0]
+        best_spans.append(best_span(p_states @ v_s, p_states @ v_e, model.max_span_len, doc_id, tokens))
     confidences = nn.softmax(np.array([s.raw_score for s in best_spans]))
     candidates = [
         AnswerCandidate(span.text, float(conf), SOLVER_RR,

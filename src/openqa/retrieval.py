@@ -4,10 +4,18 @@ Documents carry a subject field (entities) and a value field (text).
 Triples are spliced into single-line documents; passages are tagged with
 the dictionary entities they mention. Query terms matching a document's
 subject field contribute double.
+
+`search` scores term-at-a-time (Turtle & Flood 1995): one pass over each
+distinct query term's postings, in query order, adds that term's BM25
+contribution to a per-document accumulator, so a query costs the total
+length of its posting lists. Every document receives its contributions in
+the same order as `bm25_score`, the per-document scorer kept as the
+reference, so scores are equal to the last bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -137,18 +145,29 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
 
 
 def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]:
-    """Top-k documents containing at least one query term."""
+    """Top-k documents containing at least one query term, best score
+    first, ties broken by doc_id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     terms = list(tokenize(normalize(query)).tokens)
     if not terms:
         return []
-    matched: set[int] = set()
-    for term in terms:
-        matched.update(d for d, _ in idx.postings.get(term, []))
-    scored = [(bm25_score(idx, terms, d), d) for d in matched]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [RetrievalResult(idx.docs[d], s) for s, d in scored[:k]]
+    scores: dict[int, float] = {}
+    for term in dict.fromkeys(terms):  # distinct terms, query order
+        postings = idx.postings.get(term)
+        if not postings:
+            continue
+        idf = _idf(idx, term)
+        boosted = idx.subject_terms.get(term, ())
+        for doc_id, tf in postings:
+            length = idx.doc_lengths[doc_id]
+            norm = K1 * (1.0 - B + B * length / idx.avg_doc_length) if idx.avg_doc_length else 0.0
+            contribution = idf * tf * (K1 + 1.0) / (tf + norm)
+            if doc_id in boosted:
+                contribution *= SUBJECT_BOOST
+            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
+    top = heapq.nsmallest(k, scores.items(), key=lambda item: (-item[1], item[0]))
+    return [RetrievalResult(idx.docs[d], s) for d, s in top]
 
 
 def save_index(idx: InvertedIndex, path: str) -> None:

@@ -8,6 +8,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .errors import EmptyQuestion
 from .pipeline import System, ask
 
+MAX_BODY_BYTES = 1 << 20  # a question is a sentence; anything larger is refused unread
+
 
 def make_server(system: System, host: str, port: int) -> ThreadingHTTPServer:
     class Handler(BaseHTTPRequestHandler):
@@ -29,12 +31,25 @@ def make_server(system: System, host: str, port: int) -> ThreadingHTTPServer:
             if self.path != "/ask":
                 self._send(404, {"error": "not found"})
                 return
-            length = int(self.headers.get("Content-Length", 0))
+            length_text = self.headers.get("Content-Length", "0").strip()
+            if not (length_text.isascii() and length_text.isdigit()):
+                self._send(400, {"error": "Content-Length must be a non-negative integer"})
+                return
+            length = int(length_text)
+            if length > MAX_BODY_BYTES:
+                self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
+                return
             try:
                 doc = json.loads(self.rfile.read(length).decode("utf-8"))
-                question = doc.get("question", "")
             except (ValueError, UnicodeDecodeError):
                 self._send(400, {"error": "invalid JSON body"})
+                return
+            if not isinstance(doc, dict):
+                self._send(400, {"error": "body must be a JSON object"})
+                return
+            question = doc.get("question", "")
+            if not isinstance(question, str):
+                self._send(400, {"error": "question must be a string"})
                 return
             try:
                 response = ask(system, question)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .answers import SOLVER_SP, AnswerCandidate
@@ -29,6 +29,7 @@ class QuestionTemplate:
     predicate: str
     subject_group: Optional[int] = None
     confidence: float = DEFAULT_TEMPLATE_CONFIDENCE
+    regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         compiled = re.compile(self.pattern)
@@ -39,10 +40,7 @@ class QuestionTemplate:
                 )
         if not (0.0 < self.confidence <= 1.0):
             raise ValueError("template confidence must be in (0, 1]")
-
-    @property
-    def regex(self) -> re.Pattern:
-        return re.compile(self.pattern)
+        object.__setattr__(self, "regex", compiled)  # frozen: set once, here
 
 
 def load_templates(path: str) -> list[QuestionTemplate]:

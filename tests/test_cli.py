@@ -36,6 +36,21 @@ class TestAsk:
         assert main(["ask", "who wrote hamlet"]) == 0
         assert "shakespeare" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("vocab_path"),
+        lambda doc: doc["hyper"].update(dropout=0.1),
+    ])
+    def test_malformed_config_is_one_error_line(self, toy, tmp_path, capsys, edit):
+        with open(toy["config"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["--config", str(bad), "ask", "who wrote hamlet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_no_config(self, monkeypatch):
         monkeypatch.delenv("OPENQA_CONFIG", raising=False)
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Neural KBQA solver: BIO tagging, entity linking, relation detection."""
 
 import os
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from openqa.ld_solver import (
     link_entity, load_scorer_data, load_tagger_data,
     repair_bio, score_relation, solve_ld, tag_entities,
 )
-from openqa.text import EntityDictionary, Vocabulary, tokenize
+from openqa.text import EntityDictionary, Vocabulary, levenshtein, normalize, tokenize
 
 
 class TestBio:
@@ -57,6 +58,22 @@ class TestLinking:
         out = link_entity("mars", d)
         assert out[0].entity == "mars" and out[0].distance == 0
         assert [c.distance for c in out] == sorted(c.distance for c in out)
+
+    def test_length_pruning_equals_full_scan(self):
+        rng = random.Random(17)
+
+        def word(lo, hi):
+            return "".join(rng.choice("abc") for _ in range(rng.randint(lo, hi)))
+
+        for _ in range(60):
+            d = EntityDictionary({word(1, 8): word(1, 6) for _ in range(rng.randint(1, 30))}, 1)
+            for _ in range(5):
+                mention, max_distance = word(1, 9), rng.randint(0, 3)
+                norm = normalize(mention)
+                full = [EntityCandidate(c, levenshtein(norm, k), mention) for k, c in d.entries.items()
+                        if levenshtein(norm, k) <= max_distance]
+                full.sort(key=lambda c: (c.distance, -len(c.entity), c.entity))
+                assert link_entity(mention, d, max_distance) == full
 
 
 class TestModels:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import time
 
 import pytest
 
@@ -25,6 +27,20 @@ class TestConfig:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
+            SystemConfig.load(str(bad))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("vocab_path"), "missing required key(s): vocab_path"),
+        (lambda doc: doc["hyper"].update(dropout=0.1), "invalid hyper"),
+        (lambda doc: doc.update(hyper=[1]), "invalid hyper"),
+    ])
+    def test_malformed_config_is_config_error(self, tmp_path, toy, edit, message):
+        with open(toy["config"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(message)):
             SystemConfig.load(str(bad))
 
     def test_retrieval_k_must_be_positive(self, toy):
@@ -78,6 +94,20 @@ class TestSolverDegradation:
     def test_run_solvers_shape(self, toy):
         candidates, timings = run_solvers(toy["system"], "who wrote hamlet")
         assert set(candidates) == {"sp", "ld", "rr"}
+
+    def test_timings_are_each_solvers_own_time(self, toy, monkeypatch):
+        system = toy["system"]
+        run_sp = system.run_sp
+
+        def slow_sp(question):
+            time.sleep(0.3)
+            return run_sp(question)
+
+        monkeypatch.setattr(system, "run_sp", slow_sp)
+        candidates, timings = run_solvers(system, "who wrote hamlet")
+        assert candidates["sp"][0].answer == "shakespeare"
+        assert timings["sp"] >= 300.0
+        assert timings["ld"] < 150.0 and timings["rr"] < 150.0
 
     def test_missing_models_degrade_to_empty(self, toy, tmp_path):
         config_path = toy["write_config"](str(tmp_path / "bare.json"), {})

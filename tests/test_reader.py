@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from openqa import nn
+from openqa.answers import SOLVER_RR, AnswerCandidate
+from openqa.hyper import Hyper
 from openqa.kb import Triple
 from openqa.reader import (
     MAX_SPAN_LEN, TOP_K_PASSAGES,
-    ReaderModel, enumerate_spans, load_reader_data, predict_logits, read,
+    ReaderModel, best_span, enumerate_spans, init_reader, load_reader_data, predict_logits, read,
 )
 from openqa.retrieval import (
     IndexedDocument, KIND_PASSAGE, RetrievalResult, splice_triple,
 )
-from openqa.text import tokenize
+from openqa.text import Vocabulary, tokenize
 
 
 def passage_result(doc_id: int, text: str, score: float = 1.0) -> RetrievalResult:
@@ -58,7 +60,57 @@ class TestEnumerateSpans:
         assert spans[0].text == "eiffel tower"
 
 
+class TestBestSpan:
+    def test_equals_first_enumerated_span(self):
+        """Banded argmax against enumerate_spans(...)[0]: integer-valued logits
+        force ties, and lengths run below and above max_span_len."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            max_span_len = int(rng.integers(1, 18))
+            tokens = [f"t{i}" for i in range(n)]
+            if rng.random() < 0.5:
+                start, end = rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n).astype(float)
+            else:
+                start, end = rng.normal(size=n), rng.normal(size=n)
+            want = enumerate_spans(start, end, max_span_len, 3, tokens)[0]
+            assert best_span(start, end, max_span_len, 3, tokens) == want
+
+    def test_tie_prefers_earliest_start_then_end(self):
+        tokens = ["a", "b", "c"]
+        span = best_span(np.zeros(3), np.zeros(3), 15, 0, tokens)
+        assert (span.start, span.end, span.text) == (0, 0, "a")
+
+
+def _read_per_passage(model, question, results, top_k_passages=TOP_K_PASSAGES):
+    """The reader as one full forward pass and one span enumeration per passage."""
+    best = []
+    for r in [r for r in results if r.doc.kind == KIND_PASSAGE][:top_k_passages]:
+        tokens = list(tokenize(r.doc.value_field).tokens)
+        if tokens:
+            start, end = predict_logits(model, question, tokens)
+            best.append(enumerate_spans(start, end, model.max_span_len, r.doc.doc_id, tokens)[0])
+    if not best:
+        return []
+    confidences = nn.softmax(np.array([s.raw_score for s in best]))
+    out = [AnswerCandidate(s.text, float(c), SOLVER_RR, f"doc={s.passage_doc_id} span=({s.start},{s.end})")
+           for s, c in zip(best, confidences)]
+    return sorted(out, key=lambda c: (-c.confidence, c.provenance))
+
+
 class TestRead:
+    def test_equals_per_passage_reading(self):
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(40)]
+        model = ReaderModel(init_reader(len(words) + 4, Hyper(d=8, h=8, seed=5)), Vocabulary(words[:36]))
+        for _ in range(12):
+            question = " ".join(rng.choice(words, int(rng.integers(0, 6))))
+            results = [passage_result(i, " ".join(rng.choice(words, int(rng.integers(1, 25)))))
+                       for i in range(int(rng.integers(0, 13)))]
+            if results and rng.random() < 0.3:
+                results.insert(1, RetrievalResult(splice_triple(Triple("a", "p", "b"), 99), 2.0))
+            assert read(model, question, results) == _read_per_passage(model, question, results)
+
     def test_trained_pair_recovers_answer(self, fx, reader):
         data = load_reader_data(os.path.join(fx, "reader.jsonl"))
         for question, passage, gold_start, gold_end in data:

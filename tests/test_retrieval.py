@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 
 import pytest
 
@@ -96,6 +97,25 @@ class TestSearch:
         out = search(idx, "same words", k=2)
         assert [r.doc.doc_id for r in out] == [0, 1]
         assert out[0].score == pytest.approx(out[1].score)
+
+    def test_term_at_a_time_equals_per_doc_scoring(self):
+        """search against bm25_score over every matched doc, on random corpora."""
+        rng = random.Random(31)
+        pool = [f"w{i}" for i in range(25)]
+        for _ in range(40):
+            docs = []
+            for i in range(rng.randint(1, 40)):
+                words = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+                subjects = tuple(rng.sample(words, rng.randint(0, min(2, len(words)))))
+                docs.append(IndexedDocument(i, subjects, " ".join(words), KIND_PASSAGE))
+            idx = build_index(docs)
+            for _ in range(5):
+                terms = [rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 6))]
+                k = rng.randint(1, len(docs) + 2)
+                matched = {d for t in terms for d, _ in idx.postings.get(t, [])}
+                want = sorted((-bm25_score(idx, terms, d), d) for d in matched)[:k]
+                got = search(idx, " ".join(terms), k)
+                assert [(r.doc.doc_id, r.score) for r in got] == [(d, -s) for s, d in want]
 
 
 class TestPersistence:

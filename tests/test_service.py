@@ -1,13 +1,15 @@
 """HTTP service contract."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
-from openqa.service import make_server
+from openqa.service import MAX_BODY_BYTES, make_server
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,37 @@ class TestAsk:
         with pytest.raises(urllib.error.HTTPError) as err:
             post_ask(server, b"not json {")
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("body, error", [
+        (b"[1,2]", "body must be a JSON object"),
+        (b'{"question": 5}', "question must be a string"),
+        (b'{"question": null}', "question must be a string"),
+    ])
+    def test_wrong_json_shape_is_400(self, server, body, error):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post_ask(server, body)
+        with err.value as resp:
+            assert resp.code == 400
+            assert json.load(resp) == {"error": error}
+
+    @pytest.mark.parametrize("length, status", [
+        ("-5", 400),
+        ("abc", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_bad_content_length(self, server, length, status):
+        # headers only: the server must answer without reading a body
+        conn = http.client.HTTPConnection("127.0.0.1", urllib.parse.urlsplit(server).port, timeout=10)
+        try:
+            conn.putrequest("POST", "/ask")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == status
+            assert "error" in json.load(resp)
+        finally:
+            conn.close()
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
