@@ -7,7 +7,7 @@ questions become single-pattern SPARQL.
 import os
 
 from openqa.kb import (
-    build_entity_dictionary, execute_sparql, generate_sparql,
+    ObjectUnknown, SparqlQuery, build_entity_dictionary, execute_sparql,
     load_triples, parse_sparql, serialize_sparql,
 )
 
@@ -18,9 +18,9 @@ print(f"loaded {len(kb)} triples, {len(kb.entities)} entities")
 print("predicates of 'paris':", kb.predicates_of("paris"))
 
 print("\n-- object-unknown query: who wrote hamlet? --")
-text = generate_sparql("hamlet", "author")
-print("query:", text)
-print("bindings:", execute_sparql(kb, parse_sparql(text)))
+query = SparqlQuery("x", ObjectUnknown("hamlet", "author"))
+print("query:", serialize_sparql(query))
+print("bindings:", execute_sparql(kb, query))
 
 print("\n-- subject-unknown query: which books did shakespeare write? --")
 query = parse_sparql("SELECT ?x WHERE { ?x <author> <shakespeare> . }")

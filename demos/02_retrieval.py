@@ -8,22 +8,14 @@ subject field count double.
 import os
 
 from openqa.kb import build_entity_dictionary, load_triples
-from openqa.retrieval import (
-    build_index, load_passages, search, splice_triple, tag_passage,
-)
+from openqa.pipeline import build_corpus
+from openqa.retrieval import search
 
 TOYWORLD = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures", "toyworld")
 
 kb = load_triples(os.path.join(TOYWORLD, "kb.tsv"))
 dictionary = build_entity_dictionary(kb)
-
-docs = [splice_triple(t, i) for i, t in enumerate(kb.triples)]
-next_id = len(docs)
-for pid, text in load_passages(os.path.join(TOYWORLD, "passages.jsonl")):
-    docs.append(tag_passage(pid, text, dictionary, next_id))
-    next_id += 1
-
-idx = build_index(docs)
+idx = build_corpus(kb, dictionary, os.path.join(TOYWORLD, "passages.jsonl"))
 print(f"indexed {idx.doc_count} documents ({len(kb)} triples + "
       f"{idx.doc_count - len(kb)} passages), {len(idx.postings)} terms")
 

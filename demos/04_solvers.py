@@ -13,8 +13,9 @@ from openqa.ld_solver import (
     load_scorer_data, load_tagger_data, solve_ld, tag_entities,
     train_relation_scorer, train_tagger,
 )
+from openqa.pipeline import build_corpus
 from openqa.reader import load_reader_data, read, train_reader
-from openqa.retrieval import build_index, load_passages, search, splice_triple, tag_passage
+from openqa.retrieval import search
 from openqa.sp_solver import load_templates, solve_sp
 from openqa.text import Vocabulary
 
@@ -40,12 +41,7 @@ for q in ("who wrote hamlet", "who wrote hamlit"):  # note the typo
     print(f"  {q!r} tags {list(tags.tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab)[0])
 
 print("\n-- rr: retrieve and read --")
-docs = [splice_triple(t, i) for i, t in enumerate(kb.triples)]
-next_id = len(docs)
-for pid, text in load_passages(os.path.join(TOYWORLD, "passages.jsonl")):
-    docs.append(tag_passage(pid, text, dictionary, next_id))
-    next_id += 1
-idx = build_index(docs)
+idx = build_corpus(kb, dictionary, os.path.join(TOYWORLD, "passages.jsonl"))
 hyper.epochs = 100
 reader = train_reader(load_reader_data(os.path.join(TOYWORLD, "reader.jsonl")), hyper, vocab)
 for q in ("what color is the sky", "what food never spoils"):

@@ -15,9 +15,8 @@ from .errors import OpenQAError
 from .hyper import Hyper
 from .kb import build_entity_dictionary, load_triples
 from .ld_solver import load_scorer_data, load_tagger_data, train_relation_scorer, train_tagger
-from .pipeline import System, SystemConfig, ask, evaluate, load_qa_pairs, make_selector_data
+from .pipeline import System, SystemConfig, ask, build_corpus, evaluate, load_qa_pairs, make_selector_data
 from .reader import load_reader_data, train_reader
-from .retrieval import build_index, load_passages, save_index, tag_passage
 from .selector import load_selector_data, train_selector
 from .service import serve
 from .text import Vocabulary
@@ -49,19 +48,8 @@ def cmd_load_kb(args):
 def cmd_index(args):
     config = _load_config(args)
     kb = load_triples(config.kb_path)
-    dictionary = build_entity_dictionary(kb)
-    from .retrieval import splice_triple
-
-    docs = [splice_triple(t, i) for i, t in enumerate(kb.triples)]
-    next_id = len(docs)
-    for pid, text in load_passages(args.passages):
-        docs.append(tag_passage(pid, text, dictionary, next_id))
-        next_id += 1
-    idx = build_index(docs)
+    idx = build_corpus(kb, build_entity_dictionary(kb), args.passages)
     print(f"indexed {idx.doc_count} documents, {len(idx.postings)} terms")
-    if args.out:
-        save_index(idx, args.out)
-        print(f"wrote {args.out}")
 
 
 def cmd_train(args):
@@ -152,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tsv")
     p.set_defaults(fn=cmd_load_kb)
 
-    p = sub.add_parser("index", help="build the two-field index")
+    p = sub.add_parser("index", help="build the two-field index and summarize it")
     p.add_argument("passages")
-    p.add_argument("--out", help="write the index JSON here")
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("train", help="train one model")

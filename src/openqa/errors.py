@@ -22,10 +22,6 @@ class FilterTypeError(OpenQAError):
     """Numeric comparator applied to a non-numeric binding."""
 
 
-class EmptyComponent(OpenQAError):
-    """Empty subject or predicate where a non-empty string is required."""
-
-
 class ShapeMismatch(OpenQAError):
     """Tensor shapes do not agree for the requested operation."""
 

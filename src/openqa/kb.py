@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    EmptyComponent,
     FilterTypeError,
     MalformedLine,
     SparqlSyntaxError,
@@ -300,13 +299,6 @@ def execute_sparql(kb: KnowledgeBase, q: SparqlQuery) -> list[str]:
         if _passes_filter(binding, q.filter) and binding not in out:
             out.append(binding)
     return out
-
-
-def generate_sparql(subject: str, predicate: str) -> str:
-    """Object-unknown query text for a (subject, predicate) pair."""
-    if not subject or not predicate:
-        raise EmptyComponent("subject and predicate must be non-empty")
-    return f"SELECT ?x WHERE {{ <{subject}> <{predicate}> ?x . }}"
 
 
 def build_entity_dictionary(kb: KnowledgeBase) -> EntityDictionary:

@@ -238,12 +238,18 @@ def score_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_patte
     return score
 
 
-def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], candidates: list[str]) -> str:
+def _best_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], candidates: list[str]) -> tuple[float, str]:
+    """(best combined score, relation), scoring each candidate once; ties
+    go to the smallest relation string."""
     if not candidates:
         raise NoCandidates("no candidate relations")
     scored = [(score_relation(scorer, vocab, question_pattern, rel).combined, rel) for rel in candidates]
     best = max(s for s, _ in scored)
-    return min(rel for s, rel in scored if s == best)
+    return best, min(rel for s, rel in scored if s == best)
+
+
+def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], candidates: list[str]) -> str:
+    return _best_relation(scorer, vocab, question_pattern, candidates)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +296,9 @@ def solve_ld(
 
     pattern = _pattern_tokens(list(tokens.tokens), entity_cand.mention)
     try:
-        relation = detect_relation(scorer, vocab, pattern, relations)
+        combined, relation = _best_relation(scorer, vocab, pattern, relations)
     except (EmptyPattern, EmptyRelation, NoCandidates):
         return []
-    combined = score_relation(scorer, vocab, pattern, relation).combined
 
     objects = kb.by_subject_predicate.get((entity_cand.entity, relation), [])
     confidence = (1.0 / (1.0 + entity_cand.distance)) * (combined + 1.0) / 2.0

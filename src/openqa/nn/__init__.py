@@ -6,7 +6,6 @@ from .ops import (
     cosine,
     cosine_backward,
     cross_entropy,
-    matmul,
     sigmoid,
     softmax,
     softmax_backward,
@@ -40,7 +39,7 @@ from .layers import (
 
 __all__ = [
     "Grads", "ModelParameters", "accumulate", "grad_check", "sgd_step",
-    "matmul", "softmax", "softmax_backward", "softmax_cross_entropy",
+    "softmax", "softmax_backward", "softmax_cross_entropy",
     "cross_entropy", "cosine", "cosine_backward", "sigmoid",
     "linear_forward", "linear_backward",
     "embedding_lookup", "embedding_backward",

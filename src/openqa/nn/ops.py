@@ -1,18 +1,10 @@
-"""Basic tensor ops: matmul, stable softmax, cross entropy, cosine."""
+"""Basic tensor ops: stable softmax, cross entropy, cosine."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import IndexOutOfRange, ShapeMismatch
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+from ..errors import IndexOutOfRange
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,5 +1,10 @@
-"""System orchestration: configuration, the three-solver ask path,
-dataset splitting, evaluation, and selector training-data generation."""
+"""System orchestration: configuration, building the corpus, the
+three-solver ask path, dataset splitting, evaluation, and selector
+training-data generation.
+
+`ask` runs `sp`, `ld` and `rr` in turn in the calling thread, then fuses
+their top answers. `build_corpus` builds the retrieval index from the
+knowledge base and the passages, for `System` and `openqa index` alike."""
 
 from __future__ import annotations
 
@@ -8,9 +13,8 @@ import logging
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import nn
 from .answers import SOLVER_LD, SOLVER_ORDER, SOLVER_RR, SOLVER_SP, AnswerCandidate
@@ -132,6 +136,16 @@ class EvalReport:
         return self.correct / self.total if self.total else 0.0
 
 
+def build_corpus(kb: KnowledgeBase, dictionary: EntityDictionary, passages_path: str) -> InvertedIndex:
+    """Index the KB's triples, spliced into one-line documents, then the
+    passages, each tagged with the dictionary entities it mentions; doc
+    ids run in that order."""
+    docs = [splice_triple(t, i) for i, t in enumerate(kb.triples)]
+    for pid, text in load_passages(passages_path):
+        docs.append(tag_passage(pid, text, dictionary, len(docs)))
+    return build_index(docs)
+
+
 class System:
     """All immutable resources plus the configured models."""
 
@@ -142,12 +156,7 @@ class System:
         self.templates: list[QuestionTemplate] = load_templates(config.templates_path)
         self.vocab: Vocabulary = Vocabulary.load(config.vocab_path)
 
-        docs = [splice_triple(t, i) for i, t in enumerate(self.kb.triples)]
-        next_id = len(docs)
-        for pid, text in load_passages(config.passages_path):
-            docs.append(tag_passage(pid, text, self.dictionary, next_id))
-            next_id += 1
-        self.index: InvertedIndex = build_index(docs)
+        self.index: InvertedIndex = build_corpus(self.kb, self.dictionary, config.passages_path)
 
         self.tagger = nn.ModelParameters.load(config.tagger_model) if config.tagger_model else None
         self.scorer = nn.ModelParameters.load(config.scorer_model) if config.scorer_model else None
@@ -175,34 +184,33 @@ class System:
         results = search(self.index, question, self.config.retrieval_k)
         return read(self.reader, question, results)
 
-    def solver_fns(self) -> dict[str, Callable[[str], list[AnswerCandidate]]]:
-        return {SOLVER_SP: self.run_sp, SOLVER_LD: self.run_ld, SOLVER_RR: self.run_rr}
-
 
 def run_solvers(system: System, question: str) -> tuple[dict[str, list[AnswerCandidate]], dict[str, float]]:
-    """All three solvers concurrently; failures/timeouts become empty lists."""
-    fns = system.solver_fns()
+    """Run sp, ld and rr in turn in the calling thread.
+
+    `solver_timeout` is the question's budget: a solver starts only while
+    less than that many seconds have passed since this call began. A
+    running solver is not interrupted, so `ask` can overrun the budget by
+    the time of the last solver started. A failed or skipped solver
+    contributes an empty list; `timings` are each solver's own milliseconds.
+    """
+    solvers = {SOLVER_SP: system.run_sp, SOLVER_LD: system.run_ld, SOLVER_RR: system.run_rr}
+    budget = system.config.solver_timeout
+    started = time.perf_counter()
     candidates: dict[str, list[AnswerCandidate]] = {}
-    elapsed: dict[str, float] = {}
-
-    def timed(tag: str, fn: Callable[[str], list[AnswerCandidate]]) -> list[AnswerCandidate]:
-        """Runs in the worker, so each solver is timed from its own start."""
-        started = time.perf_counter()
-        try:
-            return fn(question)
-        finally:
-            elapsed[tag] = (time.perf_counter() - started) * 1000.0
-
-    with ThreadPoolExecutor(max_workers=len(fns)) as pool:
-        futures = {tag: pool.submit(timed, tag, fn) for tag, fn in fns.items()}
-        for tag, fut in futures.items():
+    timings: dict[str, float] = {}
+    for tag, fn in solvers.items():
+        begin = time.perf_counter()
+        candidates[tag] = []
+        if begin - started >= budget:
+            log.warning("solver %s skipped on %r: the %gs budget is spent", tag, question, budget)
+        else:
             try:
-                candidates[tag] = fut.result(timeout=system.config.solver_timeout)
+                candidates[tag] = fn(question)
             except Exception:
                 log.exception("solver %s failed on %r", tag, question)
-                candidates[tag] = []
-    # leaving the pool joined every worker, so each has recorded its time
-    return candidates, {tag: elapsed[tag] for tag in fns}
+        timings[tag] = (time.perf_counter() - begin) * 1000.0
+    return candidates, timings
 
 
 def ask(system: System, question: str) -> AskResponse:

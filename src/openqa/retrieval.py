@@ -27,7 +27,6 @@ from .text import EntityDictionary, normalize, tokenize
 K1 = 1.2
 B = 0.75
 SUBJECT_BOOST = 2.0
-INDEX_FORMAT = 1
 
 KIND_TRIPLE = "triple"
 KIND_PASSAGE = "passage"
@@ -168,47 +167,6 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
             scores[doc_id] = scores.get(doc_id, 0.0) + contribution
     top = heapq.nsmallest(k, scores.items(), key=lambda item: (-item[1], item[0]))
     return [RetrievalResult(idx.docs[d], s) for d, s in top]
-
-
-def save_index(idx: InvertedIndex, path: str) -> None:
-    doc = {
-        "format": INDEX_FORMAT,
-        "docs": [
-            {
-                "doc_id": d.doc_id,
-                "subject_field": list(d.subject_field),
-                "value_field": d.value_field,
-                "kind": d.kind,
-                "origin": d.origin,
-            }
-            for _, d in sorted(idx.docs.items())
-        ],
-        "postings": {t: [[d, f] for d, f in plist] for t, plist in idx.postings.items()},
-        "doc_lengths": {str(d): n for d, n in idx.doc_lengths.items()},
-        "subject_terms": {t: sorted(ids) for t, ids in idx.subject_terms.items()},
-        "avg_doc_length": idx.avg_doc_length,
-        "doc_count": idx.doc_count,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_index(path: str) -> InvertedIndex:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != INDEX_FORMAT:
-        raise ValueError(f"unsupported index format {doc.get('format')!r}")
-    idx = InvertedIndex()
-    for d in doc["docs"]:
-        idx.docs[d["doc_id"]] = IndexedDocument(
-            d["doc_id"], tuple(d["subject_field"]), d["value_field"], d["kind"], d.get("origin", "")
-        )
-    idx.postings = {t: [(int(d), int(f)) for d, f in plist] for t, plist in doc["postings"].items()}
-    idx.doc_lengths = {int(d): n for d, n in doc["doc_lengths"].items()}
-    idx.subject_terms = {t: set(ids) for t, ids in doc["subject_terms"].items()}
-    idx.avg_doc_length = doc["avg_doc_length"]
-    idx.doc_count = doc["doc_count"]
-    return idx
 
 
 def load_passages(path: str) -> list[tuple[str, str]]:

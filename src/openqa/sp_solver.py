@@ -3,7 +3,8 @@
 Recognizes candidate subjects (dictionary match, template capture) and
 candidate predicates (template match), cross-products them into
 object-unknown queries, executes each against the knowledge base and
-emits confidence-scored answers.
+emits confidence-scored answers. Queries are built as `SparqlQuery`
+values; their SPARQL text is only the answers' provenance.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .answers import SOLVER_SP, AnswerCandidate
-from .errors import FilterTypeError, MalformedLine
-from .kb import KnowledgeBase, execute_sparql, generate_sparql, parse_sparql
+from .errors import MalformedLine
+from .kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
 from .text import EntityDictionary, normalize, tokenize
 
 DICTIONARY_CONFIDENCE = 1.0
@@ -131,12 +132,13 @@ def recognize_predicates(question: str, templates: list[QuestionTemplate]) -> li
 def generate_queries(
     subjects: list[SubjectCandidate],
     predicates: list[PredicateCandidate],
-) -> list[tuple[str, float]]:
-    """Full cross product, subjects-major; confidence multiplies."""
-    out: list[tuple[str, float]] = []
+) -> list[tuple[SparqlQuery, float]]:
+    """Full cross product of object-unknown queries, subjects-major;
+    confidence multiplies."""
+    out: list[tuple[SparqlQuery, float]] = []
     for s in subjects:
         for p in predicates:
-            out.append((generate_sparql(s.entity, p.predicate), s.confidence * p.confidence))
+            out.append((SparqlQuery("x", ObjectUnknown(s.entity, p.predicate)), s.confidence * p.confidence))
     return out
 
 
@@ -149,13 +151,11 @@ def solve_sp(
     subjects = recognize_subjects(question, dictionary, templates)
     predicates = recognize_predicates(question, templates)
     best: dict[str, AnswerCandidate] = {}
-    for query_text, combined in generate_queries(subjects, predicates):
-        try:
-            bindings = execute_sparql(kb, parse_sparql(query_text))
-        except FilterTypeError:
-            continue
+    for query, combined in generate_queries(subjects, predicates):
+        bindings = execute_sparql(kb, query)
         if not bindings:
             continue
+        query_text = serialize_sparql(query)
         conf = combined / len(bindings)
         for b in bindings:
             cand = AnswerCandidate(b, conf, SOLVER_SP, provenance=query_text)

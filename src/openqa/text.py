@@ -149,6 +149,3 @@ def encode(vocab: Vocabulary, tokens: list[str] | tuple[str, ...]) -> list[int]:
     """Map tokens to ids; out-of-vocabulary tokens become UNK."""
     return [vocab.id_of(t) for t in tokens]
 
-
-def decode(vocab: Vocabulary, ids: list[int]) -> list[str]:
-    return [vocab.token_of(i) for i in ids]

@@ -65,11 +65,8 @@ class TestEval:
 
 
 class TestIndex:
-    def test_builds_and_writes(self, fx, toy, tmp_path, capsys):
-        out_path = str(tmp_path / "index.json")
-        assert main(["--config", toy["config"], "index",
-                     os.path.join(fx, "passages.jsonl"), "--out", out_path]) == 0
-        assert os.path.exists(out_path)
+    def test_builds_and_writes(self, fx, toy, capsys):
+        assert main(["--config", toy["config"], "index", os.path.join(fx, "passages.jsonl")]) == 0
         assert "indexed 42 documents" in capsys.readouterr().out  # 30 triples + 12 passages
 
 

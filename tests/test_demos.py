@@ -1,0 +1,19 @@
+"""The quick demos run to completion (04 and 05 train models and take
+10 s or more each, so they are left to be run by hand)."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("name", ["01_knowledge_base.py", "02_retrieval.py", "03_neural_kernel.py"])
+def test_demo_exits_cleanly(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -7,7 +7,7 @@ import pytest
 from openqa.errors import FilterTypeError, MalformedLine, SparqlSyntaxError
 from openqa.kb import (
     KnowledgeBase, ObjectUnknown, SparqlQuery, SubjectUnknown, Triple,
-    build_entity_dictionary, execute_sparql, generate_sparql,
+    build_entity_dictionary, execute_sparql,
     load_triples, parse_sparql, serialize_sparql,
 )
 
@@ -113,11 +113,6 @@ class TestSparql:
     def test_syntax_errors(self, bad):
         with pytest.raises(SparqlSyntaxError):
             parse_sparql(bad)
-
-    def test_generate_sparql_parses_back(self):
-        text = generate_sparql("paris", "capital_of")
-        q = parse_sparql(text)
-        assert q.pattern == ObjectUnknown("paris", "capital_of")
 
 
 class TestEntityDictionary:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from openqa import nn
+from openqa import ld_solver, nn
 from openqa.hyper import Hyper
 from openqa.kb import build_entity_dictionary, load_triples
 from openqa.ld_solver import (
@@ -130,6 +130,21 @@ class TestSolve:
     def test_unknown_entity_is_empty(self, world, vocab):
         kb, d, tagger, scorer = world
         assert solve_ld("who wrote ulysses", kb, d, tagger, scorer, vocab) == []
+
+    def test_each_relation_scored_once(self, world, vocab, monkeypatch):
+        kb, d, tagger, scorer = world
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return score_relation(*args)
+
+        monkeypatch.setattr(ld_solver, "score_relation", counting)
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab)
+        assert sorted(calls) == sorted(kb.predicates_of("hamlet"))
+        # exact link (distance 0): confidence is the winner's combined score mapped to [0, 1]
+        combined = score_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author").combined
+        assert out[0].confidence == (combined + 1.0) / 2.0
 
 
 class TestData:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from openqa import nn
-from openqa.errors import EvenWidth, ShapeMismatch
+from openqa.errors import EvenWidth
 from openqa.hyper import Hyper
 
 RNG = np.random.default_rng(0)
@@ -50,10 +50,6 @@ class TestOps:
             um = u.copy(); um[i] -= eps
             num = (nn.cosine(up, v) - nn.cosine(um, v)) / (2 * eps)
             assert gu[i] == pytest.approx(num, abs=1e-6)
-
-    def test_matmul_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            nn.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestLayers:

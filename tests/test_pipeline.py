@@ -1,8 +1,10 @@
 """System orchestration: ask, evaluate, splitting, selector data."""
 
 import json
+import logging
 import os
 import re
+import threading
 import time
 
 import pytest
@@ -108,6 +110,42 @@ class TestSolverDegradation:
         assert candidates["sp"][0].answer == "shakespeare"
         assert timings["sp"] >= 300.0
         assert timings["ld"] < 150.0 and timings["rr"] < 150.0
+
+    def test_solvers_run_in_the_calling_thread(self, toy, monkeypatch):
+        system = toy["system"]
+        threads = {}
+        for tag in ("sp", "ld", "rr"):
+            def record(question, tag=tag, run=getattr(system, f"run_{tag}")):
+                threads[tag] = threading.get_ident()
+                return run(question)
+            monkeypatch.setattr(system, f"run_{tag}", record)
+        run_solvers(system, "who wrote hamlet")
+        assert threads == dict.fromkeys(("sp", "ld", "rr"), threading.get_ident())
+
+    def test_budget_skips_solvers_not_yet_started(self, toy, tmp_path, monkeypatch, caplog):
+        config_path = toy["write_config"](str(tmp_path / "budget.json"), {"solver_timeout": 0.2})
+        system = System(SystemConfig.load(config_path))
+        calls = []
+
+        def slow_sp(question):
+            time.sleep(0.3)
+            return System.run_sp(system, question)
+
+        def never(question):
+            calls.append(question)
+            return []
+
+        monkeypatch.setattr(system, "run_sp", slow_sp)
+        monkeypatch.setattr(system, "run_ld", never)
+        monkeypatch.setattr(system, "run_rr", never)
+        with caplog.at_level(logging.WARNING, logger="openqa"):
+            candidates, timings = run_solvers(system, "who wrote hamlet")
+        assert candidates["sp"][0].answer == "shakespeare"
+        assert calls == []
+        assert candidates["ld"] == [] and candidates["rr"] == []
+        skips = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage().split()[1] for r in skips] == ["ld", "rr"]
+        assert all(r.exc_info is None for r in skips)
 
     def test_missing_models_degrade_to_empty(self, toy, tmp_path):
         config_path = toy["write_config"](str(tmp_path / "bare.json"), {})

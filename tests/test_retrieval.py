@@ -10,8 +10,8 @@ from openqa.errors import DuplicateDocId, UnknownDoc
 from openqa.kb import Triple, build_entity_dictionary, load_triples
 from openqa.retrieval import (
     B, K1, KIND_PASSAGE, KIND_TRIPLE, SUBJECT_BOOST,
-    IndexedDocument, bm25_score, build_index, load_index, load_passages,
-    save_index, search, splice_triple, tag_passage,
+    IndexedDocument, bm25_score, build_index, load_passages,
+    search, splice_triple, tag_passage,
 )
 from openqa.text import EntityDictionary
 
@@ -119,17 +119,6 @@ class TestSearch:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        idx = build_index(corpus())
-        path = str(tmp_path / "index.json")
-        save_index(idx, path)
-        loaded = load_index(path)
-        assert loaded.doc_count == idx.doc_count
-        assert loaded.avg_doc_length == pytest.approx(idx.avg_doc_length)
-        q = "capital of france"
-        assert [(r.doc.doc_id, r.score) for r in search(loaded, q, 3)] == [
-            (r.doc.doc_id, pytest.approx(r.score)) for r in search(idx, q, 3)]
-
     def test_load_passages(self, fx):
         passages = load_passages(os.path.join(fx, "passages.jsonl"))
         assert len(passages) == 12

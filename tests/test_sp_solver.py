@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
+from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples, serialize_sparql
 from openqa.sp_solver import (
     DEFAULT_TEMPLATE_CONFIDENCE, DICTIONARY_CONFIDENCE, TEMPLATE_CAPTURE_CONFIDENCE,
     QuestionTemplate, generate_queries, load_templates,
@@ -60,7 +60,8 @@ class TestQueriesAndSolve:
         subjects = recognize_subjects("who wrote hamlet", d, templates)
         predicates = recognize_predicates("who wrote hamlet", templates)
         queries = generate_queries(subjects, predicates)
-        assert queries == [("SELECT ?x WHERE { <hamlet> <author> ?x . }", 0.9)]
+        assert [(serialize_sparql(q), c) for q, c in queries] == [
+            ("SELECT ?x WHERE { <hamlet> <author> ?x . }", 0.9)]
 
     def test_solve_simple(self, world):
         kb, d, templates = world
@@ -84,6 +85,16 @@ class TestQueriesAndSolve:
         assert all(c.confidence == pytest.approx(0.45) for c in out)
         # deterministic order: equal confidence ties break on the answer string
         assert [c.answer for c in out] == ["lyon", "paris"]
+
+    def test_entity_that_is_not_a_valid_iri(self):
+        # "c>3" cannot be written between <...>, so a query that went through
+        # SPARQL text would not parse; the query is built, not parsed
+        kb = KnowledgeBase([Triple("c>3", "author", "kim")])
+        d = build_entity_dictionary(kb)
+        templates = [QuestionTemplate(pattern="^who wrote (.+)$", predicate="author", subject_group=1)]
+        out = solve_sp("who wrote c>3", kb, d, templates)
+        assert [c.answer for c in out] == ["kim"]
+        assert out[0].provenance == "SELECT ?x WHERE { <c>3> <author> ?x . }"
 
     def test_duplicate_answers_keep_best_confidence(self):
         kb = KnowledgeBase([Triple("hamlet", "author", "shakespeare")])
