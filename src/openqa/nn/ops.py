@@ -57,9 +57,6 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, grad: float) -> tuple[np.ndarr
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(np.asarray(x, dtype=np.float64)))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)

@@ -51,6 +51,21 @@ class TestOps:
             num = (nn.cosine(up, v) - nn.cosine(um, v)) / (2 * eps)
             assert gu[i] == pytest.approx(num, abs=1e-6)
 
+    def test_sigmoid_equals_masked_formula(self):
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(3)
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])
+        for sd in (1.0, 30.0, 800.0):
+            x = np.concatenate([rng.normal(scale=sd, size=10_000), edges])
+            assert np.array_equal(nn.sigmoid(x), masked(x))
+
 
 class TestLayers:
     def test_linear_forward(self):
