@@ -17,6 +17,7 @@ from .layers import (
     attention_backward,
     bidirectional_backward,
     bidirectional_encode,
+    bidirectional_encode_batch,
     conv1d_backward,
     conv1d_forward,
     embedding_backward,
@@ -46,7 +47,7 @@ __all__ = [
     "conv1d_forward", "conv1d_backward",
     "gru_step", "gru_step_backward", "lstm_step", "lstm_step_backward",
     "init_gru", "init_lstm", "init_bidirectional",
-    "bidirectional_encode", "bidirectional_backward",
+    "bidirectional_encode", "bidirectional_encode_batch", "bidirectional_backward",
     "attention", "attention_backward",
     "layer_norm", "layer_norm_backward",
     "init_transformer_layer", "transformer_encoder_layer",

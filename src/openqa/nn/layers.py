@@ -5,28 +5,27 @@ cache plus the upstream gradient and returns parameter gradients (keyed
 by the same names as the parameter dict) and input gradients. Recurrent
 parameters live in a flat dict under a caller-chosen prefix, e.g.
 "tagger.fwd.W_z".
+
+Gated recurrences are one stacked cell per kind. Each call concatenates
+a direction's per-gate arrays in `GATES` order: W to [3h, d] (GRU: z, r,
+candidate h) or [4h, d] (LSTM: i, f, o, g), U and b to match. Every
+step's input projection x W^T + b is one matmul before the time loop;
+each step then makes one recurrent matmul, [B, 2h] for the GRU's z and r
+(plus U_h on r*h_prev for its candidate) or [B, 4h] for the LSTM. A batch
+of sequences is left-aligned and zero-padded to [B, L, d] (time-major
+inside); the right-to-left pass runs on each sequence reversed within its
+own length, so in both directions padding only follows a sequence's last
+step. A length mask zeroes the padded positions' states and drops their
+gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (
-    EmptySequence,
-    EvenWidth,
-    IndexOutOfRange,
-    ShapeMismatch,
-)
+from ..errors import EmptySequence, EvenWidth, IndexOutOfRange, ShapeMismatch
 from .ops import sigmoid, softmax, softmax_backward
-from .params import Grads, ModelParameters
-
-ParamDict = dict[str, np.ndarray]
-
-
-def _p(params, name: str) -> np.ndarray:
-    entries = params.entries if isinstance(params, ModelParameters) else params
-    return entries[name]
-
+from .params import Grads, ModelParameters, accumulate
 
 # ---------------------------------------------------------------------------
 # linear
@@ -103,186 +102,189 @@ def conv1d_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# gated recurrences
+# gated recurrences: one stacked cell per kind, run over a padded batch
 # ---------------------------------------------------------------------------
 
-GRU_PARAM_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
-LSTM_PARAM_NAMES = (
-    "W_i", "U_i", "b_i", "W_f", "U_f", "b_f",
-    "W_o", "U_o", "b_o", "W_g", "U_g", "b_g",
-)
+GATES = {"gru": "zrh", "lstm": "ifog"}
+
+
+def _init_cell(params: ModelParameters, prefix: str, d: int, h: int, kind: str) -> None:
+    for gate in GATES[kind]:
+        params.add(f"{prefix}W_{gate}", (h, d))
+        params.add(f"{prefix}U_{gate}", (h, h))
+        params.add_zeros(f"{prefix}b_{gate}", (h,))
 
 
 def init_gru(params: ModelParameters, prefix: str, d: int, h: int) -> None:
-    for gate in ("z", "r", "h"):
-        params.add(f"{prefix}W_{gate}", (h, d))
-        params.add(f"{prefix}U_{gate}", (h, h))
-        params.add_zeros(f"{prefix}b_{gate}", (h,))
+    _init_cell(params, prefix, d, h, "gru")
 
 
 def init_lstm(params: ModelParameters, prefix: str, d: int, h: int) -> None:
-    for gate in ("i", "f", "o", "g"):
-        params.add(f"{prefix}W_{gate}", (h, d))
-        params.add(f"{prefix}U_{gate}", (h, h))
-        params.add_zeros(f"{prefix}b_{gate}", (h,))
+    _init_cell(params, prefix, d, h, "lstm")
+
+
+def _stack(params, prefix: str, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One direction's (W, U, b), each concatenated over the gates in `GATES` order."""
+    return tuple(np.concatenate([params[f"{prefix}{m}_{g}"] for g in GATES[kind]]) for m in "WUb")
+
+
+def _unstack(prefix: str, kind: str, stacked) -> Grads:
+    """Stacked (dW, dU, db) back under the saved per-gate names."""
+    return {f"{prefix}{m}_{g}": part for m, arr in zip("WUb", stacked)
+            for g, part in zip(GATES[kind], np.split(arr, len(GATES[kind])))}
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over every step and row of outer(a, b): one matmul."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _cell_forward(kind: str, weights, x: np.ndarray, h: np.ndarray, c: np.ndarray | None) -> tuple[np.ndarray, dict]:
+    """One direction over a time-major x[L, B, d] from states h (and c) [B, h]: states [L, B, h]."""
+    W, U, b = weights
+    n = U.shape[1]
+    if W.shape[1] != x.shape[2] or h.shape != (x.shape[1], n):
+        raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
+    cache = {"kind": kind, "x": x, "c0": c, "saved": []}  # per step: gates, candidate, r*h (GRU) or c (LSTM)
+    hs, saved = [h], cache["saved"]
+    a = (x.reshape(-1, x.shape[2]) @ W.T + b).reshape(x.shape[:2] + b.shape)
+    if kind == "gru":
+        U_zr, U_h = U[:2 * n].T, U[2 * n:].T
+        for a_t in a:
+            zr = sigmoid(a_t[:, :2 * n] + h @ U_zr)
+            rh = zr[:, n:] * h
+            g = np.tanh(a_t[:, 2 * n:] + rh @ U_h)
+            h = g + zr[:, :n] * (h - g)
+            hs.append(h)
+            saved.append((zr, g, rh))
+    else:
+        for a_t in a:
+            pre = a_t + h @ U.T
+            ifo, g = sigmoid(pre[:, :3 * n]), np.tanh(pre[:, 3 * n:])
+            c = ifo[:, n:2 * n] * c + ifo[:, :n] * g
+            h = ifo[:, 2 * n:] * np.tanh(c)
+            hs.append(h)
+            saved.append((ifo, g, c))
+    cache["h"] = np.stack(hs)
+    return cache["h"][1:], cache
+
+
+def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
+    """BPTT through `_cell_forward` from grads dH [L, B, h] on its states and
+    (LSTM) dc [B, h] on its last cell state. Returns ((dW, dU, db) stacked,
+    dx [L, B, d], and the grads dh, dc on the initial states).
+    """
+    W, U, _ = weights
+    h_prev = cache["h"][:-1]
+    sig, cand, aux = map(np.stack, zip(*cache["saved"]))
+    L, B, n = cand.shape
+    da = np.empty((L, B, W.shape[0]))
+    dh = np.zeros((B, n))
+    if cache["kind"] == "gru":
+        z, r = sig[..., :n], sig[..., n:]
+        k_zr = np.concatenate([(h_prev - cand) * z * (1.0 - z), h_prev * r * (1.0 - r)], axis=2)
+        k_h = (1.0 - z) * (1.0 - cand * cand)
+        U_zr, U_h = U[:2 * n], U[2 * n:]
+        for t in range(L - 1, -1, -1):
+            dh = dH[t] + dh
+            da[t, :, 2 * n:] = da_h = dh * k_h[t]
+            drh = da_h @ U_h
+            da[t, :, :2 * n] = da_zr = np.concatenate([dh, drh], axis=1) * k_zr[t]
+            dh = dh * z[t] + drh * r[t] + da_zr @ U_zr
+        dU = np.concatenate([_outer_sum(da[..., :2 * n], h_prev), _outer_sum(da[..., 2 * n:], aux)])
+    else:
+        i, f, o = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
+        tc = np.tanh(aux)
+        c_prev = np.concatenate([cache["c0"][None], aux[:-1]])
+        k = np.concatenate([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+                            tc * o * (1.0 - o), i * (1.0 - cand * cand)], axis=2)
+        k_c = o * (1.0 - tc * tc)
+        for t in range(L - 1, -1, -1):
+            dh = dH[t] + dh
+            dc = dc + dh * k_c[t]
+            da[t] = da_t = np.concatenate([dc, dc, dh, dc], axis=1) * k[t]
+            dc = dc * f[t]
+            dh = da_t @ U
+        dU = _outer_sum(da, h_prev)
+    return (_outer_sum(da, cache["x"]), dU, da.sum(axis=(0, 1))), da @ W, dh, dc
 
 
 def gru_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One GRU step: h' = z*h_prev + (1-z)*candidate."""
-    g = lambda n: _p(params, prefix + n)
-    if g("W_z").shape[1] != x_t.shape[0] or g("U_z").shape[1] != h_prev.shape[0]:
-        raise ShapeMismatch("gru_step: input/state sizes disagree with parameters")
-    z = sigmoid(g("W_z") @ x_t + g("U_z") @ h_prev + g("b_z"))
-    r = sigmoid(g("W_r") @ x_t + g("U_r") @ h_prev + g("b_r"))
-    rh = r * h_prev
-    cand = np.tanh(g("W_h") @ x_t + g("U_h") @ rh + g("b_h"))
-    h = z * h_prev + (1.0 - z) * cand
-    cache = {"x": x_t, "h_prev": h_prev, "z": z, "r": r, "rh": rh, "cand": cand}
-    return h, cache
+    """One GRU step, h' = z*h_prev + (1-z)*candidate: the B=1, L=1 stacked cell."""
+    states, cache = _cell_forward("gru", _stack(params, prefix, "gru"), x_t[None, None], h_prev[None], None)
+    return states[0, 0], cache
 
 
 def gru_step_backward(params, prefix: str, cache: dict, dh: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray]:
     """Returns (param grads, dx, dh_prev)."""
-    g = lambda n: _p(params, prefix + n)
-    x, h_prev = cache["x"], cache["h_prev"]
-    z, r, rh, cand = cache["z"], cache["r"], cache["rh"], cache["cand"]
-
-    dz = dh * (h_prev - cand)
-    dcand = dh * (1.0 - z)
-    dh_prev = dh * z
-
-    da_cand = dcand * (1.0 - cand * cand)
-    drh = g("U_h").T @ da_cand
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    da_z = dz * z * (1.0 - z)
-    da_r = dr * r * (1.0 - r)
-
-    grads: Grads = {
-        prefix + "W_z": np.outer(da_z, x),
-        prefix + "U_z": np.outer(da_z, h_prev),
-        prefix + "b_z": da_z,
-        prefix + "W_r": np.outer(da_r, x),
-        prefix + "U_r": np.outer(da_r, h_prev),
-        prefix + "b_r": da_r,
-        prefix + "W_h": np.outer(da_cand, x),
-        prefix + "U_h": np.outer(da_cand, rh),
-        prefix + "b_h": da_cand,
-    }
-    dx = g("W_z").T @ da_z + g("W_r").T @ da_r + g("W_h").T @ da_cand
-    dh_prev = dh_prev + g("U_z").T @ da_z + g("U_r").T @ da_r
-    return grads, dx, dh_prev
+    stacked, dx, dh_prev, _ = _cell_backward(_stack(params, prefix, "gru"), cache, dh[None, None], None)
+    return _unstack(prefix, "gru", stacked), dx[0, 0], dh_prev[0]
 
 
 def lstm_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    g = lambda n: _p(params, prefix + n)
-    if g("W_i").shape[1] != x_t.shape[0] or g("U_i").shape[1] != h_prev.shape[0]:
-        raise ShapeMismatch("lstm_step: input/state sizes disagree with parameters")
-    i = sigmoid(g("W_i") @ x_t + g("U_i") @ h_prev + g("b_i"))
-    f = sigmoid(g("W_f") @ x_t + g("U_f") @ h_prev + g("b_f"))
-    o = sigmoid(g("W_o") @ x_t + g("U_o") @ h_prev + g("b_o"))
-    cand = np.tanh(g("W_g") @ x_t + g("U_g") @ h_prev + g("b_g"))
-    c = f * c_prev + i * cand
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f, "o": o, "cand": cand, "tc": tc}
-    return h, c, cache
+    """One LSTM step: the B=1, L=1 stacked cell."""
+    states, cache = _cell_forward("lstm", _stack(params, prefix, "lstm"), x_t[None, None], h_prev[None], c_prev[None])
+    return states[0, 0], cache["saved"][0][2][0], cache
 
 
 def lstm_step_backward(params, prefix: str, cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (param grads, dx, dh_prev, dc_prev)."""
-    g = lambda n: _p(params, prefix + n)
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-    i, f, o, cand, tc = cache["i"], cache["f"], cache["o"], cache["cand"], cache["tc"]
-
-    do = dh * tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    df = dc_total * c_prev
-    di = dc_total * cand
-    dcand = dc_total * i
-    dc_prev = dc_total * f
-
-    da_i = di * i * (1.0 - i)
-    da_f = df * f * (1.0 - f)
-    da_o = do * o * (1.0 - o)
-    da_g = dcand * (1.0 - cand * cand)
-
-    grads: Grads = {}
-    dx = np.zeros_like(x)
-    dh_prev = np.zeros_like(h_prev)
-    for gate, da in (("i", da_i), ("f", da_f), ("o", da_o), ("g", da_g)):
-        grads[f"{prefix}W_{gate}"] = np.outer(da, x)
-        grads[f"{prefix}U_{gate}"] = np.outer(da, h_prev)
-        grads[f"{prefix}b_{gate}"] = da
-        dx += g(f"W_{gate}").T @ da
-        dh_prev += g(f"U_{gate}").T @ da
-    return grads, dx, dh_prev, dc_prev
+    stacked, dx, dh_prev, dc_prev = _cell_backward(_stack(params, prefix, "lstm"), cache, dh[None, None], dc[None])
+    return _unstack(prefix, "lstm", stacked), dx[0, 0], dh_prev[0], dc_prev[0]
 
 
 def init_bidirectional(params: ModelParameters, prefix: str, cell_kind: str, d: int, h: int) -> None:
-    init = init_lstm if cell_kind == "lstm" else init_gru
-    init(params, prefix + "fwd.", d, h)
-    init(params, prefix + "bwd.", d, h)
+    for direction in ("fwd.", "bwd."):
+        _init_cell(params, prefix + direction, d, h, cell_kind)
+
+
+def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+    """Encode the sequences xs[b] ([n_b, d]) as one padded batch: states
+    [B, L, 2h] with L = max n_b, zero at padded positions."""
+    if not xs or any(x.ndim != 2 or x.shape[0] == 0 for x in xs):
+        raise EmptySequence("bidirectional_encode needs at least one position")
+    lengths = np.array([x.shape[0] for x in xs])
+    steps = np.arange(lengths.max())[:, None]
+    mask = steps < lengths  # [L, B]
+    cols = np.arange(len(xs))
+    rev = np.where(mask, lengths - 1 - steps, steps)  # [L, B], its own inverse
+    x = np.zeros(mask.shape + (xs[0].shape[1],))
+    for b, seq in enumerate(xs):
+        x[:len(seq), b] = seq
+    h0 = np.zeros((len(xs), params[f"{prefix}fwd.U_{GATES[cell_kind][0]}"].shape[0]))
+    (fwd, fwd_cache), (bwd, bwd_cache) = (
+        _cell_forward(cell_kind, _stack(params, f"{prefix}{direction}.", cell_kind), seq, h0, h0)
+        for direction, seq in (("fwd", x), ("bwd", x[rev, cols])))
+    out = np.concatenate([fwd, bwd[rev, cols]], axis=2)
+    out[~mask] = 0.0
+    return out.swapaxes(0, 1), {"cell_kind": cell_kind, "prefix": prefix, "caches": (fwd_cache, bwd_cache),
+                                "mask": mask, "rev": rev}
 
 
 def bidirectional_encode(cell_kind: str, params, prefix: str, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Independent left-to-right and right-to-left passes, concatenated per position.
-
-    Output is [len, 2h]; the first h columns are the forward pass.
-    """
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptySequence("bidirectional_encode needs at least one position")
-    n = x.shape[0]
-    h_size = _p(params, prefix + "fwd.W_z" if cell_kind == "gru" else prefix + "fwd.W_i").shape[0]
-
-    def run(direction: str, order: range):
-        h = np.zeros(h_size, dtype=np.float64)
-        c = np.zeros(h_size, dtype=np.float64)
-        outs = [None] * n
-        caches = [None] * n
-        for t in order:
-            if cell_kind == "gru":
-                h, cache = gru_step(params, prefix + direction + ".", x[t], h)
-            else:
-                h, c, cache = lstm_step(params, prefix + direction + ".", x[t], h, c)
-            outs[t] = h
-            caches[t] = cache
-        return np.stack(outs), caches
-
-    fwd, fwd_caches = run("fwd", range(n))
-    bwd, bwd_caches = run("bwd", range(n - 1, -1, -1))
-    out = np.concatenate([fwd, bwd], axis=1)
-    cache = {"cell_kind": cell_kind, "prefix": prefix, "n": n, "h": h_size,
-             "fwd_caches": fwd_caches, "bwd_caches": bwd_caches, "d": x.shape[1]}
-    return out, cache
+    """The B=1 case of `bidirectional_encode_batch`: x [len, d] -> [len, 2h]."""
+    out, cache = bidirectional_encode_batch(cell_kind, params, prefix, [x])
+    return out[0], cache
 
 
 def bidirectional_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
-    """BPTT through both directions; returns (param grads, grad_x)."""
-    from .params import accumulate
+    """BPTT through both directions; returns (param grads, grad_x).
 
-    cell_kind, prefix = cache["cell_kind"], cache["prefix"]
-    n, h_size, d = cache["n"], cache["h"], cache["d"]
+    grad_out is [len, 2h] after `bidirectional_encode` and [B, L, 2h] after
+    `bidirectional_encode_batch`; grad_x is [len, d] or [B, L, d] to match.
+    """
+    cell_kind, prefix, mask, rev = cache["cell_kind"], cache["prefix"], cache["mask"], cache["rev"]
+    g = np.where(mask[..., None], grad_out.swapaxes(0, 1) if grad_out.ndim == 3 else grad_out[:, None], 0.0)
+    n, cols = g.shape[2] // 2, np.arange(g.shape[1])
     grads: Grads = {}
-    dx = np.zeros((n, d), dtype=np.float64)
-
-    def run(direction: str, caches, order, grad_slice):
-        dh_carry = np.zeros(h_size, dtype=np.float64)
-        dc_carry = np.zeros(h_size, dtype=np.float64)
-        for t in order:
-            dh = grad_slice[t] + dh_carry
-            if cell_kind == "gru":
-                g, dxt, dh_carry = gru_step_backward(params, prefix + direction + ".", caches[t], dh)
-            else:
-                g, dxt, dh_carry, dc_carry = lstm_step_backward(params, prefix + direction + ".", caches[t], dh, dc_carry)
-            accumulate(grads, g)
-            dx[t] += dxt
-
-    # forward direction processed t = n-1 .. 0; backward direction t = 0 .. n-1
-    run("fwd", cache["fwd_caches"], range(n - 1, -1, -1), grad_out[:, :h_size])
-    run("bwd", cache["bwd_caches"], range(n), grad_out[:, h_size:])
-    return grads, dx
+    dx = 0.0
+    for direction, cell, dH, order in (("fwd", cache["caches"][0], g[..., :n], slice(None)),
+                                       ("bwd", cache["caches"][1], g[rev, cols, n:], (rev, cols))):
+        weights = _stack(params, f"{prefix}{direction}.", cell_kind)
+        stacked, dxs, _, _ = _cell_backward(weights, cell, dH, np.zeros((len(cols), n)))
+        grads.update(_unstack(f"{prefix}{direction}.", cell_kind, stacked))
+        dx = dx + dxs[order]
+    return grads, dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,7 @@ def init_transformer_layer(params: ModelParameters, prefix: str, d: int, heads: 
 
 
 def _mha_forward(params, prefix: str, x: np.ndarray, heads: int) -> tuple[np.ndarray, dict]:
-    g = lambda n: _p(params, prefix + n)
+    g = lambda n: params[prefix + n]
     n, d = x.shape
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
@@ -393,7 +395,7 @@ def _mha_forward(params, prefix: str, x: np.ndarray, heads: int) -> tuple[np.nda
 
 
 def _mha_backward(params, prefix: str, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
-    g = lambda name: _p(params, prefix + name)
+    g = lambda name: params[prefix + name]
     x, Qh, Kh, Vh, A, O = cache["x"], cache["Qh"], cache["Kh"], cache["Vh"], cache["A"], cache["O"]
     heads, dh, scale = cache["heads"], cache["dh"], cache["scale"]
     n, d = x.shape
@@ -425,7 +427,7 @@ def _mha_backward(params, prefix: str, cache: dict, grad_out: np.ndarray) -> tup
 
 def transformer_encoder_layer(params, prefix: str, x: np.ndarray, heads: int) -> tuple[np.ndarray, dict]:
     """Self-attention + residual + layer norm, then FFN + residual + layer norm."""
-    g = lambda n: _p(params, prefix + n)
+    g = lambda n: params[prefix + n]
     if x.ndim != 2 or x.shape[1] % heads != 0:
         raise ShapeMismatch(f"transformer layer: x{x.shape} with {heads} heads")
     a, mha_cache = _mha_forward(params, prefix, x, heads)
@@ -442,10 +444,8 @@ def transformer_encoder_layer(params, prefix: str, x: np.ndarray, heads: int) ->
 
 
 def transformer_encoder_layer_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
-    from .params import accumulate
-
     prefix = cache["prefix"]
-    g = lambda n: _p(params, prefix + n)
+    g = lambda n: params[prefix + n]
     n1, pre, hidden = cache["n1"], cache["pre"], cache["hidden"]
 
     dr2, dg2, db2 = layer_norm_backward(grad_out, cache["ln2"])

@@ -165,18 +165,19 @@ def read(
 ) -> list[AnswerCandidate]:
     """Best span per passage; confidences are a softmax over raw scores.
 
-    The question is encoded once and shared by every passage."""
+    The question is encoded once and shared by every passage; the
+    passages are encoded together, as one padded batch."""
     docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:top_k_passages]
     passages = [(doc.doc_id, list(tokenize(doc.value_field).tokens)) for doc in docs]
     passages = [(doc_id, tokens) for doc_id, tokens in passages if tokens]
     if not passages:
         return []
     v_s, v_e = _encode_question(model.params, encode(model.vocab, _question_tokens(question)))[:2]
-    best_spans: list[SpanPrediction] = []
-    for doc_id, tokens in passages:
-        # [0]: no passage's encoder cache outlives its own iteration
-        p_states = _encode_passage(model.params, encode(model.vocab, tokens))[0]
-        best_spans.append(best_span(p_states @ v_s, p_states @ v_e, model.max_span_len, doc_id, tokens))
+    embedded = [nn.embedding_lookup(model.params["emb"], encode(model.vocab, tokens)) for _, tokens in passages]
+    # [0]: the batch's encoder cache is dropped at once
+    p_states = nn.bidirectional_encode_batch("gru", model.params, "p.", embedded)[0]
+    best_spans = [best_span(start[:len(tokens)], end[:len(tokens)], model.max_span_len, doc_id, tokens)
+                  for (doc_id, tokens), start, end in zip(passages, p_states @ v_s, p_states @ v_e)]
     confidences = nn.softmax(np.array([s.raw_score for s in best_spans]))
     candidates = [
         AnswerCandidate(span.text, float(conf), SOLVER_RR,

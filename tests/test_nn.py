@@ -192,3 +192,164 @@ class TestParameters:
             return loss, {"W": gW, "b": gb}
 
         assert nn.grad_check(loss_fn, params) < 1e-6
+
+
+# -- per-step oracle: the recurrences as they were written before the stacked,
+# batched cell (one sequence, one direction and one gate at a time) ------------
+
+def _oracle_gru_step(p, pre, x, h_prev):
+    g = lambda n: p[pre + n]
+    z = nn.sigmoid(g("W_z") @ x + g("U_z") @ h_prev + g("b_z"))
+    r = nn.sigmoid(g("W_r") @ x + g("U_r") @ h_prev + g("b_r"))
+    rh = r * h_prev
+    cand = np.tanh(g("W_h") @ x + g("U_h") @ rh + g("b_h"))
+    return z * h_prev + (1.0 - z) * cand, (x, h_prev, z, r, rh, cand)
+
+
+def _oracle_gru_step_backward(p, pre, cache, dh):
+    g = lambda n: p[pre + n]
+    x, h_prev, z, r, rh, cand = cache
+    dz, dcand, dh_prev = dh * (h_prev - cand), dh * (1.0 - z), dh * z
+    da_cand = dcand * (1.0 - cand * cand)
+    drh = g("U_h").T @ da_cand
+    dr = drh * h_prev
+    dh_prev = dh_prev + drh * r
+    da_z, da_r = dz * z * (1.0 - z), dr * r * (1.0 - r)
+    grads = {}
+    for gate, da, u_in in (("z", da_z, h_prev), ("r", da_r, h_prev), ("h", da_cand, rh)):
+        grads[f"{pre}W_{gate}"] = np.outer(da, x)
+        grads[f"{pre}U_{gate}"] = np.outer(da, u_in)
+        grads[f"{pre}b_{gate}"] = da
+    dx = g("W_z").T @ da_z + g("W_r").T @ da_r + g("W_h").T @ da_cand
+    return grads, dx, dh_prev + g("U_z").T @ da_z + g("U_r").T @ da_r
+
+
+def _oracle_lstm_step(p, pre, x, h_prev, c_prev):
+    g = lambda n: p[pre + n]
+    i, f, o = (nn.sigmoid(g(f"W_{k}") @ x + g(f"U_{k}") @ h_prev + g(f"b_{k}")) for k in "ifo")
+    cand = np.tanh(g("W_g") @ x + g("U_g") @ h_prev + g("b_g"))
+    c = f * c_prev + i * cand
+    tc = np.tanh(c)
+    return o * tc, c, (x, h_prev, c_prev, i, f, o, cand, tc)
+
+
+def _oracle_lstm_step_backward(p, pre, cache, dh, dc):
+    x, h_prev, c_prev, i, f, o, cand, tc = cache
+    dc_total = dc + dh * o * (1.0 - tc * tc)
+    grads, dx, dh_prev = {}, np.zeros_like(x), np.zeros_like(h_prev)
+    for gate, da in (("i", dc_total * cand * i * (1.0 - i)), ("f", dc_total * c_prev * f * (1.0 - f)),
+                     ("o", dh * tc * o * (1.0 - o)), ("g", dc_total * i * (1.0 - cand * cand))):
+        grads[f"{pre}W_{gate}"] = np.outer(da, x)
+        grads[f"{pre}U_{gate}"] = np.outer(da, h_prev)
+        grads[f"{pre}b_{gate}"] = da
+        dx += p[f"{pre}W_{gate}"].T @ da
+        dh_prev += p[f"{pre}U_{gate}"].T @ da
+    return grads, dx, dh_prev, dc_total * f
+
+
+def _oracle_bidirectional(kind, p, prefix, x, grad_out):
+    """States [n, 2h] of one sequence, and its param grads and dx for grad_out."""
+    n, h = x.shape[0], p[prefix + "fwd.U_" + GATE0[kind]].shape[0]
+    states, grads, dx = np.zeros((n, 2 * h)), {}, np.zeros_like(x)
+    for col, direction, order in ((0, "fwd", range(n)), (h, "bwd", range(n - 1, -1, -1))):
+        pre = f"{prefix}{direction}."
+        hs, cs, caches = np.zeros(h), np.zeros(h), {}
+        for t in order:
+            if kind == "gru":
+                hs, caches[t] = _oracle_gru_step(p, pre, x[t], hs)
+            else:
+                hs, cs, caches[t] = _oracle_lstm_step(p, pre, x[t], hs, cs)
+            states[t, col:col + h] = hs
+        dh, dc = np.zeros(h), np.zeros(h)
+        for t in reversed(order):
+            if kind == "gru":
+                g, dxt, dh = _oracle_gru_step_backward(p, pre, caches[t], grad_out[t, col:col + h] + dh)
+            else:
+                g, dxt, dh, dc = _oracle_lstm_step_backward(p, pre, caches[t], grad_out[t, col:col + h] + dh, dc)
+            nn.accumulate(grads, g)
+            dx[t] += dxt
+    return states, grads, dx
+
+
+GATE0 = {"gru": "z", "lstm": "i"}
+
+
+def _ragged(rng, batch, max_len, d):
+    lengths = [max_len] + list(rng.integers(1, max_len + 1, size=batch - 1))
+    return [rng.normal(size=(int(n), d)) for n in rng.permutation(lengths)]
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+class TestRecurrenceOracle:
+    def test_steps_equal_oracle(self, kind):
+        rng = np.random.default_rng(20)
+        p = nn.ModelParameters(rng_seed=21)
+        nn.init_bidirectional(p, "s.", kind, d=5, h=4)
+        for _ in range(10):
+            x, h_prev, c_prev, dh, dc = (rng.normal(size=k) for k in (5, 4, 4, 4, 4))
+            if kind == "gru":
+                h, cache = nn.gru_step(p, "s.fwd.", x, h_prev)
+                want_h, oc = _oracle_gru_step(p, "s.fwd.", x, h_prev)
+                got = nn.gru_step_backward(p, "s.fwd.", cache, dh)
+                want = _oracle_gru_step_backward(p, "s.fwd.", oc, dh)
+            else:
+                h, c, cache = nn.lstm_step(p, "s.fwd.", x, h_prev, c_prev)
+                want_h, want_c, oc = _oracle_lstm_step(p, "s.fwd.", x, h_prev, c_prev)
+                assert np.abs(c - want_c).max() < 1e-12
+                got = nn.lstm_step_backward(p, "s.fwd.", cache, dh, dc)
+                want = _oracle_lstm_step_backward(p, "s.fwd.", oc, dh, dc)
+            assert np.abs(h - want_h).max() < 1e-12
+            assert set(got[0]) == set(want[0])
+            for name in want[0]:
+                assert np.abs(got[0][name] - want[0][name]).max() < 1e-12
+            for a, b in zip(got[1:], want[1:]):
+                assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_batch_equals_oracle(self, kind, batch):
+        rng = np.random.default_rng(22 + batch)
+        p = nn.ModelParameters(rng_seed=23)
+        nn.init_bidirectional(p, "b.", kind, d=5, h=4)
+        for _ in range(5):
+            xs = _ragged(rng, batch, 7, 5)
+            states, cache = nn.bidirectional_encode_batch(kind, p, "b.", xs)
+            grad_out = rng.normal(size=states.shape)  # padded positions too: they must be ignored
+            grads, dx = nn.bidirectional_backward(p, cache, grad_out)
+            want_grads = {}
+            for b, x in enumerate(xs):
+                n = x.shape[0]
+                want_states, g, want_dx = _oracle_bidirectional(kind, p, "b.", x, grad_out[b, :n])
+                nn.accumulate(want_grads, g)
+                assert np.abs(states[b, :n] - want_states).max() < 1e-12
+                assert np.abs(dx[b, :n] - want_dx).max() < 1e-12
+                assert not states[b, n:].any() and not dx[b, n:].any()
+            assert set(grads) == set(want_grads)
+            for name, want in want_grads.items():
+                assert np.abs(grads[name] - want).max() < 1e-12
+
+    def test_single_sequence_form(self, kind):
+        rng = np.random.default_rng(24)
+        p = nn.ModelParameters(rng_seed=25)
+        nn.init_bidirectional(p, "b.", kind, d=5, h=4)
+        x, grad_out = rng.normal(size=(6, 5)), rng.normal(size=(6, 8))
+        states, cache = nn.bidirectional_encode(kind, p, "b.", x)
+        grads, dx = nn.bidirectional_backward(p, cache, grad_out)
+        want_states, want_grads, want_dx = _oracle_bidirectional(kind, p, "b.", x, grad_out)
+        assert states.shape == (6, 8) and dx.shape == (6, 5)
+        assert np.abs(states - want_states).max() < 1e-12
+        assert np.abs(dx - want_dx).max() < 1e-12
+        for name, want in want_grads.items():
+            assert np.abs(grads[name] - want).max() < 1e-12
+
+    def test_grad_check_ragged_batch(self, kind):
+        rng = np.random.default_rng(26)
+        p = nn.ModelParameters(rng_seed=27)
+        nn.init_bidirectional(p, "b.", kind, d=3, h=2)
+        xs = [rng.normal(size=(n, 3)) for n in (3, 1, 2)]
+        R = rng.normal(size=(3, 3, 4))
+
+        def loss_fn(p_):
+            states, cache = nn.bidirectional_encode_batch(kind, p_, "b.", xs)
+            return float((states * R).sum()), nn.bidirectional_backward(p_, cache, R)[0]
+
+        assert nn.grad_check(loss_fn, p) < 1e-6

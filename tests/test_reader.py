@@ -109,7 +109,11 @@ class TestRead:
                        for i in range(int(rng.integers(0, 13)))]
             if results and rng.random() < 0.3:
                 results.insert(1, RetrievalResult(splice_triple(Triple("a", "p", "b"), 99), 2.0))
-            assert read(model, question, results) == _read_per_passage(model, question, results)
+            got, want = read(model, question, results), _read_per_passage(model, question, results)
+            # batched encoding rounds differently: confidences agree to 1e-12, the rest exactly
+            assert [(c.answer, c.solver, c.provenance) for c in got] == \
+                [(c.answer, c.solver, c.provenance) for c in want]
+            assert all(abs(a.confidence - b.confidence) < 1e-12 for a, b in zip(got, want))
 
     def test_trained_pair_recovers_answer(self, fx, reader):
         data = load_reader_data(os.path.join(fx, "reader.jsonl"))
