@@ -32,6 +32,8 @@ log = logging.getLogger("openqa")
 
 SOLVER_TIMEOUT_SECONDS = 5.0
 REQUIRED_CONFIG_KEYS = ("kb_path", "passages_path", "templates_path", "vocab_path")
+MODEL_KINDS = {"tagger_model": "tagger", "scorer_model": "relation_scorer",
+               "reader_model": "reader", "selector_model": "selector"}
 
 
 @dataclass
@@ -56,7 +58,7 @@ class SystemConfig:
             path = getattr(self, name)
             if not os.path.exists(path):
                 raise ConfigError(f"{name} does not exist: {path}")
-        for name in ("tagger_model", "scorer_model", "reader_model", "selector_model"):
+        for name in MODEL_KINDS:
             path = getattr(self, name)
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{name} does not exist: {path}")
@@ -158,16 +160,26 @@ class System:
 
         self.index: InvertedIndex = build_corpus(self.kb, self.dictionary, config.passages_path)
 
-        self.tagger = nn.ModelParameters.load(config.tagger_model) if config.tagger_model else None
-        self.scorer = nn.ModelParameters.load(config.scorer_model) if config.scorer_model else None
-        self.reader = (
-            ReaderModel(nn.ModelParameters.load(config.reader_model), self.vocab)
-            if config.reader_model else None
-        )
-        self.selector = (
-            SelectorModel(nn.ModelParameters.load(config.selector_model), self.vocab)
-            if config.selector_model else None
-        )
+        self.tagger = self._load_model("tagger_model")
+        self.scorer = self._load_model("scorer_model")
+        reader, selector = self._load_model("reader_model"), self._load_model("selector_model")
+        self.reader = ReaderModel(reader, self.vocab) if reader is not None else None
+        self.selector = SelectorModel(selector, self.vocab) if selector is not None else None
+
+    def _load_model(self, name: str) -> Optional[nn.ModelParameters]:
+        """The configured model `name`, checked against its slot and the
+        vocabulary: a mismatch would otherwise turn into no answer."""
+        path = getattr(self.config, name)
+        if path is None:
+            return None
+        params = nn.ModelParameters.load(path)
+        kind, vocab = params.arch.get("kind"), params.arch.get("vocab")
+        if kind != MODEL_KINDS[name]:
+            raise ConfigError(f"{name} {path}: a {kind!r} model, expected {MODEL_KINDS[name]!r}")
+        if vocab != self.vocab.size:
+            raise ConfigError(f"{name} {path}: built for a vocabulary of {vocab} words, "
+                              f"but {self.config.vocab_path} has {self.vocab.size}")
+        return params
 
     # per-solver entry points; a missing model degrades to an empty list
     def run_sp(self, question: str) -> list[AnswerCandidate]:

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from openqa.cli import main
+from openqa.hyper import Hyper
+from openqa.reader import init_reader
 
 
 class TestLoadKb:
@@ -50,6 +52,14 @@ class TestAsk:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_model_vocab_mismatch_is_one_error_line(self, toy, tmp_path, capsys):
+        reader = str(tmp_path / "reader.json")
+        init_reader(10, Hyper(d=4, h=4)).save(reader)
+        config = toy["write_config"](str(tmp_path / "config.json"), {"reader_model": reader})
+        assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: reader_model {reader}: built for a vocabulary of 10") and err.count("\n") == 1
 
     def test_no_config(self, monkeypatch):
         monkeypatch.delenv("OPENQA_CONFIG", raising=False)

@@ -10,10 +10,12 @@ import time
 import pytest
 
 from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion
+from openqa.hyper import Hyper
 from openqa.pipeline import (
     System, SystemConfig, ask, evaluate, load_qa_pairs,
     make_selector_data, run_solvers, split_dataset,
 )
+from openqa.reader import init_reader
 from openqa.text import normalize
 
 
@@ -52,6 +54,21 @@ class TestConfig:
             SystemConfig(**{**{k: doc[k] for k in
                                ("kb_path", "passages_path", "templates_path", "vocab_path")},
                            "retrieval_k": 0})
+
+
+    def test_model_of_another_kind_fails_at_load(self, toy, tmp_path):
+        tagger = toy["models"]["tagger"]
+        config_path = toy["write_config"](str(tmp_path / "swapped.json"), {"reader_model": tagger})
+        with pytest.raises(ConfigError, match=re.escape(f"reader_model {tagger}: a 'tagger' model, expected 'reader'")):
+            System(SystemConfig.load(config_path))
+
+    def test_model_for_another_vocabulary_fails_at_load(self, toy, tmp_path):
+        reader = str(tmp_path / "reader.json")
+        init_reader(toy["system"].vocab.size + 5, Hyper(d=4, h=4)).save(reader)
+        config_path = toy["write_config"](str(tmp_path / "other_vocab.json"), {"reader_model": reader})
+        size = toy["system"].vocab.size
+        with pytest.raises(ConfigError, match=re.escape(f"reader_model {reader}: built for a vocabulary of {size + 5}")):
+            System(SystemConfig.load(config_path))
 
 
 class TestAsk:
