@@ -48,8 +48,11 @@ class KnowledgeBase:
 
         self.by_subject_predicate: dict[tuple[str, str], list[str]] = {}
         self.by_predicate_object: dict[tuple[str, str], list[str]] = {}
+        self.predicates_by_subject: dict[str, list[str]] = {}  # subject -> predicates, first occurrence first
         for t in self.triples:
             objs = self.by_subject_predicate.setdefault((t.subject, t.predicate), [])
+            if not objs:
+                self.predicates_by_subject.setdefault(t.subject, []).append(t.predicate)
             if t.object not in objs:
                 objs.append(t.object)
             subs = self.by_predicate_object.setdefault((t.predicate, t.object), [])
@@ -62,11 +65,7 @@ class KnowledgeBase:
 
     def predicates_of(self, subject: str) -> list[str]:
         """Outgoing predicates of a subject, in first-occurrence order."""
-        out: list[str] = []
-        for t in self.triples:
-            if t.subject == subject and t.predicate not in out:
-                out.append(t.predicate)
-        return out
+        return list(self.predicates_by_subject.get(subject, ()))
 
     def __len__(self) -> int:
         return len(self.triples)

@@ -1,6 +1,7 @@
 """Triple store, SPARQL subset, and the entity dictionary."""
 
 import os
+import random
 
 import pytest
 
@@ -35,6 +36,22 @@ class TestKnowledgeBase:
     def test_predicates_of(self):
         assert small_kb().predicates_of("paris") == ["capital_of", "population"]
         assert small_kb().predicates_of("unknown") == []
+
+    def test_predicates_by_subject_equals_scan(self):
+        rng = random.Random(5)
+        names = [f"e{i}" for i in range(30)]
+        kb = KnowledgeBase([Triple(rng.choice(names), f"p{rng.randrange(8)}", rng.choice(names)) for _ in range(400)])
+
+        def scan(subject):
+            out = []
+            for t in kb.triples:
+                if t.subject == subject and t.predicate not in out:
+                    out.append(t.predicate)
+            return out
+
+        for subject in names + ["unknown"]:
+            assert kb.predicates_of(subject) == scan(subject)
+        assert set(kb.predicates_by_subject) == {t.subject for t in kb.triples}
 
     def test_triple_rejects_empty_and_control_fields(self):
         with pytest.raises(ValueError):
