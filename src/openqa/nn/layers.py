@@ -139,10 +139,12 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _cell_forward(kind: str, weights, x: np.ndarray, h: np.ndarray, c: np.ndarray | None) -> tuple[np.ndarray, dict]:
-    """One direction over a time-major x[L, B, d] from states h (and c) [B, h]: states [L, B, h]."""
+def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np.ndarray, dict]:
+    """One direction over a time-major x[L, B, d] from states h, c [B, h] (default 0): states [L, B, h]."""
     W, U, b = weights
     n = U.shape[1]
+    if h is None:
+        h = c = np.zeros((x.shape[1], n))
     if W.shape[1] != x.shape[2] or h.shape != (x.shape[1], n):
         raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
     cache = {"kind": kind, "x": x, "c0": c, "saved": []}  # per step: gates, candidate, r*h (GRU) or c (LSTM)
@@ -211,7 +213,7 @@ def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
 
 def gru_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, dict]:
     """One GRU step, h' = z*h_prev + (1-z)*candidate: the B=1, L=1 stacked cell."""
-    states, cache = _cell_forward("gru", _stack(params, prefix, "gru"), x_t[None, None], h_prev[None], None)
+    states, cache = _cell_forward("gru", _stack(params, prefix, "gru"), x_t[None, None], h_prev[None])
     return states[0, 0], cache
 
 
@@ -224,7 +226,7 @@ def gru_step_backward(params, prefix: str, cache: dict, dh: np.ndarray) -> tuple
 def lstm_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """One LSTM step: the B=1, L=1 stacked cell."""
     states, cache = _cell_forward("lstm", _stack(params, prefix, "lstm"), x_t[None, None], h_prev[None], c_prev[None])
-    return states[0, 0], cache["saved"][0][2][0], cache
+    return states[0, 0], cache["saved"][0][2][0], cache  # saved[t] = (gates, candidate, c)
 
 
 def lstm_step_backward(params, prefix: str, cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,10 +253,8 @@ def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.
     x = np.zeros(mask.shape + (xs[0].shape[1],))
     for b, seq in enumerate(xs):
         x[:len(seq), b] = seq
-    h0 = np.zeros((len(xs), params[f"{prefix}fwd.U_{GATES[cell_kind][0]}"].shape[0]))
-    (fwd, fwd_cache), (bwd, bwd_cache) = (
-        _cell_forward(cell_kind, _stack(params, f"{prefix}{direction}.", cell_kind), seq, h0, h0)
-        for direction, seq in (("fwd", x), ("bwd", x[rev, cols])))
+    (fwd, fwd_cache), (bwd, bwd_cache) = (_cell_forward(cell_kind, _stack(params, f"{prefix}{direction}.", cell_kind), seq)
+                                          for direction, seq in (("fwd", x), ("bwd", x[rev, cols])))
     out = np.concatenate([fwd, bwd[rev, cols]], axis=2)
     out[~mask] = 0.0
     return out.swapaxes(0, 1), {"cell_kind": cell_kind, "prefix": prefix, "caches": (fwd_cache, bwd_cache),
@@ -465,9 +465,6 @@ def transformer_encoder_layer_backward(params, cache: dict, grad_out: np.ndarray
     grads[prefix + "ln1_g"] = dg1
     grads[prefix + "ln1_b"] = db1
 
-    da = dr1
-    dx = dr1.copy()
-    mha_grads, dx2 = _mha_backward(params, prefix, cache["mha"], da)
+    mha_grads, dx = _mha_backward(params, prefix, cache["mha"], dr1)
     accumulate(grads, mha_grads)
-    dx += dx2
-    return grads, dx
+    return grads, dx + dr1
