@@ -10,13 +10,14 @@ Gated recurrences are one stacked cell per kind. Each call concatenates
 a direction's per-gate arrays in `GATES` order: W to [3h, d] (GRU: z, r,
 candidate h) or [4h, d] (LSTM: i, f, o, g), U and b to match. Every
 step's input projection x W^T + b is one matmul before the time loop;
-each step then makes one recurrent matmul, [B, 2h] for the GRU's z and r
-(plus U_h on r*h_prev for its candidate) or [B, 4h] for the LSTM. A batch
-of sequences is left-aligned and zero-padded to [B, L, d] (time-major
-inside); the right-to-left pass runs on each sequence reversed within its
-own length, so in both directions padding only follows a sequence's last
-step. A length mask zeroes the padded positions' states and drops their
-gradients.
+each step makes one recurrent matmul, [B, 2h] for the GRU's z and r (plus
+U_h on r*h_prev for its candidate) or [B, 4h] for the LSTM. The forward
+keeps only the states; the backward recomputes every step's gates from
+them at once. A batch is left-aligned and zero-padded to [B, L, d]
+(time-major inside); the right-to-left pass runs on each sequence
+reversed within its own length, so padding only ever follows a
+sequence's last step. A length mask zeroes the padded positions' states
+and drops their gradients.
 """
 
 from __future__ import annotations
@@ -139,36 +140,37 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
+def _affine(x: np.ndarray, W: np.ndarray, b=0.0) -> np.ndarray:
+    """x[L, B, k] W^T + b for every step and row: one matmul."""
+    return (x.reshape(-1, x.shape[2]) @ W.T + b).reshape(x.shape[:2] + (W.shape[0],))
+
+
 def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np.ndarray, dict]:
-    """One direction over a time-major x[L, B, d] from states h, c [B, h] (default 0): states [L, B, h]."""
+    """One direction over a time-major x[L, B, d] from states h, c [B, h] (default 0): states [L, B, h].
+    Only the states are kept; `_cell_backward` recomputes the gates from them."""
     W, U, b = weights
     n = U.shape[1]
     if h is None:
         h = c = np.zeros((x.shape[1], n))
     if W.shape[1] != x.shape[2] or h.shape != (x.shape[1], n):
         raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
-    cache = {"kind": kind, "x": x, "c0": c, "saved": []}  # per step: gates, candidate, r*h (GRU) or c (LSTM)
-    hs, saved = [h], cache["saved"]
-    a = (x.reshape(-1, x.shape[2]) @ W.T + b).reshape(x.shape[:2] + b.shape)
+    hs, cs = np.empty((x.shape[0] + 1,) + h.shape), None  # hs[t], cs[t]: step t's incoming states
+    hs[0] = h
     if kind == "gru":
         U_zr, U_h = U[:2 * n].T, U[2 * n:].T
-        for a_t in a:
-            zr = sigmoid(a_t[:, :2 * n] + h @ U_zr)
-            rh = zr[:, n:] * h
-            g = np.tanh(a_t[:, 2 * n:] + rh @ U_h)
-            h = g + zr[:, :n] * (h - g)
-            hs.append(h)
-            saved.append((zr, g, rh))
+        for t, a in enumerate(_affine(x, W, b)):
+            zr = sigmoid(a[:, :2 * n] + h @ U_zr)
+            g = np.tanh(a[:, 2 * n:] + (zr[:, n:] * h) @ U_h)
+            h = hs[t + 1] = g + zr[:, :n] * (h - g)
     else:
-        for a_t in a:
-            pre = a_t + h @ U.T
+        cs = np.empty_like(hs)
+        cs[0] = c
+        for t, a in enumerate(_affine(x, W, b)):
+            pre = a + h @ U.T
             ifo, g = sigmoid(pre[:, :3 * n]), np.tanh(pre[:, 3 * n:])
-            c = ifo[:, n:2 * n] * c + ifo[:, :n] * g
-            h = ifo[:, 2 * n:] * np.tanh(c)
-            hs.append(h)
-            saved.append((ifo, g, c))
-    cache["h"] = np.stack(hs)
-    return cache["h"][1:], cache
+            c = cs[t + 1] = ifo[:, n:2 * n] * c + ifo[:, :n] * g
+            h = hs[t + 1] = ifo[:, 2 * n:] * np.tanh(c)
+    return hs[1:], {"kind": kind, "x": x, "h": hs, "c": cs}
 
 
 def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
@@ -176,29 +178,32 @@ def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
     (LSTM) dc [B, h] on its last cell state. Returns ((dW, dU, db) stacked,
     dx [L, B, d], and the grads dh, dc on the initial states).
     """
-    W, U, _ = weights
-    h_prev = cache["h"][:-1]
-    sig, cand, aux = map(np.stack, zip(*cache["saved"]))
-    L, B, n = cand.shape
-    da = np.empty((L, B, W.shape[0]))
+    W, U, b = weights
+    x, h_prev = cache["x"], cache["h"][:-1]
+    L, B, n = h_prev.shape
+    a = _affine(x, W, b)
+    da = np.empty_like(a)
     dh = np.zeros((B, n))
     if cache["kind"] == "gru":
-        z, r = sig[..., :n], sig[..., n:]
+        U_zr, U_h = U[:2 * n], U[2 * n:]
+        zr = sigmoid(a[..., :2 * n] + _affine(h_prev, U_zr))
+        z, r = zr[..., :n], zr[..., n:]
+        rh = r * h_prev
+        cand = np.tanh(a[..., 2 * n:] + _affine(rh, U_h))
         k_zr = np.concatenate([(h_prev - cand) * z * (1.0 - z), h_prev * r * (1.0 - r)], axis=2)
         k_h = (1.0 - z) * (1.0 - cand * cand)
-        U_zr, U_h = U[:2 * n], U[2 * n:]
         for t in range(L - 1, -1, -1):
             dh = dH[t] + dh
             da[t, :, 2 * n:] = da_h = dh * k_h[t]
             drh = da_h @ U_h
             da[t, :, :2 * n] = da_zr = np.concatenate([dh, drh], axis=1) * k_zr[t]
             dh = dh * z[t] + drh * r[t] + da_zr @ U_zr
-        dU = np.concatenate([_outer_sum(da[..., :2 * n], h_prev), _outer_sum(da[..., 2 * n:], aux)])
+        dU = np.concatenate([_outer_sum(da[..., :2 * n], h_prev), _outer_sum(da[..., 2 * n:], rh)])
     else:
-        i, f, o = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
-        tc = np.tanh(aux)
-        c_prev = np.concatenate([cache["c0"][None], aux[:-1]])
-        k = np.concatenate([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+        pre = a + _affine(h_prev, U)
+        i, f, o = (sigmoid(pre[..., k * n:(k + 1) * n]) for k in range(3))
+        cand, tc = np.tanh(pre[..., 3 * n:]), np.tanh(cache["c"][1:])
+        k = np.concatenate([cand * i * (1.0 - i), cache["c"][:-1] * f * (1.0 - f),
                             tc * o * (1.0 - o), i * (1.0 - cand * cand)], axis=2)
         k_c = o * (1.0 - tc * tc)
         for t in range(L - 1, -1, -1):
@@ -208,7 +213,7 @@ def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
             dc = dc * f[t]
             dh = da_t @ U
         dU = _outer_sum(da, h_prev)
-    return (_outer_sum(da, cache["x"]), dU, da.sum(axis=(0, 1))), da @ W, dh, dc
+    return (_outer_sum(da, x), dU, da.sum(axis=(0, 1))), da @ W, dh, dc
 
 
 def gru_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -226,7 +231,7 @@ def gru_step_backward(params, prefix: str, cache: dict, dh: np.ndarray) -> tuple
 def lstm_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """One LSTM step: the B=1, L=1 stacked cell."""
     states, cache = _cell_forward("lstm", _stack(params, prefix, "lstm"), x_t[None, None], h_prev[None], c_prev[None])
-    return states[0, 0], cache["saved"][0][2][0], cache  # saved[t] = (gates, candidate, c)
+    return states[0, 0], cache["c"][1, 0], cache
 
 
 def lstm_step_backward(params, prefix: str, cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray, np.ndarray]:
@@ -268,11 +273,8 @@ def bidirectional_encode(cell_kind: str, params, prefix: str, x: np.ndarray) -> 
 
 
 def bidirectional_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
-    """BPTT through both directions; returns (param grads, grad_x).
-
-    grad_out is [len, 2h] after `bidirectional_encode` and [B, L, 2h] after
-    `bidirectional_encode_batch`; grad_x is [len, d] or [B, L, d] to match.
-    """
+    """BPTT through both directions; returns (param grads, grad_x). grad_out is [len, 2h] after
+    `bidirectional_encode` and [B, L, 2h] after `bidirectional_encode_batch`; grad_x matches."""
     cell_kind, prefix, mask, rev = cache["cell_kind"], cache["prefix"], cache["mask"], cache["rev"]
     g = np.where(mask[..., None], grad_out.swapaxes(0, 1) if grad_out.ndim == 3 else grad_out[:, None], 0.0)
     n, cols = g.shape[2] // 2, np.arange(g.shape[1])
