@@ -1,7 +1,8 @@
 """Numeric kernel: ops, layers, parameters, and spot gradient checks.
 
 The exhaustive per-layer gradient sweep lives in test_acceptance.py;
-here we pin analytic behaviors and a few representative backward passes.
+here we pin analytic behaviors and a few representative backward passes,
+and test the batched recurrences against a per-step oracle.
 """
 
 import numpy as np
@@ -194,8 +195,8 @@ class TestParameters:
         assert nn.grad_check(loss_fn, params) < 1e-6
 
 
-# -- per-step oracle: the recurrences as they were written before the stacked,
-# batched cell (one sequence, one direction and one gate at a time) ------------
+# -- per-step oracle: one sequence, one direction and one gate at a time; the
+# reference the stacked, batched cell in openqa.nn.layers is tested against ----
 
 def _oracle_gru_step(p, pre, x, h_prev):
     g = lambda n: p[pre + n]
@@ -249,7 +250,7 @@ def _oracle_lstm_step_backward(p, pre, cache, dh, dc):
 
 def _oracle_bidirectional(kind, p, prefix, x, grad_out):
     """States [n, 2h] of one sequence, and its param grads and dx for grad_out."""
-    n, h = x.shape[0], p[prefix + "fwd.U_" + GATE0[kind]].shape[0]
+    n, h = x.shape[0], grad_out.shape[1] // 2
     states, grads, dx = np.zeros((n, 2 * h)), {}, np.zeros_like(x)
     for col, direction, order in ((0, "fwd", range(n)), (h, "bwd", range(n - 1, -1, -1))):
         pre = f"{prefix}{direction}."
@@ -269,9 +270,6 @@ def _oracle_bidirectional(kind, p, prefix, x, grad_out):
             nn.accumulate(grads, g)
             dx[t] += dxt
     return states, grads, dx
-
-
-GATE0 = {"gru": "z", "lstm": "i"}
 
 
 def _ragged(rng, batch, max_len, d):
