@@ -58,5 +58,6 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, grad: float) -> tuple[np.ndarr
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(np.asarray(x, dtype=np.float64)))
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
