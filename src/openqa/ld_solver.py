@@ -28,7 +28,7 @@ from .errors import (
 from .hyper import Hyper
 from .kb import KnowledgeBase
 from .sp_solver import recognize_subjects
-from .text import EntityDictionary, Vocabulary, encode, levenshtein, normalize, tokenize
+from .text import EntityDictionary, Vocabulary, edit_distances, encode, normalize, tokenize
 
 TAGS = ("B", "I", "O")  # index order doubles as the argmax tie-break
 PLACEHOLDER = "<e>"
@@ -144,19 +144,24 @@ def extract_mention(tags: TagSequence, tokens) -> str:
 def link_entity(mention: str, dictionary: EntityDictionary, max_distance: int = MAX_LINK_DISTANCE) -> list[EntityCandidate]:
     """Dictionary entries within edit distance of the normalized mention.
 
-    The edit distance is at least the difference in length, so a key whose
-    length differs from the mention's by more than max_distance is skipped
-    without computing it."""
+    The edit distance is at least the difference in length, so only the
+    keys whose length is within max_distance of the mention's can match.
+    They are one contiguous block of the dictionary's length-sorted keys,
+    and one edit_distances call compares the mention with all of them,
+    reading no column past the longest key that can match."""
     if not mention:
         return []
     norm = normalize(mention)
-    out = []
-    for key, canonical in dictionary.entries.items():
-        if abs(len(key) - len(norm)) > max_distance:
-            continue
-        distance = levenshtein(norm, key)
-        if distance <= max_distance:
-            out.append(EntityCandidate(canonical, distance, mention))
+    m = len(norm)
+    lo = int(np.searchsorted(dictionary.key_lengths, m - max_distance, side="left"))
+    hi = int(np.searchsorted(dictionary.key_lengths, m + max_distance, side="right"))
+    if lo >= hi:
+        return []
+    distances = edit_distances(norm, dictionary.key_codes[lo:hi, : m + max_distance], dictionary.key_lengths[lo:hi])
+    out = [
+        EntityCandidate(dictionary.entries[dictionary.keys_by_length[lo + r]], int(distances[r]), mention)
+        for r in np.flatnonzero(distances <= max_distance)
+    ]
     return sorted(out, key=lambda c: (c.distance, -len(c.entity), c.entity))
 
 

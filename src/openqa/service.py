@@ -9,10 +9,13 @@ from .errors import EmptyQuestion
 from .pipeline import System, ask
 
 MAX_BODY_BYTES = 1 << 20  # a question is a sentence; anything larger is refused unread
+READ_TIMEOUT_S = 10.0  # a client that stalls mid-request must not hold a server thread forever
 
 
 def make_server(system: System, host: str, port: int) -> ThreadingHTTPServer:
     class Handler(BaseHTTPRequestHandler):
+        timeout = READ_TIMEOUT_S
+
         def _send(self, status: int, payload: dict):
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
@@ -40,7 +43,12 @@ def make_server(system: System, host: str, port: int) -> ThreadingHTTPServer:
                 self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
                 return
             try:
-                doc = json.loads(self.rfile.read(length).decode("utf-8"))
+                body = self.rfile.read(length)
+            except TimeoutError:
+                self._send(408, {"error": f"body not received within {self.timeout:g} s"})
+                return
+            try:
+                doc = json.loads(body.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 self._send(400, {"error": "invalid JSON body"})
                 return

@@ -3,6 +3,8 @@
 Every solver shares these primitives: the rule-based solver matches
 normalized text against templates and the entity dictionary, the neural
 solvers encode token ids, and entity linking runs on Levenshtein distance.
+The distance is one row-by-row DP over a matrix of UTF-32 code points, so a
+mention is compared with a whole block of dictionary keys at once.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"\w+(?:[.'\-]\w+)*")
 _TERMINAL_PUNCT = ".?!,;:"
@@ -73,31 +77,56 @@ def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> Toke
     return TokenSequence(tuple(merged_tokens), tuple(merged_spans))
 
 
+def code_matrix(strings: list[str]) -> np.ndarray:
+    """[len(strings), w] uint32 code points, each row zero-padded to the longest."""
+    return np.array(strings, dtype=str)[:, None].view(np.uint32)
+
+
+def edit_distances(a: str, codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Levenshtein distance from a to each row of a code matrix.
+
+    Row r holds a string of lengths[r] <= codes.shape[1] characters. The
+    DP keeps one row per string (b along the row) and updates all of them
+    per character of a; substitution and deletion are elementwise, and the
+    insertion chain cur[j] = min_k (cur[k] + j - k) is a running minimum.
+    Column lengths[r] depends only on the columns before it, so the padding
+    never reaches the distance read there.
+    """
+    cols = np.arange(codes.shape[1] + 1)
+    prev = np.broadcast_to(cols, (codes.shape[0], cols.size))
+    for i, ch in enumerate(a, start=1):
+        cur = np.empty(prev.shape, dtype=prev.dtype)
+        cur[:, 0] = i
+        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (codes != ord(ch)), out=cur[:, 1:])
+        prev = np.minimum.accumulate(cur - cols, axis=1) + cols
+    return prev[np.arange(codes.shape[0]), lengths]
+
+
 def levenshtein(a: str, b: str) -> int:
     """Minimum single-character edits (insert/delete/substitute) a -> b."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # single-row DP, b along the row
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    return int(edit_distances(a, code_matrix([b]), np.array([len(b)]))[0])
 
 
 @dataclass(frozen=True)
 class EntityDictionary:
-    """Normalized surface form -> canonical entity string."""
+    """Normalized surface form -> canonical entity string.
+
+    The keys are also kept sorted by length, with their lengths and their
+    code matrix (see edit_distances), so that linking takes the keys of a
+    length range as one contiguous block.
+    """
 
     entries: dict[str, str] = field(default_factory=dict)
     max_entry_tokens: int = 0
+    keys_by_length: list[str] = field(init=False, repr=False, compare=False)
+    key_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    key_codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = sorted(self.entries, key=len)
+        object.__setattr__(self, "keys_by_length", keys)
+        object.__setattr__(self, "key_lengths", np.array([len(k) for k in keys], dtype=np.intp))
+        object.__setattr__(self, "key_codes", code_matrix(keys))
 
 
 class Vocabulary:

@@ -19,6 +19,29 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", 
 TOY_EPOCHS = {"tagger": 60, "scorer": 30, "reader": 100, "selector": 100}
 
 
+def _scalar_levenshtein(a: str, b: str) -> int:
+    """Single-row DP over b, one pair at a time: the oracle for the batched DP."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
+        prev = cur
+    return prev[-1]
+
+
+@pytest.fixture(scope="session")
+def scalar_levenshtein():
+    return _scalar_levenshtein
+
+
 @pytest.fixture(scope="session")
 def fx() -> str:
     return FIXTURES

@@ -16,7 +16,7 @@ from openqa.ld_solver import (
     link_entity, load_scorer_data, load_tagger_data,
     repair_bio, score_relation, solve_ld, tag_entities,
 )
-from openqa.text import EntityDictionary, Vocabulary, levenshtein, normalize, tokenize
+from openqa.text import EntityDictionary, Vocabulary, normalize, tokenize
 
 
 class TestBio:
@@ -36,6 +36,14 @@ class TestBio:
 
     def test_extract_mention_all_outside(self):
         assert extract_mention(TagSequence(("O", "O")), ["a", "b"]) == ""
+
+
+def _scan(mention, dictionary, max_distance, levenshtein):
+    """Every dictionary key, one scalar distance at a time: the linker's oracle."""
+    norm = normalize(mention)
+    out = [EntityCandidate(c, levenshtein(norm, k), mention) for k, c in dictionary.entries.items()
+           if levenshtein(norm, k) <= max_distance]
+    return sorted(out, key=lambda c: (c.distance, -len(c.entity), c.entity))
 
 
 class TestLinking:
@@ -59,7 +67,7 @@ class TestLinking:
         assert out[0].entity == "mars" and out[0].distance == 0
         assert [c.distance for c in out] == sorted(c.distance for c in out)
 
-    def test_length_pruning_equals_full_scan(self):
+    def test_length_pruning_equals_full_scan(self, scalar_levenshtein):
         rng = random.Random(17)
 
         def word(lo, hi):
@@ -69,11 +77,26 @@ class TestLinking:
             d = EntityDictionary({word(1, 8): word(1, 6) for _ in range(rng.randint(1, 30))}, 1)
             for _ in range(5):
                 mention, max_distance = word(1, 9), rng.randint(0, 3)
-                norm = normalize(mention)
-                full = [EntityCandidate(c, levenshtein(norm, k), mention) for k, c in d.entries.items()
-                        if levenshtein(norm, k) <= max_distance]
-                full.sort(key=lambda c: (c.distance, -len(c.entity), c.entity))
-                assert link_entity(mention, d, max_distance) == full
+                assert link_entity(mention, d, max_distance) == _scan(mention, d, max_distance, scalar_levenshtein)
+
+    def test_batched_dp_equals_scalar_scan(self, scalar_levenshtein):
+        rng = random.Random(23)
+        alphabet = "abü😀"
+
+        def word(n):
+            return "".join(rng.choice(alphabet) for _ in range(n))
+
+        for _ in range(80):
+            m = rng.randint(1, 6)
+            # key lengths span the mention's length +-3; some keys hold a space
+            keys = [word(rng.randint(max(m - 3, 1), m + 3)) for _ in range(rng.randint(1, 25))]
+            keys += [word(rng.randint(1, 3)) + " " + word(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+            d = EntityDictionary({k: word(rng.randint(1, 4)) for k in keys}, 2)
+            for mention in (word(m), word(m).upper() + "?", word(m + 3) + " " + word(m + 3)):
+                for max_distance in range(-1, 4):
+                    expected = _scan(mention, d, max_distance, scalar_levenshtein)
+                    assert link_entity(mention, d, max_distance) == expected, (mention, keys)
+                    assert link_entity(mention, EntityDictionary(), max_distance) == []
 
 
 class TestModels:

@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from openqa import service
 from openqa.service import MAX_BODY_BYTES, make_server
 
 
@@ -89,6 +90,29 @@ class TestAsk:
             assert "error" in json.load(resp)
         finally:
             conn.close()
+
+    def test_short_body_is_408(self, toy, monkeypatch):
+        # Content-Length promises more bytes than the client ever sends
+        monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
+        srv = make_server(toy["system"], "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=10)
+        try:
+            conn.putrequest("POST", "/ask")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "100")
+            conn.endheaders()
+            conn.send(b'{"question": ')
+            resp = conn.getresponse()
+            assert resp.status == 408
+            assert "error" in json.load(resp)
+        finally:
+            conn.close()
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

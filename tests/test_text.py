@@ -1,11 +1,14 @@
 """Normalization, tokenization, edit distance, and vocabulary."""
 
+import random
+
+import numpy as np
 import pytest
 
 from openqa.text import (
     CLS, PAD, SEP, UNK,
     EntityDictionary, TokenSequence, Vocabulary,
-    encode, levenshtein, normalize, tokenize,
+    code_matrix, edit_distances, encode, levenshtein, normalize, tokenize,
 )
 
 
@@ -57,12 +60,46 @@ class TestLevenshtein:
         ("", "", 0), ("a", "", 1), ("", "abc", 3),
         ("kitten", "sitting", 3), ("flaw", "lawn", 2),
         ("same", "same", 0), ("ab", "ba", 2),
+        ("zürich", "zurich", 1), ("😀x", "x", 1), ("😀x", "x😀", 2), ("new york", "newyork", 1),
     ])
     def test_known_distances(self, a, b, d):
         assert levenshtein(a, b) == d
 
     def test_symmetry(self):
         assert levenshtein("paris", "pairs") == levenshtein("pairs", "paris")
+
+
+class TestEditDistances:
+    def test_equals_scalar_oracle_row_by_row(self, scalar_levenshtein):
+        rng = random.Random(31)
+        alphabet = "ab ü😀"
+        for _ in range(200):
+            rows = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+                    for _ in range(rng.randint(0, 12))]
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            got = edit_distances(a, code_matrix(rows), np.array([len(r) for r in rows], dtype=np.intp))
+            assert got.tolist() == [scalar_levenshtein(a, r) for r in rows], (a, rows)
+
+    def test_code_matrix_pads_with_zeros(self):
+        codes = code_matrix(["ab", "", "😀"])
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == [[97, 98], [0, 0], [0x1F600, 0]]
+        assert code_matrix([]).shape[0] == 0
+
+
+class TestEntityDictionary:
+    def test_keys_sorted_by_length_with_codes(self):
+        d = EntityDictionary({"new york": "new_york", "ur": "ur", "zürich": "zurich"}, 2)
+        assert d.keys_by_length == ["ur", "zürich", "new york"]
+        assert d.key_lengths.tolist() == [2, 6, 8]
+        assert d.key_codes.shape == (3, 8)
+
+    def test_derived_fields_stay_out_of_eq_and_repr(self):
+        d = EntityDictionary({"paris": "paris"}, 1)
+        assert d == EntityDictionary({"paris": "paris"}, 1)
+        assert repr(d) == "EntityDictionary(entries={'paris': 'paris'}, max_entry_tokens=1)"
+        empty = EntityDictionary()
+        assert empty.keys_by_length == [] and empty.key_codes.shape[0] == 0
 
 
 class TestVocabulary:
