@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except OpenQAError as exc:
+    except (OpenQAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,9 +6,10 @@ class OpenQAError(Exception):
 
 
 class MalformedLine(OpenQAError):
-    def __init__(self, line_number: int, message: str = ""):
+    def __init__(self, path: str, line_number: int, message: str = ""):
+        self.path = path
         self.line_number = line_number
-        super().__init__(f"malformed line {line_number}: {message}")
+        super().__init__(f"{path}: malformed line {line_number}: {message}")
 
 
 class SparqlSyntaxError(OpenQAError):

@@ -1,0 +1,35 @@
+"""The JSON Lines reader behind every data loader."""
+
+from __future__ import annotations
+
+import json
+from typing import Callable, TypeVar
+
+from .errors import MalformedLine
+
+T = TypeVar("T")
+
+
+def read_json_lines(path: str, row: Callable[[dict], T]) -> list[T]:
+    """row(obj) for the JSON object on each non-blank line, in file order.
+
+    Bad JSON, a line that is not an object, or a missing or ill-typed field
+    (a KeyError, TypeError or ValueError from `row`) raises MalformedLine
+    naming the file and the line.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                out.append(row(obj))
+            except KeyError as exc:
+                raise MalformedLine(path, lineno, f"missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise MalformedLine(path, lineno, str(exc)) from exc
+    return out

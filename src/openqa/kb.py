@@ -85,11 +85,11 @@ def load_triples(path: str) -> KnowledgeBase:
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise MalformedLine(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+                raise MalformedLine(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
             try:
                 triples.append(Triple(fields[0].strip(), fields[1].strip(), fields[2].strip()))
             except ValueError as exc:
-                raise MalformedLine(lineno, str(exc)) from exc
+                raise MalformedLine(path, lineno, str(exc)) from exc
     return KnowledgeBase(triples)
 
 

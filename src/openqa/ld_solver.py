@@ -10,7 +10,6 @@ compared by cosine similarity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     NoNegatives,
 )
 from .hyper import Hyper
+from .jsonl import read_json_lines
 from .kb import KnowledgeBase
 from .sp_solver import recognize_subjects
 from .text import EntityDictionary, Vocabulary, edit_distances, encode, normalize, tokenize
@@ -317,26 +317,12 @@ def solve_ld(
 
 def load_tagger_data(path: str) -> list[tuple[str, list[str]]]:
     """JSON Lines: {"question": str, "tags": ["O","B",...]}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append((obj["question"], list(obj["tags"])))
-    return out
+    return read_json_lines(path, lambda obj: (obj["question"], list(obj["tags"])))
 
 
 def load_scorer_data(path: str) -> list[tuple[list[str], str, list[str]]]:
     """JSON Lines: {"pattern": [str], "gold": str, "negatives": [str]}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append((list(obj["pattern"]), obj["gold"], list(obj["negatives"])))
-    return out
+    return read_json_lines(path, lambda obj: (list(obj["pattern"]), obj["gold"], list(obj["negatives"])))
 
 
 def train_tagger(dataset: list[tuple[str, list[str]]], hyper: Hyper, vocab: Vocabulary) -> nn.ModelParameters:

@@ -6,18 +6,22 @@ by the same names as the parameter dict) and input gradients. Recurrent
 parameters live in a flat dict under a caller-chosen prefix, e.g.
 "tagger.fwd.W_z".
 
-Gated recurrences are one stacked cell per kind. Each call concatenates
-a direction's per-gate arrays in `GATES` order: W to [3h, d] (GRU: z, r,
-candidate h) or [4h, d] (LSTM: i, f, o, g), U and b to match. Every
-step's input projection x W^T + b is one matmul before the time loop;
-each step makes one recurrent matmul, [B, 2h] for the GRU's z and r (plus
-U_h on r*h_prev for its candidate) or [B, 4h] for the LSTM. The forward
-keeps only the states; the backward recomputes every step's gates from
-them at once. A batch is left-aligned and zero-padded to [B, L, d]
-(time-major inside); the right-to-left pass runs on each sequence
-reversed within its own length, so padding only ever follows a
-sequence's last step. A length mask zeroes the padded positions' states
-and drops their gradients.
+Gated recurrences are one stacked cell per kind, run over D directions
+at once. Each call concatenates a direction's per-gate arrays in `GATES`
+order, W to [3h, d] (GRU: z, r, candidate h) or [4h, d] (LSTM: i, f, o,
+g), U and b to match, and stacks the directions on a leading axis: W is
+[D, G, d]. Every step's input projection x W^T + b, for all directions,
+is one batched matmul before the time loop, written into one [D, L, B, G]
+array; each step makes one batched recurrent matmul for all directions,
+[D, B, 2h] for the GRU's z and r (plus U_h on r*h_prev for its candidate)
+or [D, B, 4h] for the LSTM. `gru_step` and `lstm_step` are the D=1 case.
+The forward keeps only the projections and the states; the backward
+recomputes every step's gates from them at once. A batch is left-aligned
+and zero-padded to [B, L, d] (time-major inside); the bidirectional
+encoder runs the left-to-right pass and the right-to-left one, on each
+sequence reversed within its own length, as D=2 in one time loop, so
+padding only ever follows a sequence's last step. A length mask zeroes
+the padded positions' states and drops their gradients.
 """
 
 from __future__ import annotations
@@ -124,120 +128,129 @@ def init_lstm(params: ModelParameters, prefix: str, d: int, h: int) -> None:
     _init_cell(params, prefix, d, h, "lstm")
 
 
-def _stack(params, prefix: str, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One direction's (W, U, b), each concatenated over the gates in `GATES` order."""
-    return tuple(np.concatenate([params[f"{prefix}{m}_{g}"] for g in GATES[kind]]) for m in "WUb")
+def _stack(params, prefixes: list[str], kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, U, b) of the directions under `prefixes`, each [D, G, ...]: per direction
+    its per-gate arrays concatenated in `GATES` order."""
+    return tuple(np.stack([np.concatenate([params[f"{p}{m}_{g}"] for g in GATES[kind]]) for p in prefixes])
+                 for m in "WUb")
 
 
-def _unstack(prefix: str, kind: str, stacked) -> Grads:
-    """Stacked (dW, dU, db) back under the saved per-gate names."""
-    return {f"{prefix}{m}_{g}": part for m, arr in zip("WUb", stacked)
-            for g, part in zip(GATES[kind], np.split(arr, len(GATES[kind])))}
+def _unstack(prefixes: list[str], kind: str, stacked) -> Grads:
+    """Stacked (dW, dU, db) back under the saved per-direction, per-gate names."""
+    return {f"{p}{m}_{g}": part for m, arr in zip("WUb", stacked) for p, per_direction in zip(prefixes, arr)
+            for g, part in zip(GATES[kind], np.split(per_direction, len(GATES[kind])))}
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over every step and row of outer(a, b): one matmul."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    """Per direction, the sum over every step and row of outer(a, b): one batched matmul."""
+    return a.reshape(len(a), -1, a.shape[-1]).swapaxes(1, 2) @ b.reshape(len(b), -1, b.shape[-1])
 
 
-def _affine(x: np.ndarray, W: np.ndarray, b=0.0) -> np.ndarray:
-    """x[L, B, k] W^T + b for every step and row: one matmul."""
-    return (x.reshape(-1, x.shape[2]) @ W.T + b).reshape(x.shape[:2] + (W.shape[0],))
+def _times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x[D, L, B, k] M[D, k, m] for every step and row: one batched matmul."""
+    return (x.reshape(len(x), -1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[2:])
 
 
 def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np.ndarray, dict]:
-    """One direction over a time-major x[L, B, d] from states h, c [B, h] (default 0): states [L, B, h].
-    Only the states are kept; `_cell_backward` recomputes the gates from them."""
+    """D directions at once: direction k runs over the time-major x[k] ([D, L, B, d])
+    with the k-th of each stacked weight, from states h, c [D, B, h] (default 0).
+    Returns states [D, L, B, h]. Only the input projections and the states are
+    kept; `_cell_backward` recomputes the gates from them."""
     W, U, b = weights
-    n = U.shape[1]
+    (D, L, B, d), n = x.shape, U.shape[2]
     if h is None:
-        h = c = np.zeros((x.shape[1], n))
-    if W.shape[1] != x.shape[2] or h.shape != (x.shape[1], n):
+        h = c = np.zeros((D, B, n))
+    if (W.shape[0], W.shape[2]) != (D, d) or h.shape != (D, B, n):
         raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
-    hs, cs = np.empty((x.shape[0] + 1,) + h.shape), None  # hs[t], cs[t]: step t's incoming states
-    hs[0] = h
+    a = np.empty((D, L, B, W.shape[1]))  # x W^T + b, written in place
+    np.matmul(x.reshape(D, L * B, d), W.swapaxes(1, 2), out=a.reshape(D, L * B, -1))
+    a += b[:, None, None]
+    hs, cs = np.empty((D, L + 1, B, n)), None  # hs[:, t], cs[:, t]: step t's incoming states
+    hs[:, 0] = h
     if kind == "gru":
-        U_zr, U_h = U[:2 * n].T, U[2 * n:].T
-        for t, a in enumerate(_affine(x, W, b)):
-            zr = sigmoid(a[:, :2 * n] + h @ U_zr)
-            g = np.tanh(a[:, 2 * n:] + (zr[:, n:] * h) @ U_h)
-            h = hs[t + 1] = g + zr[:, :n] * (h - g)
+        U_zr, U_h = U[:, :2 * n].swapaxes(1, 2), U[:, 2 * n:].swapaxes(1, 2)
+        for t in range(L):
+            zr = sigmoid(a[:, t, :, :2 * n] + h @ U_zr)
+            g = np.tanh(a[:, t, :, 2 * n:] + (zr[..., n:] * h) @ U_h)
+            h = hs[:, t + 1] = g + zr[..., :n] * (h - g)
     else:
         cs = np.empty_like(hs)
-        cs[0] = c
-        for t, a in enumerate(_affine(x, W, b)):
-            pre = a + h @ U.T
-            ifo, g = sigmoid(pre[:, :3 * n]), np.tanh(pre[:, 3 * n:])
-            c = cs[t + 1] = ifo[:, n:2 * n] * c + ifo[:, :n] * g
-            h = hs[t + 1] = ifo[:, 2 * n:] * np.tanh(c)
-    return hs[1:], {"kind": kind, "x": x, "h": hs, "c": cs}
+        cs[:, 0] = c
+        U_t = U.swapaxes(1, 2)
+        for t in range(L):
+            pre = a[:, t] + h @ U_t
+            ifo, g = sigmoid(pre[..., :3 * n]), np.tanh(pre[..., 3 * n:])
+            c = cs[:, t + 1] = ifo[..., n:2 * n] * c + ifo[..., :n] * g
+            h = hs[:, t + 1] = ifo[..., 2 * n:] * np.tanh(c)
+    return hs[:, 1:], {"kind": kind, "x": x, "a": a, "h": hs, "c": cs}
 
 
 def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
-    """BPTT through `_cell_forward` from grads dH [L, B, h] on its states and
-    (LSTM) dc [B, h] on its last cell state. Returns ((dW, dU, db) stacked,
-    dx [L, B, d], and the grads dh, dc on the initial states).
+    """BPTT through `_cell_forward` from grads dH [D, L, B, h] on its states and
+    (LSTM) dc [D, B, h] on its last cell states. Returns ((dW, dU, db) stacked,
+    dx [D, L, B, d], and the grads dh, dc on the initial states).
     """
-    W, U, b = weights
-    x, h_prev = cache["x"], cache["h"][:-1]
-    L, B, n = h_prev.shape
-    a = _affine(x, W, b)
+    W, U, _ = weights
+    x, a, h_prev = cache["x"], cache["a"], cache["h"][:, :-1]
+    D, L, B, n = h_prev.shape
     da = np.empty_like(a)
-    dh = np.zeros((B, n))
+    dh = np.zeros((D, B, n))
     if cache["kind"] == "gru":
-        U_zr, U_h = U[:2 * n], U[2 * n:]
-        zr = sigmoid(a[..., :2 * n] + _affine(h_prev, U_zr))
+        U_zr, U_h = U[:, :2 * n], U[:, 2 * n:]
+        zr = sigmoid(a[..., :2 * n] + _times(h_prev, U_zr.swapaxes(1, 2)))
         z, r = zr[..., :n], zr[..., n:]
         rh = r * h_prev
-        cand = np.tanh(a[..., 2 * n:] + _affine(rh, U_h))
-        k_zr = np.concatenate([(h_prev - cand) * z * (1.0 - z), h_prev * r * (1.0 - r)], axis=2)
+        cand = np.tanh(a[..., 2 * n:] + _times(rh, U_h.swapaxes(1, 2)))
+        k_zr = np.concatenate([(h_prev - cand) * z * (1.0 - z), h_prev * r * (1.0 - r)], axis=3)
         k_h = (1.0 - z) * (1.0 - cand * cand)
         for t in range(L - 1, -1, -1):
-            dh = dH[t] + dh
-            da[t, :, 2 * n:] = da_h = dh * k_h[t]
+            dh = dH[:, t] + dh
+            da[:, t, :, 2 * n:] = da_h = dh * k_h[:, t]
             drh = da_h @ U_h
-            da[t, :, :2 * n] = da_zr = np.concatenate([dh, drh], axis=1) * k_zr[t]
-            dh = dh * z[t] + drh * r[t] + da_zr @ U_zr
-        dU = np.concatenate([_outer_sum(da[..., :2 * n], h_prev), _outer_sum(da[..., 2 * n:], rh)])
+            da[:, t, :, :2 * n] = da_zr = np.concatenate([dh, drh], axis=2) * k_zr[:, t]
+            dh = dh * z[:, t] + drh * r[:, t] + da_zr @ U_zr
+        dU = np.concatenate([_outer_sum(da[..., :2 * n], h_prev), _outer_sum(da[..., 2 * n:], rh)], axis=1)
     else:
-        pre = a + _affine(h_prev, U)
+        pre = a + _times(h_prev, U.swapaxes(1, 2))
         i, f, o = (sigmoid(pre[..., k * n:(k + 1) * n]) for k in range(3))
-        cand, tc = np.tanh(pre[..., 3 * n:]), np.tanh(cache["c"][1:])
-        k = np.concatenate([cand * i * (1.0 - i), cache["c"][:-1] * f * (1.0 - f),
-                            tc * o * (1.0 - o), i * (1.0 - cand * cand)], axis=2)
+        cand, tc = np.tanh(pre[..., 3 * n:]), np.tanh(cache["c"][:, 1:])
+        k = np.concatenate([cand * i * (1.0 - i), cache["c"][:, :-1] * f * (1.0 - f),
+                            tc * o * (1.0 - o), i * (1.0 - cand * cand)], axis=3)
         k_c = o * (1.0 - tc * tc)
         for t in range(L - 1, -1, -1):
-            dh = dH[t] + dh
-            dc = dc + dh * k_c[t]
-            da[t] = da_t = np.concatenate([dc, dc, dh, dc], axis=1) * k[t]
-            dc = dc * f[t]
+            dh = dH[:, t] + dh
+            dc = dc + dh * k_c[:, t]
+            da[:, t] = da_t = np.concatenate([dc, dc, dh, dc], axis=2) * k[:, t]
+            dc = dc * f[:, t]
             dh = da_t @ U
         dU = _outer_sum(da, h_prev)
-    return (_outer_sum(da, x), dU, da.sum(axis=(0, 1))), da @ W, dh, dc
+    return (_outer_sum(da, x), dU, da.sum(axis=(1, 2))), _times(da, W), dh, dc
 
 
 def gru_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One GRU step, h' = z*h_prev + (1-z)*candidate: the B=1, L=1 stacked cell."""
-    states, cache = _cell_forward("gru", _stack(params, prefix, "gru"), x_t[None, None], h_prev[None])
-    return states[0, 0], cache
+    """One GRU step, h' = z*h_prev + (1-z)*candidate: the D=1, L=1, B=1 stacked cell."""
+    states, cache = _cell_forward("gru", _stack(params, [prefix], "gru"), x_t[None, None, None], h_prev[None, None])
+    return states[0, 0, 0], cache
 
 
 def gru_step_backward(params, prefix: str, cache: dict, dh: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray]:
     """Returns (param grads, dx, dh_prev)."""
-    stacked, dx, dh_prev, _ = _cell_backward(_stack(params, prefix, "gru"), cache, dh[None, None], None)
-    return _unstack(prefix, "gru", stacked), dx[0, 0], dh_prev[0]
+    stacked, dx, dh_prev, _ = _cell_backward(_stack(params, [prefix], "gru"), cache, dh[None, None, None], None)
+    return _unstack([prefix], "gru", stacked), dx[0, 0, 0], dh_prev[0, 0]
 
 
 def lstm_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One LSTM step: the B=1, L=1 stacked cell."""
-    states, cache = _cell_forward("lstm", _stack(params, prefix, "lstm"), x_t[None, None], h_prev[None], c_prev[None])
-    return states[0, 0], cache["c"][1, 0], cache
+    """One LSTM step: the D=1, L=1, B=1 stacked cell."""
+    states, cache = _cell_forward("lstm", _stack(params, [prefix], "lstm"), x_t[None, None, None],
+                                  h_prev[None, None], c_prev[None, None])
+    return states[0, 0, 0], cache["c"][0, 1, 0], cache
 
 
 def lstm_step_backward(params, prefix: str, cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (param grads, dx, dh_prev, dc_prev)."""
-    stacked, dx, dh_prev, dc_prev = _cell_backward(_stack(params, prefix, "lstm"), cache, dh[None, None], dc[None])
-    return _unstack(prefix, "lstm", stacked), dx[0, 0], dh_prev[0], dc_prev[0]
+    stacked, dx, dh_prev, dc_prev = _cell_backward(_stack(params, [prefix], "lstm"), cache,
+                                                   dh[None, None, None], dc[None, None])
+    return _unstack([prefix], "lstm", stacked), dx[0, 0, 0], dh_prev[0, 0], dc_prev[0, 0]
 
 
 def init_bidirectional(params: ModelParameters, prefix: str, cell_kind: str, d: int, h: int) -> None:
@@ -247,7 +260,8 @@ def init_bidirectional(params: ModelParameters, prefix: str, cell_kind: str, d: 
 
 def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.ndarray]) -> tuple[np.ndarray, dict]:
     """Encode the sequences xs[b] ([n_b, d]) as one padded batch: states
-    [B, L, 2h] with L = max n_b, zero at padded positions."""
+    [B, L, 2h] with L = max n_b, zero at padded positions. Both directions
+    run in one time loop: the D=2 cell over x and each sequence reversed."""
     if not xs or any(x.ndim != 2 or x.shape[0] == 0 for x in xs):
         raise EmptySequence("bidirectional_encode needs at least one position")
     lengths = np.array([x.shape[0] for x in xs])
@@ -255,15 +269,15 @@ def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.
     mask = steps < lengths  # [L, B]
     cols = np.arange(len(xs))
     rev = np.where(mask, lengths - 1 - steps, steps)  # [L, B], its own inverse
-    x = np.zeros(mask.shape + (xs[0].shape[1],))
+    x = np.zeros((2,) + mask.shape + (xs[0].shape[1],))
     for b, seq in enumerate(xs):
-        x[:len(seq), b] = seq
-    (fwd, fwd_cache), (bwd, bwd_cache) = (_cell_forward(cell_kind, _stack(params, f"{prefix}{direction}.", cell_kind), seq)
-                                          for direction, seq in (("fwd", x), ("bwd", x[rev, cols])))
-    out = np.concatenate([fwd, bwd[rev, cols]], axis=2)
+        x[0, :len(seq), b] = seq
+    x[1] = x[0, rev, cols]
+    prefixes = [f"{prefix}fwd.", f"{prefix}bwd."]
+    states, cell = _cell_forward(cell_kind, _stack(params, prefixes, cell_kind), x)
+    out = np.concatenate([states[0], states[1, rev, cols]], axis=2)
     out[~mask] = 0.0
-    return out.swapaxes(0, 1), {"cell_kind": cell_kind, "prefix": prefix, "caches": (fwd_cache, bwd_cache),
-                                "mask": mask, "rev": rev}
+    return out.swapaxes(0, 1), {"cell_kind": cell_kind, "prefixes": prefixes, "cell": cell, "mask": mask, "rev": rev}
 
 
 def bidirectional_encode(cell_kind: str, params, prefix: str, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -273,20 +287,16 @@ def bidirectional_encode(cell_kind: str, params, prefix: str, x: np.ndarray) -> 
 
 
 def bidirectional_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
-    """BPTT through both directions; returns (param grads, grad_x). grad_out is [len, 2h] after
-    `bidirectional_encode` and [B, L, 2h] after `bidirectional_encode_batch`; grad_x matches."""
-    cell_kind, prefix, mask, rev = cache["cell_kind"], cache["prefix"], cache["mask"], cache["rev"]
+    """BPTT through both directions in one time loop; returns (param grads, grad_x). grad_out is
+    [len, 2h] after `bidirectional_encode` and [B, L, 2h] after `bidirectional_encode_batch`;
+    grad_x matches."""
+    cell_kind, prefixes, mask, rev = cache["cell_kind"], cache["prefixes"], cache["mask"], cache["rev"]
     g = np.where(mask[..., None], grad_out.swapaxes(0, 1) if grad_out.ndim == 3 else grad_out[:, None], 0.0)
     n, cols = g.shape[2] // 2, np.arange(g.shape[1])
-    grads: Grads = {}
-    dx = 0.0
-    for direction, cell, dH, order in (("fwd", cache["caches"][0], g[..., :n], slice(None)),
-                                       ("bwd", cache["caches"][1], g[rev, cols, n:], (rev, cols))):
-        weights = _stack(params, f"{prefix}{direction}.", cell_kind)
-        stacked, dxs, _, _ = _cell_backward(weights, cell, dH, np.zeros((len(cols), n)))
-        grads.update(_unstack(f"{prefix}{direction}.", cell_kind, stacked))
-        dx = dx + dxs[order]
-    return grads, dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
+    stacked, dxs, _, _ = _cell_backward(_stack(params, prefixes, cell_kind), cache["cell"],
+                                        np.stack([g[..., :n], g[rev, cols, n:]]), np.zeros((2, len(cols), n)))
+    dx = dxs[0] + dxs[1, rev, cols]
+    return _unstack(prefixes, cell_kind, stacked), dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from . import nn
 from .answers import SOLVER_LD, SOLVER_ORDER, SOLVER_RR, SOLVER_SP, AnswerCandidate
 from .errors import ConfigError, EmptyDataset, EmptyQuestion
 from .hyper import Hyper
+from .jsonl import read_json_lines
 from .kb import KnowledgeBase, build_entity_dictionary, load_triples
 from .ld_solver import solve_ld
 from .reader import ReaderModel, read
@@ -257,14 +258,7 @@ def split_dataset(pairs: list[tuple[str, str]], train_fraction: float = 0.7, see
 
 def load_qa_pairs(path: str) -> list[tuple[str, str]]:
     """JSON Lines {"question": str, "answer": str}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append((obj["question"], obj["answer"]))
-    return out
+    return read_json_lines(path, lambda obj: (obj["question"], obj["answer"]))
 
 
 def evaluate(system: System, dataset: list[tuple[str, str]]) -> EvalReport:

@@ -7,7 +7,6 @@ argmax over every passage's best span.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from . import nn
 from .answers import SOLVER_RR, AnswerCandidate
 from .errors import EmptyPassage, SpanOutOfRange
 from .hyper import Hyper
+from .jsonl import read_json_lines
 from .retrieval import KIND_PASSAGE, RetrievalResult
 from .text import Vocabulary, encode, tokenize
 
@@ -190,15 +190,8 @@ def read(
 
 def load_reader_data(path: str) -> list[tuple[str, str, int, int]]:
     """JSON Lines: question, passage, answer_start_token, answer_end_token."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append((obj["question"], obj["passage"],
-                            int(obj["answer_start_token"]), int(obj["answer_end_token"])))
-    return out
+    return read_json_lines(path, lambda obj: (obj["question"], obj["passage"],
+                                              int(obj["answer_start_token"]), int(obj["answer_end_token"])))
 
 
 def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: Vocabulary) -> ReaderModel:

@@ -5,22 +5,26 @@ Triples are spliced into single-line documents; passages are tagged with
 the dictionary entities they mention. Query terms matching a document's
 subject field contribute double.
 
-`search` scores term-at-a-time (Turtle & Flood 1995): one pass over each
-distinct query term's postings, in query order, adds that term's BM25
-contribution to a per-document accumulator, so a query costs the total
-length of its posting lists. Every document receives its contributions in
-the same order as `bm25_score`, the per-document scorer kept as the
-reference, so scores are equal to the last bit.
+`search` scores term-at-a-time (Turtle & Flood 1995). `build_index`
+computes every posting's BM25 contribution once, into flat arrays grouped
+by term; a query adds each distinct query term's slice of contributions
+into a dense per-document accumulator, in query order, so it costs the
+total length of its posting lists in numpy, not in Python. Every document
+receives its contributions in the same order as `bm25_score`, the
+per-document scorer kept as the reference, and each contribution is
+computed in the same operation order, so scores are equal to the last bit.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DuplicateDocId, EmptyPassage, UnknownDoc
+from .jsonl import read_json_lines
 from .kb import Triple
 from .text import EntityDictionary, normalize, tokenize
 
@@ -83,11 +87,18 @@ def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary, doc_id
 @dataclass
 class InvertedIndex:
     docs: dict[int, IndexedDocument] = field(default_factory=dict)
-    postings: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    # term -> [n, 2] (doc_id, tf) rows, doc ids ascending: a view into one flat array
+    postings: dict[str, np.ndarray] = field(default_factory=dict)
     doc_lengths: dict[int, int] = field(default_factory=dict)
     subject_terms: dict[str, set[int]] = field(default_factory=dict)
     avg_doc_length: float = 0.0
     doc_count: int = 0
+    # position -> doc_id, ascending; `search` accumulates scores by position
+    doc_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    # term -> its rows in `positions` and `contributions`, which are aligned with the postings
+    rows: dict[str, slice] = field(default_factory=dict)
+    positions: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+    contributions: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
@@ -97,22 +108,44 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
             raise DuplicateDocId(f"doc_id {doc.doc_id} appears twice")
         idx.docs[doc.doc_id] = doc
 
+    term_ids: dict[str, int] = {}
+    post_term: list[int] = []  # per posting, in doc order: its term's id, tf and subject-field hit
+    post_tf: list[int] = []
+    post_boosted: list[bool] = []
+    distinct: list[int] = []  # per doc: its number of postings
     for doc_id in sorted(idx.docs):
         doc = idx.docs[doc_id]
+        subject = {term for entity in doc.subject_field for term in tokenize(normalize(entity)).tokens}
+        for term in subject:
+            idx.subject_terms.setdefault(term, set()).add(doc_id)
         terms = tokenize(normalize(doc.value_field)).tokens
         idx.doc_lengths[doc_id] = len(terms)
-        counts: dict[str, int] = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
-        for term, tf in counts.items():
-            idx.postings.setdefault(term, []).append((doc_id, tf))
-        for entity in doc.subject_field:
-            for term in tokenize(normalize(entity)).tokens:
-                idx.subject_terms.setdefault(term, set()).add(doc_id)
+        counts = Counter(terms)
+        post_term += [term_ids.setdefault(term, len(term_ids)) for term in counts]
+        post_tf += counts.values()
+        post_boosted += [term in subject for term in counts]
+        distinct.append(len(counts))
 
     idx.doc_count = len(idx.docs)
     if idx.doc_count:
         idx.avg_doc_length = sum(idx.doc_lengths.values()) / idx.doc_count
+
+    # One vectorised pass: group the postings by term and compute each one's
+    # contribution in `bm25_score`'s operation order, so every value is bit-identical.
+    idx.doc_ids = np.array(sorted(idx.docs), dtype=np.int64)
+    order = np.argsort(np.array(post_term, dtype=np.intp), kind="stable")  # by term, then position
+    idx.positions = np.repeat(np.arange(idx.doc_count), distinct)[order]
+    tf = np.array(post_tf, dtype=np.int64)[order]
+    pairs = np.stack([idx.doc_ids[idx.positions], tf], axis=1)
+    df = np.bincount(post_term, minlength=len(term_ids))
+    for (term, t), end in zip(term_ids.items(), np.cumsum(df).tolist()):
+        idx.rows[term] = rows = slice(end - int(df[t]), end)
+        idx.postings[term] = pairs[rows]
+    idf = np.array([_idf(idx, term) for term in term_ids])
+    lengths = np.array(list(idx.doc_lengths.values()), dtype=np.int64)  # in doc id order
+    norm = K1 * (1.0 - B + B * lengths / idx.avg_doc_length) if idx.avg_doc_length else np.zeros(idx.doc_count)
+    idx.contributions = np.repeat(idf, df) * tf * (K1 + 1.0) / (tf + norm[idx.positions])
+    idx.contributions[np.array(post_boosted, dtype=bool)[order]] *= SUBJECT_BOOST
     return idx
 
 
@@ -132,7 +165,7 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
         tf = 0
         for d, f in idx.postings.get(term, []):
             if d == doc_id:
-                tf = f
+                tf = int(f)
                 break
         if tf == 0:
             continue
@@ -148,34 +181,19 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
     first, ties broken by doc_id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms = list(tokenize(normalize(query)).tokens)
-    if not terms:
-        return []
-    scores: dict[int, float] = {}
-    for term in dict.fromkeys(terms):  # distinct terms, query order
-        postings = idx.postings.get(term)
-        if not postings:
-            continue
-        idf = _idf(idx, term)
-        boosted = idx.subject_terms.get(term, ())
-        for doc_id, tf in postings:
-            length = idx.doc_lengths[doc_id]
-            norm = K1 * (1.0 - B + B * length / idx.avg_doc_length) if idx.avg_doc_length else 0.0
-            contribution = idf * tf * (K1 + 1.0) / (tf + norm)
-            if doc_id in boosted:
-                contribution *= SUBJECT_BOOST
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-    top = heapq.nsmallest(k, scores.items(), key=lambda item: (-item[1], item[0]))
-    return [RetrievalResult(idx.docs[d], s) for d, s in top]
+    scores = np.zeros(idx.doc_count)
+    hit = np.zeros(idx.doc_count, dtype=bool)
+    for term in dict.fromkeys(tokenize(normalize(query)).tokens):  # distinct terms, query order
+        rows = idx.rows.get(term)
+        if rows is not None:
+            positions = idx.positions[rows]
+            scores[positions] += idx.contributions[rows]
+            hit[positions] = True
+    matched = np.flatnonzero(hit)  # positions ascending, so doc ids ascending
+    top = matched[np.lexsort((matched, -scores[matched]))[:k]]
+    return [RetrievalResult(idx.docs[d], s) for d, s in zip(idx.doc_ids[top].tolist(), scores[top].tolist())]
 
 
 def load_passages(path: str) -> list[tuple[str, str]]:
     """JSON Lines {"id": str, "text": str} -> [(id, text)]."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append((str(obj["id"]), obj["text"]))
-    return out
+    return read_json_lines(path, lambda obj: (str(obj["id"]), obj["text"]))

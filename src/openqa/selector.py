@@ -7,7 +7,6 @@ linear head, and the scores are softmaxed across candidates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from . import nn
 from .answers import AnswerCandidate
 from .errors import EmptyInput, GoldOutOfRange, NoCandidates, SequenceTooLong
 from .hyper import Hyper
+from .jsonl import read_json_lines
 from .text import CLS, SEP, Vocabulary, encode, tokenize
 
 MAX_LEN = 64
@@ -127,14 +127,7 @@ def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate
 
 def load_selector_data(path: str) -> list[tuple[str, list[str], int]]:
     """JSON Lines: {"question": str, "candidates": [str], "gold": int}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append((obj["question"], list(obj["candidates"]), int(obj["gold"])))
-    return out
+    return read_json_lines(path, lambda obj: (obj["question"], list(obj["candidates"]), int(obj["gold"])))
 
 
 def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, vocab: Vocabulary) -> SelectorModel:

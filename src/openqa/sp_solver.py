@@ -9,13 +9,12 @@ values; their SPARQL text is only the answers' provenance.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .answers import SOLVER_SP, AnswerCandidate
-from .errors import MalformedLine
+from .jsonl import read_json_lines
 from .kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
 from .text import EntityDictionary, normalize, tokenize
 
@@ -46,23 +45,12 @@ class QuestionTemplate:
 
 def load_templates(path: str) -> list[QuestionTemplate]:
     """Read JSON Lines templates: pattern, predicate, subject_group, confidence."""
-    out: list[QuestionTemplate] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(QuestionTemplate(
-                    pattern=obj["pattern"],
-                    predicate=obj["predicate"],
-                    subject_group=obj.get("subject_group"),
-                    confidence=obj.get("confidence", DEFAULT_TEMPLATE_CONFIDENCE),
-                ))
-            except (ValueError, KeyError) as exc:
-                raise MalformedLine(lineno, str(exc)) from exc
-    return out
+    return read_json_lines(path, lambda obj: QuestionTemplate(
+        pattern=obj["pattern"],
+        predicate=obj["predicate"],
+        subject_group=obj.get("subject_group"),
+        confidence=obj.get("confidence", DEFAULT_TEMPLATE_CONFIDENCE),
+    ))
 
 
 @dataclass(frozen=True)

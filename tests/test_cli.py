@@ -97,3 +97,22 @@ class TestMakeSelectorData:
                      os.path.join(fx, "qa.jsonl"), out_path]) == 0
         assert os.path.exists(out_path)
         assert "wrote" in capsys.readouterr().out
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["index", "eval", "train"])
+    def test_malformed_json_lines_is_one_error_line(self, toy, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"question": "who wrote hamlet", "answer": "shakespeare"}\n{"question": \n')
+        args = {"index": ["index"], "eval": ["eval"],
+                "train": ["train", "reader", "--out", str(tmp_path / "reader.json")]}[command]
+        assert main(["--config", toy["config"]] + args + [str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed line ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["load-kb", "eval"])
+    def test_missing_file_is_one_error_line(self, toy, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.tsv")
+        assert main(["--config", toy["config"], command, missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err and err.count("\n") == 1

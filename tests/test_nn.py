@@ -11,6 +11,7 @@ import pytest
 from openqa import nn
 from openqa.errors import EvenWidth
 from openqa.hyper import Hyper
+from openqa.nn import layers
 
 RNG = np.random.default_rng(0)
 
@@ -277,12 +278,50 @@ def _ragged(rng, batch, max_len, d):
     return [rng.normal(size=(int(n), d)) for n in rng.permutation(lengths)]
 
 
+def _random_biases(p, rng):
+    """Nonzero biases (they start at 0), so a bias used in the wrong place shows."""
+    for name, arr in p.entries.items():
+        if ".b_" in name:
+            arr[:] = rng.normal(size=arr.shape)
+
+
+def _one_direction(p, pre, kind):
+    """One direction's (W, U, b) as the D=1 stack, from its per-gate arrays."""
+    return tuple(np.concatenate([p[f"{pre}{m}_{g}"] for g in layers.GATES[kind]])[None] for m in "WUb")
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_fused_directions_equal_one_direction_cells(kind, batch):
+    """bidirectional_encode_batch runs both directions in one time loop; its states
+    must be bit-identical to each direction run alone as the D=1 cell on the same
+    padded batch (right to left: each sequence reversed within its own length)."""
+    rng = np.random.default_rng(40 + batch)
+    p = nn.ModelParameters(rng_seed=41)
+    nn.init_bidirectional(p, "b.", kind, d=5, h=4)
+    _random_biases(p, rng)
+    for _ in range(5):
+        xs = _ragged(rng, batch, 7, 5)
+        states, _ = nn.bidirectional_encode_batch(kind, p, "b.", xs)
+        padded = np.zeros((2, states.shape[1], batch, 5))
+        for b, x in enumerate(xs):
+            padded[0, :len(x), b], padded[1, :len(x), b] = x, x[::-1]
+        fwd, bwd = (layers._cell_forward(kind, _one_direction(p, f"b.{direction}.", kind), padded[k:k + 1])[0][0]
+                    for k, direction in enumerate(("fwd", "bwd")))
+        for b, x in enumerate(xs):
+            n = len(x)
+            assert np.array_equal(states[b, :n, :4], fwd[:n, b])
+            assert np.array_equal(states[b, :n, 4:], bwd[:n, b][::-1])
+            assert not states[b, n:].any()
+
+
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 class TestRecurrenceOracle:
     def test_steps_equal_oracle(self, kind):
         rng = np.random.default_rng(20)
         p = nn.ModelParameters(rng_seed=21)
         nn.init_bidirectional(p, "s.", kind, d=5, h=4)
+        _random_biases(p, rng)
         for _ in range(10):
             x, h_prev, c_prev, dh, dc = (rng.normal(size=k) for k in (5, 4, 4, 4, 4))
             if kind == "gru":
@@ -308,6 +347,7 @@ class TestRecurrenceOracle:
         rng = np.random.default_rng(22 + batch)
         p = nn.ModelParameters(rng_seed=23)
         nn.init_bidirectional(p, "b.", kind, d=5, h=4)
+        _random_biases(p, rng)
         for _ in range(5):
             xs = _ragged(rng, batch, 7, 5)
             states, cache = nn.bidirectional_encode_batch(kind, p, "b.", xs)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from openqa.errors import DuplicateDocId, UnknownDoc
+from openqa.errors import DuplicateDocId, MalformedLine, UnknownDoc
 from openqa.kb import Triple, build_entity_dictionary, load_triples
 from openqa.retrieval import (
     B, K1, KIND_PASSAGE, KIND_TRIPLE, SUBJECT_BOOST,
@@ -117,9 +117,66 @@ class TestSearch:
                 got = search(idx, " ".join(terms), k)
                 assert [(r.doc.doc_id, r.score) for r in got] == [(d, -s) for s, d in want]
 
+    def test_search_equals_per_doc_scoring_on_sparse_doc_ids(self):
+        """search against bm25_score on random corpora whose doc ids are sparse,
+        shuffled and do not start at 0, with copies of docs (score ties) that
+        sometimes drop the subject (a boost on only some of a term's postings);
+        also the empty index, queries of unseen terms only, and k above the
+        number of matched docs."""
+        rng = random.Random(37)
+        pool = [f"w{i}" for i in range(12)]
+        for size in [0] + [rng.randint(1, 30) for _ in range(40)]:
+            docs = []
+            for doc_id in rng.sample(range(5, 400), size):
+                if docs and rng.random() < 0.3:
+                    src = rng.choice(docs)
+                    words, subjects = src.value_field, src.subject_field if rng.random() < 0.5 else ()
+                else:
+                    words = " ".join(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+                    subjects = tuple(rng.sample(words.split(), rng.randint(0, 1)))
+                docs.append(IndexedDocument(doc_id, subjects, words, KIND_PASSAGE))
+            idx = build_index(docs)
+            queries = [[rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 5))] for _ in range(5)]
+            for terms in queries + [["absent", "unseen"]]:
+                matched = {int(d) for t in terms for d, _ in idx.postings.get(t, [])}
+                k = rng.randint(1, len(matched) + 3)
+                want = sorted((-bm25_score(idx, terms, d), d) for d in matched)[:k]
+                got = search(idx, " ".join(terms), k)
+                assert [(r.doc.doc_id, r.score) for r in got] == [(d, -s) for s, d in want]
+
+    def test_boost_only_on_the_subject_docs_postings(self):
+        docs = [IndexedDocument(90, (), "paris paris city", KIND_PASSAGE),
+                IndexedDocument(12, ("paris",), "paris paris city", KIND_PASSAGE),
+                IndexedDocument(45, (), "paris paris city", KIND_PASSAGE)]
+        idx = build_index(docs)
+        got = search(idx, "paris", k=5)
+        assert [r.doc.doc_id for r in got] == [12, 45, 90]
+        assert got[0].score == SUBJECT_BOOST * got[1].score and got[1].score == got[2].score
+        assert [r.score for r in got] == [bm25_score(idx, ["paris"], d) for d in (12, 45, 90)]
+
+    def test_postings_are_doc_id_tf_rows(self):
+        docs = [IndexedDocument(7, (), "a b a", KIND_PASSAGE), IndexedDocument(3, (), "a c", KIND_PASSAGE)]
+        idx = build_index(docs)
+        assert idx.postings["a"].tolist() == [[3, 1], [7, 2]]
+        assert idx.postings["b"].tolist() == [[7, 1]]
+        assert sorted(idx.postings) == ["a", "b", "c"]
+
 
 class TestPersistence:
     def test_load_passages(self, fx):
         passages = load_passages(os.path.join(fx, "passages.jsonl"))
         assert len(passages) == 12
         assert passages[0][0] == "p01"
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "p2", "text": ', "malformed line 2: Expecting value"),
+        ('["p2", "text"]', "malformed line 2: expected a JSON object, got list"),
+        ('{"id": "p2"}', "malformed line 2: missing key 'text'"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "passages.jsonl"
+        path.write_text('{"id": "p1", "text": "fine"}\n' + line + "\n")
+        with pytest.raises(MalformedLine) as info:
+            load_passages(str(path))
+        assert str(info.value).startswith(f"{path}: {message}")
+        assert info.value.line_number == 2
