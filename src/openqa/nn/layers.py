@@ -15,8 +15,8 @@ is one batched matmul before the time loop, written into one [D, L, B, G]
 array; each step makes one batched recurrent matmul for all directions,
 [D, B, 2h] for the GRU's z and r (plus U_h on r*h_prev for its candidate)
 or [D, B, 4h] for the LSTM. `gru_step` and `lstm_step` are the D=1 case.
-The forward keeps only the projections and the states; the backward
-recomputes every step's gates from them at once. A batch is left-aligned
+The forward keeps only the states; the backward recomputes every step's
+gates from them at once. A batch is left-aligned
 and zero-padded to [B, L, d] (time-major inside); the bidirectional
 encoder runs the left-to-right pass and the right-to-left one, on each
 sequence reversed within its own length, as D=2 in one time loop, so
@@ -146,6 +146,16 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1, a.shape[-1]).swapaxes(1, 2) @ b.reshape(len(b), -1, b.shape[-1])
 
 
+def _project(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x[D, L, B, d] W^T + b for every direction, step and row: one batched matmul,
+    written with the bias straight into one [D, L, B, G] array."""
+    D, L, B, d = x.shape
+    a = np.empty((D, L, B, W.shape[1]))
+    np.matmul(x.reshape(D, L * B, d), W.swapaxes(1, 2), out=a.reshape(D, L * B, -1))
+    a += b[:, None, None]
+    return a
+
+
 def _times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """x[D, L, B, k] M[D, k, m] for every step and row: one batched matmul."""
     return (x.reshape(len(x), -1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[2:])
@@ -154,17 +164,15 @@ def _times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np.ndarray, dict]:
     """D directions at once: direction k runs over the time-major x[k] ([D, L, B, d])
     with the k-th of each stacked weight, from states h, c [D, B, h] (default 0).
-    Returns states [D, L, B, h]. Only the input projections and the states are
-    kept; `_cell_backward` recomputes the gates from them."""
+    Returns states [D, L, B, h]. Only the states are kept; `_cell_backward`
+    recomputes the gates from them."""
     W, U, b = weights
     (D, L, B, d), n = x.shape, U.shape[2]
     if h is None:
         h = c = np.zeros((D, B, n))
     if (W.shape[0], W.shape[2]) != (D, d) or h.shape != (D, B, n):
         raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
-    a = np.empty((D, L, B, W.shape[1]))  # x W^T + b, written in place
-    np.matmul(x.reshape(D, L * B, d), W.swapaxes(1, 2), out=a.reshape(D, L * B, -1))
-    a += b[:, None, None]
+    a = _project(x, W, b)
     hs, cs = np.empty((D, L + 1, B, n)), None  # hs[:, t], cs[:, t]: step t's incoming states
     hs[:, 0] = h
     if kind == "gru":
@@ -182,7 +190,7 @@ def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np
             ifo, g = sigmoid(pre[..., :3 * n]), np.tanh(pre[..., 3 * n:])
             c = cs[:, t + 1] = ifo[..., n:2 * n] * c + ifo[..., :n] * g
             h = hs[:, t + 1] = ifo[..., 2 * n:] * np.tanh(c)
-    return hs[:, 1:], {"kind": kind, "x": x, "a": a, "h": hs, "c": cs}
+    return hs[:, 1:], {"kind": kind, "x": x, "h": hs, "c": cs}
 
 
 def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
@@ -190,9 +198,10 @@ def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
     (LSTM) dc [D, B, h] on its last cell states. Returns ((dW, dU, db) stacked,
     dx [D, L, B, d], and the grads dh, dc on the initial states).
     """
-    W, U, _ = weights
-    x, a, h_prev = cache["x"], cache["a"], cache["h"][:, :-1]
+    W, U, b = weights
+    x, h_prev = cache["x"], cache["h"][:, :-1]
     D, L, B, n = h_prev.shape
+    a = _project(x, W, b)
     da = np.empty_like(a)
     dh = np.zeros((D, B, n))
     if cache["kind"] == "gru":
