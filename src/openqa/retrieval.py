@@ -18,7 +18,6 @@ computed in the same operation order, so scores are equal to the last bit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,23 +107,24 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
             raise DuplicateDocId(f"doc_id {doc.doc_id} appears twice")
         idx.docs[doc.doc_id] = doc
 
+    ordered = sorted(idx.docs)
     term_ids: dict[str, int] = {}
-    post_term: list[int] = []  # per posting, in doc order: its term's id, tf and subject-field hit
+    post_term: list[int] = []  # per posting, in doc order: its term's id and tf
     post_tf: list[int] = []
-    post_boosted: list[bool] = []
     distinct: list[int] = []  # per doc: its number of postings
-    for doc_id in sorted(idx.docs):
+    for doc_id in ordered:
         doc = idx.docs[doc_id]
-        subject = {term for entity in doc.subject_field for term in tokenize(normalize(entity)).tokens}
-        for term in subject:
-            idx.subject_terms.setdefault(term, set()).add(doc_id)
         terms = tokenize(normalize(doc.value_field)).tokens
         idx.doc_lengths[doc_id] = len(terms)
-        counts = Counter(terms)
+        counts: dict[str, int] = {}
+        for t in terms:
+            counts[t] = counts.get(t, 0) + 1
         post_term += [term_ids.setdefault(term, len(term_ids)) for term in counts]
         post_tf += counts.values()
-        post_boosted += [term in subject for term in counts]
         distinct.append(len(counts))
+        for entity in doc.subject_field:
+            for term in tokenize(normalize(entity)).tokens:
+                idx.subject_terms.setdefault(term, set()).add(doc_id)
 
     idx.doc_count = len(idx.docs)
     if idx.doc_count:
@@ -132,7 +132,7 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
 
     # One vectorised pass: group the postings by term and compute each one's
     # contribution in `bm25_score`'s operation order, so every value is bit-identical.
-    idx.doc_ids = np.array(sorted(idx.docs), dtype=np.int64)
+    idx.doc_ids = np.array(ordered, dtype=np.int64)
     order = np.argsort(np.array(post_term, dtype=np.intp), kind="stable")  # by term, then position
     idx.positions = np.repeat(np.arange(idx.doc_count), distinct)[order]
     tf = np.array(post_tf, dtype=np.int64)[order]
@@ -145,7 +145,13 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
     lengths = np.array(list(idx.doc_lengths.values()), dtype=np.int64)  # in doc id order
     norm = K1 * (1.0 - B + B * lengths / idx.avg_doc_length) if idx.avg_doc_length else np.zeros(idx.doc_count)
     idx.contributions = np.repeat(idf, df) * tf * (K1 + 1.0) / (tf + norm[idx.positions])
-    idx.contributions[np.array(post_boosted, dtype=bool)[order]] *= SUBJECT_BOOST
+    # (term id, position) keys ascend over the grouped postings; find each subject-field hit among them
+    keys = np.repeat(np.arange(len(term_ids)), df) * idx.doc_count + idx.positions
+    position = {doc_id: pos for pos, doc_id in enumerate(ordered)}
+    hits = np.array([term_ids[term] * idx.doc_count + position[doc_id] for term, doc_ids in idx.subject_terms.items()
+                     if term in term_ids for doc_id in doc_ids], dtype=np.intp)
+    found = np.searchsorted(keys, hits)
+    idx.contributions[found[keys[np.minimum(found, len(keys) - 1)] == hits]] *= SUBJECT_BOOST
     return idx
 
 

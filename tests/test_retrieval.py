@@ -120,9 +120,10 @@ class TestSearch:
     def test_search_equals_per_doc_scoring_on_sparse_doc_ids(self):
         """search against bm25_score on random corpora whose doc ids are sparse,
         shuffled and do not start at 0, with copies of docs (score ties) that
-        sometimes drop the subject (a boost on only some of a term's postings);
-        also the empty index, queries of unseen terms only, and k above the
-        number of matched docs."""
+        sometimes drop the subject (a boost on only some of a term's postings),
+        and subjects whose terms are not in the doc's own text; also the empty
+        index, queries of unseen terms only, and k above the number of matched
+        docs."""
         rng = random.Random(37)
         pool = [f"w{i}" for i in range(12)]
         for size in [0] + [rng.randint(1, 30) for _ in range(40)]:
@@ -133,7 +134,7 @@ class TestSearch:
                     words, subjects = src.value_field, src.subject_field if rng.random() < 0.5 else ()
                 else:
                     words = " ".join(rng.choice(pool) for _ in range(rng.randint(1, 8)))
-                    subjects = tuple(rng.sample(words.split(), rng.randint(0, 1)))
+                    subjects = tuple(rng.sample(words.split() + ["w0", "w1"], rng.randint(0, 2)))
                 docs.append(IndexedDocument(doc_id, subjects, words, KIND_PASSAGE))
             idx = build_index(docs)
             queries = [[rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 5))] for _ in range(5)]
