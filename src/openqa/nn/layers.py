@@ -16,12 +16,12 @@ array; each step makes one batched recurrent matmul for all directions,
 [D, B, 2h] for the GRU's z and r (plus U_h on r*h_prev for its candidate)
 or [D, B, 4h] for the LSTM. `gru_step` and `lstm_step` are the D=1 case.
 The forward keeps only the states; the backward recomputes every step's
-gates from them at once. A batch is left-aligned
-and zero-padded to [B, L, d] (time-major inside); the bidirectional
-encoder runs the left-to-right pass and the right-to-left one, on each
-sequence reversed within its own length, as D=2 in one time loop, so
-padding only ever follows a sequence's last step. A length mask zeroes
-the padded positions' states and drops their gradients.
+gates from them at once. A batch is left-aligned and zero-padded to
+[B, L, d] (time-major inside); the bidirectional encoder runs the
+left-to-right pass and the right-to-left one, on each sequence reversed
+within its own length, as D=2 in one time loop, so padding only ever
+follows a sequence's last step. A length mask zeroes the padded
+positions' states and drops their gradients.
 """
 
 from __future__ import annotations
