@@ -7,8 +7,8 @@ questions become single-pattern SPARQL.
 import os
 
 from openqa.kb import (
-    ObjectUnknown, SparqlQuery, build_entity_dictionary, execute_sparql,
-    load_triples, parse_sparql, serialize_sparql,
+    ObjectUnknown, SparqlQuery, SubjectUnknown, build_entity_dictionary, execute_sparql,
+    load_triples, serialize_sparql,
 )
 
 TOYWORLD = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures", "toyworld")
@@ -23,14 +23,15 @@ print("query:", serialize_sparql(query))
 print("bindings:", execute_sparql(kb, query))
 
 print("\n-- subject-unknown query: which books did shakespeare write? --")
-query = parse_sparql("SELECT ?x WHERE { ?x <author> <shakespeare> . }")
+query = SparqlQuery("x", SubjectUnknown("author", "shakespeare"))
 print("query:", serialize_sparql(query))
 print("bindings:", execute_sparql(kb, query))
 
 print("\n-- filtered query: mountains taller than 8700m --")
-query = parse_sparql("SELECT ?x WHERE { <everest> <height> ?x . FILTER(?x > 8700) }")
+query = SparqlQuery("x", ObjectUnknown("everest", "height"), (">", "8700"))
+print("query:", serialize_sparql(query))
 print("bindings:", execute_sparql(kb, query))
-query = parse_sparql("SELECT ?x WHERE { <k2> <height> ?x . FILTER(?x > 8700) }")
+query = SparqlQuery("x", ObjectUnknown("k2", "height"), (">", "8700"))
 print("k2 bindings under the same filter:", execute_sparql(kb, query))
 
 print("\n-- entity dictionary --")

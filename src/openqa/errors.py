@@ -12,13 +12,6 @@ class MalformedLine(OpenQAError):
         super().__init__(f"{path}: malformed line {line_number}: {message}")
 
 
-class SparqlSyntaxError(OpenQAError):
-    def __init__(self, position: int, expected: str):
-        self.position = position
-        self.expected = expected
-        super().__init__(f"syntax error at position {position}: expected {expected}")
-
-
 class FilterTypeError(OpenQAError):
     """Numeric comparator applied to a non-numeric binding."""
 

@@ -8,15 +8,10 @@ part of a (subject, predicate, object) fact.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    FilterTypeError,
-    MalformedLine,
-    SparqlSyntaxError,
-)
+from .errors import FilterTypeError, MalformedLine
 from .text import EntityDictionary, normalize, tokenize
 
 
@@ -131,135 +126,8 @@ def _as_number(text: str) -> Optional[float]:
         return None
 
 
-_IRI = re.compile(r"<([^<>\n]*)>")
-_VAR = re.compile(r"\?(\w+)")
-_STRING_LITERAL = re.compile(r'"([^"\n]*)"')
-_NUMBER_LITERAL = re.compile(r"-?\d+(?:\.\d+)?")
-
-
-class _Scanner:
-    """Token scanner for the subset grammar; whitespace-insensitive."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek_is(self, literal: str) -> bool:
-        self.skip_ws()
-        return self.text[self.pos : self.pos + len(literal)].upper() == literal.upper()
-
-    def expect_word(self, word: str):
-        self.skip_ws()
-        if not self.peek_is(word):
-            raise SparqlSyntaxError(self.pos, word)
-        self.pos += len(word)
-
-    def _match(self, pattern: re.Pattern) -> Optional[re.Match]:
-        """Consume `pattern` at the next non-space position, if it matches there."""
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-        return m
-
-    def try_iri(self) -> Optional[str]:
-        m = self._match(_IRI)
-        return m.group(1) if m else None
-
-    def try_var(self) -> Optional[str]:
-        m = self._match(_VAR)
-        return m.group(1) if m else None
-
-    def expect_iri(self) -> str:
-        iri = self.try_iri()
-        if iri is None:
-            raise SparqlSyntaxError(self.pos, "<iri>")
-        return iri
-
-    def expect_var(self) -> str:
-        var = self.try_var()
-        if var is None:
-            raise SparqlSyntaxError(self.pos, "?variable")
-        return var
-
-    def expect_comparator(self) -> str:
-        self.skip_ws()
-        for comp in COMPARATORS:
-            if self.text.startswith(comp, self.pos):
-                self.pos += len(comp)
-                return comp
-        raise SparqlSyntaxError(self.pos, "comparator")
-
-    def expect_literal(self) -> str:
-        m = self._match(_STRING_LITERAL)
-        if m:
-            return m.group(1)
-        m = self._match(_NUMBER_LITERAL)
-        if m:
-            return m.group(0)
-        raise SparqlSyntaxError(self.pos, "literal")
-
-
-def parse_sparql(text: str) -> SparqlQuery:
-    """Parse a query of the subset grammar:
-
-    SELECT ?v WHERE { <s> <p> ?v . }  or  SELECT ?v WHERE { ?v <p> <o> . }
-    optionally followed by FILTER(?v CMP literal) before the closing brace.
-    """
-    sc = _Scanner(text)
-    sc.expect_word("SELECT")
-    variable = sc.expect_var()
-    sc.expect_word("WHERE")
-    sc.expect_word("{")
-
-    subject_iri = sc.try_iri()
-    if subject_iri is not None:
-        predicate = sc.expect_iri()
-        var2 = sc.expect_var()
-        if var2 != variable:
-            raise SparqlSyntaxError(sc.pos, f"?{variable}")
-        pattern: ObjectUnknown | SubjectUnknown = ObjectUnknown(subject_iri, predicate)
-    else:
-        var2 = sc.try_var()
-        if var2 is None:
-            raise SparqlSyntaxError(sc.pos, "<iri> or ?variable")
-        if var2 != variable:
-            raise SparqlSyntaxError(sc.pos, f"?{variable}")
-        predicate = sc.expect_iri()
-        object_iri = sc.expect_iri()
-        pattern = SubjectUnknown(predicate, object_iri)
-    sc.expect_word(".")
-
-    filt: Optional[tuple[str, str]] = None
-    if sc.peek_is("FILTER"):
-        sc.expect_word("FILTER")
-        sc.expect_word("(")
-        var3 = sc.expect_var()
-        if var3 != variable:
-            raise SparqlSyntaxError(sc.pos, f"?{variable}")
-        comp = sc.expect_comparator()
-        literal = sc.expect_literal()
-        sc.expect_word(")")
-        filt = (comp, literal)
-
-    sc.expect_word("}")
-    if not sc.eof():
-        raise SparqlSyntaxError(sc.pos, "end of query")
-    try:
-        return SparqlQuery(variable, pattern, filt)
-    except ValueError as exc:
-        raise SparqlSyntaxError(sc.pos, str(exc)) from exc
-
-
 def serialize_sparql(q: SparqlQuery) -> str:
+    """The query as SPARQL text: the provenance of a KB answer."""
     if isinstance(q.pattern, ObjectUnknown):
         body = f"<{q.pattern.subject}> <{q.pattern.predicate}> ?{q.variable}"
     else:

@@ -2,26 +2,29 @@
 
 Each forward returns (output, cache); the matching backward consumes the
 cache plus the upstream gradient and returns parameter gradients (keyed
-by the same names as the parameter dict) and input gradients. Recurrent
+by the same names as the parameter dict) and input gradients. Layer
 parameters live in a flat dict under a caller-chosen prefix, e.g.
-"tagger.fwd.W_z".
+"lstm.W".
 
 Gated recurrences are one stacked cell per kind, run over D directions
-at once. Each call concatenates a direction's per-gate arrays in `GATES`
-order, W to [3h, d] (GRU: z, r, candidate h) or [4h, d] (LSTM: i, f, o,
-g), U and b to match, and stacks the directions on a leading axis: W is
-[D, G, d]. Every step's input projection x W^T + b, for all directions,
-is one batched matmul before the time loop, written into one [D, L, B, G]
-array; each step makes one batched recurrent matmul for all directions,
-[D, B, 2h] for the GRU's z and r (plus U_h on r*h_prev for its candidate)
-or [D, B, 4h] for the LSTM. `gru_step` and `lstm_step` are the D=1 case.
-The forward keeps only the states; the backward recomputes every step's
-gates from them at once. A batch is left-aligned and zero-padded to
-[B, L, d] (time-major inside); the bidirectional encoder runs the
-left-to-right pass and the right-to-left one, on each sequence reversed
-within its own length, as D=2 in one time loop, so padding only ever
-follows a sequence's last step. A length mask zeroes the padded
-positions' states and drops their gradients.
+at once. A cell under `prefix` is stored as the three arrays it computes
+with: `{prefix}W` [D, G, d], `{prefix}U` [D, G, h] and `{prefix}b`
+[D, G]. G is 3h for the GRU (gates z, r, candidate h) and 4h for the
+LSTM (i, f, o, g), one h-row block per gate in `GATES` order. D is 1
+after `init_gru`/`init_lstm` and 2 after `init_bidirectional` (left to
+right, then right to left). Every step's input projection x W^T + b,
+for all directions, is one batched matmul before the time loop, written
+into one [D, L, B, G] array; each step makes one batched recurrent
+matmul for all directions, [D, B, 2h] for the GRU's z and r (plus U_h
+on r*h_prev for its candidate) or [D, B, 4h] for the LSTM. `gru_step`
+and `lstm_step` run a D=1 cell. The forward keeps only the states; the
+backward recomputes every step's gates from them at once. A batch is
+left-aligned and zero-padded to [B, L, d] (time-major inside); the
+bidirectional encoder runs the left-to-right pass and the right-to-left
+one, on each sequence reversed within its own length, as D=2 in one
+time loop, so padding only ever follows a sequence's last step. A
+length mask zeroes the padded positions' states and drops their
+gradients.
 """
 
 from __future__ import annotations
@@ -113,11 +116,17 @@ def conv1d_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.n
 GATES = {"gru": "zrh", "lstm": "ifog"}
 
 
-def _init_cell(params: ModelParameters, prefix: str, d: int, h: int, kind: str) -> None:
-    for gate in GATES[kind]:
-        params.add(f"{prefix}W_{gate}", (h, d))
-        params.add(f"{prefix}U_{gate}", (h, h))
-        params.add_zeros(f"{prefix}b_{gate}", (h,))
+def _init_cell(params: ModelParameters, prefix: str, d: int, h: int, kind: str, directions: int = 1) -> None:
+    """W, U and b (zero) of a D-direction cell. The Glorot blocks are drawn per
+    direction, per gate: W's (h, d) block, then U's (h, h) block."""
+    G = len(GATES[kind]) * h
+    W = params.add_zeros(f"{prefix}W", (directions, G, d))
+    U = params.add_zeros(f"{prefix}U", (directions, G, h))
+    params.add_zeros(f"{prefix}b", (directions, G))
+    for k in range(directions):
+        for rows in range(0, G, h):
+            W[k, rows:rows + h] = params.glorot((h, d))
+            U[k, rows:rows + h] = params.glorot((h, h))
 
 
 def init_gru(params: ModelParameters, prefix: str, d: int, h: int) -> None:
@@ -128,17 +137,14 @@ def init_lstm(params: ModelParameters, prefix: str, d: int, h: int) -> None:
     _init_cell(params, prefix, d, h, "lstm")
 
 
-def _stack(params, prefixes: list[str], kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, U, b) of the directions under `prefixes`, each [D, G, ...]: per direction
-    its per-gate arrays concatenated in `GATES` order."""
-    return tuple(np.stack([np.concatenate([params[f"{p}{m}_{g}"] for g in GATES[kind]]) for p in prefixes])
-                 for m in "WUb")
+def _weights(params, prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored (W, U, b) of the cell under `prefix`."""
+    return params[f"{prefix}W"], params[f"{prefix}U"], params[f"{prefix}b"]
 
 
-def _unstack(prefixes: list[str], kind: str, stacked) -> Grads:
-    """Stacked (dW, dU, db) back under the saved per-direction, per-gate names."""
-    return {f"{p}{m}_{g}": part for m, arr in zip("WUb", stacked) for p, per_direction in zip(prefixes, arr)
-            for g, part in zip(GATES[kind], np.split(per_direction, len(GATES[kind])))}
+def _named(prefix: str, grads) -> Grads:
+    """(dW, dU, db) under the names of the weights they belong to."""
+    return dict(zip((f"{prefix}W", f"{prefix}U", f"{prefix}b"), grads))
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,33 +244,31 @@ def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
 
 def gru_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, dict]:
     """One GRU step, h' = z*h_prev + (1-z)*candidate: the D=1, L=1, B=1 stacked cell."""
-    states, cache = _cell_forward("gru", _stack(params, [prefix], "gru"), x_t[None, None, None], h_prev[None, None])
+    states, cache = _cell_forward("gru", _weights(params, prefix), x_t[None, None, None], h_prev[None, None])
     return states[0, 0, 0], cache
 
 
 def gru_step_backward(params, prefix: str, cache: dict, dh: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray]:
     """Returns (param grads, dx, dh_prev)."""
-    stacked, dx, dh_prev, _ = _cell_backward(_stack(params, [prefix], "gru"), cache, dh[None, None, None], None)
-    return _unstack([prefix], "gru", stacked), dx[0, 0, 0], dh_prev[0, 0]
+    grads, dx, dh_prev, _ = _cell_backward(_weights(params, prefix), cache, dh[None, None, None], None)
+    return _named(prefix, grads), dx[0, 0, 0], dh_prev[0, 0]
 
 
 def lstm_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """One LSTM step: the D=1, L=1, B=1 stacked cell."""
-    states, cache = _cell_forward("lstm", _stack(params, [prefix], "lstm"), x_t[None, None, None],
+    states, cache = _cell_forward("lstm", _weights(params, prefix), x_t[None, None, None],
                                   h_prev[None, None], c_prev[None, None])
     return states[0, 0, 0], cache["c"][0, 1, 0], cache
 
 
 def lstm_step_backward(params, prefix: str, cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (param grads, dx, dh_prev, dc_prev)."""
-    stacked, dx, dh_prev, dc_prev = _cell_backward(_stack(params, [prefix], "lstm"), cache,
-                                                   dh[None, None, None], dc[None, None])
-    return _unstack([prefix], "lstm", stacked), dx[0, 0, 0], dh_prev[0, 0], dc_prev[0, 0]
+    grads, dx, dh_prev, dc_prev = _cell_backward(_weights(params, prefix), cache, dh[None, None, None], dc[None, None])
+    return _named(prefix, grads), dx[0, 0, 0], dh_prev[0, 0], dc_prev[0, 0]
 
 
 def init_bidirectional(params: ModelParameters, prefix: str, cell_kind: str, d: int, h: int) -> None:
-    for direction in ("fwd.", "bwd."):
-        _init_cell(params, prefix + direction, d, h, cell_kind)
+    _init_cell(params, prefix, d, h, cell_kind, directions=2)
 
 
 def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.ndarray]) -> tuple[np.ndarray, dict]:
@@ -282,11 +286,10 @@ def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.
     for b, seq in enumerate(xs):
         x[0, :len(seq), b] = seq
     x[1] = x[0, rev, cols]
-    prefixes = [f"{prefix}fwd.", f"{prefix}bwd."]
-    states, cell = _cell_forward(cell_kind, _stack(params, prefixes, cell_kind), x)
+    states, cell = _cell_forward(cell_kind, _weights(params, prefix), x)
     out = np.concatenate([states[0], states[1, rev, cols]], axis=2)
     out[~mask] = 0.0
-    return out.swapaxes(0, 1), {"cell_kind": cell_kind, "prefixes": prefixes, "cell": cell, "mask": mask, "rev": rev}
+    return out.swapaxes(0, 1), {"prefix": prefix, "cell": cell, "mask": mask, "rev": rev}
 
 
 def bidirectional_encode(cell_kind: str, params, prefix: str, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -299,13 +302,13 @@ def bidirectional_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[G
     """BPTT through both directions in one time loop; returns (param grads, grad_x). grad_out is
     [len, 2h] after `bidirectional_encode` and [B, L, 2h] after `bidirectional_encode_batch`;
     grad_x matches."""
-    cell_kind, prefixes, mask, rev = cache["cell_kind"], cache["prefixes"], cache["mask"], cache["rev"]
+    prefix, mask, rev = cache["prefix"], cache["mask"], cache["rev"]
     g = np.where(mask[..., None], grad_out.swapaxes(0, 1) if grad_out.ndim == 3 else grad_out[:, None], 0.0)
     n, cols = g.shape[2] // 2, np.arange(g.shape[1])
-    stacked, dxs, _, _ = _cell_backward(_stack(params, prefixes, cell_kind), cache["cell"],
-                                        np.stack([g[..., :n], g[rev, cols, n:]]), np.zeros((2, len(cols), n)))
+    grads, dxs, _, _ = _cell_backward(_weights(params, prefix), cache["cell"],
+                                      np.stack([g[..., :n], g[rev, cols, n:]]), np.zeros((2, len(cols), n)))
     dx = dxs[0] + dxs[1, rev, cols]
-    return _unstack(prefixes, cell_kind, stacked), dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
+    return _named(prefix, grads), dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
 
 
 # ---------------------------------------------------------------------------

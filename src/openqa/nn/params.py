@@ -26,18 +26,20 @@ class ModelParameters:
         self.arch: dict = dict(arch or {})
         self._rng = np.random.default_rng(self.rng_seed)
 
-    def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
-        """Glorot-uniform initialized parameter drawn from the recorded seed."""
-        if name in self.entries:
-            raise ValueError(f"duplicate parameter name {name!r}")
+    def glorot(self, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
+        """The next Glorot-uniform draw from the recorded seed, not stored."""
         if fan_in is None or fan_out is None:
             if len(shape) >= 2:
                 fan_out, fan_in = shape[0], int(np.prod(shape[1:]))
             else:
                 fan_in = fan_out = max(shape[0], 1) if shape else 1
         r = np.sqrt(6.0 / (fan_in + fan_out))
-        arr = self._rng.uniform(-r, r, size=shape).astype(np.float64)
-        self.entries[name] = arr
+        return self._rng.uniform(-r, r, size=shape).astype(np.float64)
+
+    def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
+        """Glorot-uniform initialized parameter drawn from the recorded seed."""
+        arr = self.add_zeros(name, shape)
+        arr[...] = self.glorot(shape, fan_in, fan_out)
         return arr
 
     def add_zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:

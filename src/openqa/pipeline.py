@@ -13,7 +13,7 @@ import logging
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import nn
@@ -22,10 +22,10 @@ from .errors import ConfigError, EmptyDataset, EmptyQuestion
 from .hyper import Hyper
 from .jsonl import read_json_lines
 from .kb import KnowledgeBase, build_entity_dictionary, load_triples
-from .ld_solver import solve_ld
-from .reader import ReaderModel, read
+from .ld_solver import init_relation_scorer, init_tagger, solve_ld
+from .reader import ReaderModel, init_reader, read
 from .retrieval import InvertedIndex, build_index, load_passages, search, splice_triple, tag_passage
-from .selector import SelectorModel, select
+from .selector import SelectorModel, init_selector, select
 from .sp_solver import QuestionTemplate, load_templates, solve_sp
 from .text import EntityDictionary, Vocabulary, normalize
 
@@ -33,8 +33,9 @@ log = logging.getLogger("openqa")
 
 SOLVER_TIMEOUT_SECONDS = 5.0
 REQUIRED_CONFIG_KEYS = ("kb_path", "passages_path", "templates_path", "vocab_path")
-MODEL_KINDS = {"tagger_model": "tagger", "scorer_model": "relation_scorer",
-               "reader_model": "reader", "selector_model": "selector"}
+# config slot -> (model kind, the function that builds a model of that kind)
+MODEL_KINDS = {"tagger_model": ("tagger", init_tagger), "scorer_model": ("relation_scorer", init_relation_scorer),
+               "reader_model": ("reader", init_reader), "selector_model": ("selector", init_selector)}
 
 
 @dataclass
@@ -53,8 +54,11 @@ class SystemConfig:
     solver_timeout: float = SOLVER_TIMEOUT_SECONDS
 
     def __post_init__(self):
-        if self.retrieval_k < 1:
-            raise ConfigError("retrieval_k must be >= 1")
+        if isinstance(self.retrieval_k, bool) or not isinstance(self.retrieval_k, int) or self.retrieval_k < 1:
+            raise ConfigError(f"retrieval_k must be an integer >= 1, got {self.retrieval_k!r}")
+        timeout = self.solver_timeout
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0:
+            raise ConfigError(f"solver_timeout must be a number > 0, got {timeout!r}")
         for name in REQUIRED_CONFIG_KEYS:
             path = getattr(self, name)
             if not os.path.exists(path):
@@ -76,6 +80,9 @@ class SystemConfig:
         missing = [key for key in REQUIRED_CONFIG_KEYS if key not in doc]
         if missing:
             raise ConfigError(f"{path}: missing required key(s): {', '.join(missing)}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
         base = os.path.dirname(os.path.abspath(path))
 
         def resolve(p):
@@ -168,18 +175,35 @@ class System:
         self.selector = SelectorModel(selector, self.vocab) if selector is not None else None
 
     def _load_model(self, name: str) -> Optional[nn.ModelParameters]:
-        """The configured model `name`, checked against its slot and the
-        vocabulary: a mismatch would otherwise turn into no answer."""
+        """The configured model `name`, checked against its slot, the vocabulary
+        and the parameter names and shapes of a model of its kind built from
+        its `arch`: a mismatch would otherwise turn into no answer, or into an
+        error on every question."""
         path = getattr(self.config, name)
         if path is None:
             return None
-        params = nn.ModelParameters.load(path)
-        kind, vocab = params.arch.get("kind"), params.arch.get("vocab")
-        if kind != MODEL_KINDS[name]:
-            raise ConfigError(f"{name} {path}: a {kind!r} model, expected {MODEL_KINDS[name]!r}")
+        try:
+            params = nn.ModelParameters.load(path)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{name} {path}: not a readable model file: {exc!r}") from exc
+        (expected, init), arch = MODEL_KINDS[name], params.arch
+        kind, vocab = arch.get("kind"), arch.get("vocab")
+        if kind != expected:
+            raise ConfigError(f"{name} {path}: a {kind!r} model, expected {expected!r}")
         if vocab != self.vocab.size:
             raise ConfigError(f"{name} {path}: built for a vocabulary of {vocab} words, "
                               f"but {self.config.vocab_path} has {self.vocab.size}")
+        try:  # the reference model is dropped as soon as its shapes are read
+            hyper = Hyper(**{key: arch[key] for key in ("d", "h", "heads", "layers") if key in arch})
+            want = {key: arr.shape for key, arr in init(vocab, hyper).entries.items()}
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{name} {path}: invalid arch: {exc}") from exc
+        got = {key: arr.shape for key, arr in params.entries.items()}
+        if got != want:
+            problems = {"missing": want.keys() - got.keys(), "unexpected": got.keys() - want.keys(),
+                        "wrong shape": {key for key in want.keys() & got.keys() if got[key] != want[key]}}
+            raise ConfigError(f"{name} {path}: parameters differ from a {kind!r} model of its arch: " + "; ".join(
+                f"{problem} {_listed(sorted(keys))}" for problem, keys in problems.items() if keys))
         return params
 
     # per-solver entry points; a missing model degrades to an empty list
@@ -196,6 +220,10 @@ class System:
             return []
         results = search(self.index, question, self.config.retrieval_k)
         return read(self.reader, question, results)
+
+
+def _listed(names: list[str], most: int = 3) -> str:
+    return ", ".join(names[:most]) + (f" and {len(names) - most} more" if len(names) > most else "")
 
 
 def run_solvers(system: System, question: str) -> tuple[dict[str, list[AnswerCandidate]], dict[str, float]]:

@@ -5,9 +5,25 @@ import os
 
 import pytest
 
+from openqa import nn
 from openqa.cli import main
 from openqa.hyper import Hyper
 from openqa.reader import init_reader
+
+
+def _per_gate_layout(params: nn.ModelParameters) -> nn.ModelParameters:
+    """A GRU model's weights under one name per direction and gate (`p.fwd.W_z`, ...):
+    the per-gate layout, which loading refuses."""
+    out = nn.ModelParameters(params.rng_seed, params.arch)
+    for name, arr in params.entries.items():
+        if not name.endswith((".W", ".U", ".b")):
+            out.entries[name] = arr
+            continue
+        h = arr.shape[1] // 3
+        for k, direction in enumerate(("fwd", "bwd")):
+            for j, gate in enumerate("zrh"):
+                out.entries[f"{name[:-1]}{direction}.{name[-1]}_{gate}"] = arr[k, j * h:(j + 1) * h]
+    return out
 
 
 class TestLoadKb:
@@ -41,6 +57,7 @@ class TestAsk:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("vocab_path"),
         lambda doc: doc["hyper"].update(dropout=0.1),
+        lambda doc: doc.update(solver_timeout="fast"),
     ])
     def test_malformed_config_is_one_error_line(self, toy, tmp_path, capsys, edit):
         with open(toy["config"], encoding="utf-8") as fh:
@@ -60,6 +77,26 @@ class TestAsk:
         assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: reader_model {reader}: built for a vocabulary of 10") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing-array", "per-gate-layout"])
+    def test_bad_model_file_is_one_error_line(self, toy, tmp_path, capsys, damage):
+        reader = str(tmp_path / "reader.json")
+        if damage == "truncated":
+            with open(toy["models"]["reader"], "rb") as fh:
+                head = fh.read(2000)
+            with open(reader, "wb") as fh:
+                fh.write(head)
+        else:
+            params = nn.ModelParameters.load(toy["models"]["reader"])
+            if damage == "missing-array":
+                del params.entries["p.b"]
+            else:
+                params = _per_gate_layout(params)
+            params.save(reader)
+        config = toy["write_config"](str(tmp_path / "config.json"), {"reader_model": reader})
+        assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: reader_model {reader}: ") and err.count("\n") == 1
 
     def test_no_config(self, monkeypatch):
         monkeypatch.delenv("OPENQA_CONFIG", raising=False)

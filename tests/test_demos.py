@@ -1,5 +1,5 @@
-"""The quick demos run to completion (04 and 05 train models and take
-10 s or more each, so they are left to be run by hand)."""
+"""The quick demos run to completion. 04 and 05 train all four models, so
+CI runs them in a step of their own rather than in this suite."""
 
 import os
 import subprocess

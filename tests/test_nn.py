@@ -96,7 +96,7 @@ class TestLayers:
     def test_gru_saturated_update_gate_copies_state(self):
         params = nn.ModelParameters(rng_seed=0)
         nn.init_gru(params, "g.", d=4, h=3)
-        params["g.b_z"][:] = 60.0  # update gate ~1 everywhere
+        params["g.b"][0, :3] = 60.0  # update gate ~1 everywhere
         h_prev = RNG.normal(size=3)
         h, _ = nn.gru_step(params, "g.", RNG.normal(size=4), h_prev)
         assert np.allclose(h, h_prev, atol=1e-10)
@@ -199,8 +199,23 @@ class TestParameters:
 # -- per-step oracle: one sequence, one direction and one gate at a time; the
 # reference the stacked, batched cell in openqa.nn.layers is tested against ----
 
-def _oracle_gru_step(p, pre, x, h_prev):
-    g = lambda n: p[pre + n]
+def _block(arrays, cell, name):
+    """A view of gate g's rows in direction k of the stored `{pre}{m}`, for
+    name "m_g" (e.g. "W_z") and cell (pre, kind, k)."""
+    pre, kind, k = cell
+    m, gate = name.split("_")
+    arr = arrays[pre + m][k]
+    h = len(arr) // len(layers.GATES[kind])
+    j = layers.GATES[kind].index(gate)
+    return arr[j * h:(j + 1) * h]
+
+
+def _zero_grads(p, cell):
+    return {cell[0] + m: np.zeros_like(p[cell[0] + m]) for m in "WUb"}
+
+
+def _oracle_gru_step(p, cell, x, h_prev):
+    g = lambda n: _block(p, cell, n)
     z = nn.sigmoid(g("W_z") @ x + g("U_z") @ h_prev + g("b_z"))
     r = nn.sigmoid(g("W_r") @ x + g("U_r") @ h_prev + g("b_r"))
     rh = r * h_prev
@@ -208,8 +223,8 @@ def _oracle_gru_step(p, pre, x, h_prev):
     return z * h_prev + (1.0 - z) * cand, (x, h_prev, z, r, rh, cand)
 
 
-def _oracle_gru_step_backward(p, pre, cache, dh):
-    g = lambda n: p[pre + n]
+def _oracle_gru_step_backward(p, cell, cache, dh):
+    g = lambda n: _block(p, cell, n)
     x, h_prev, z, r, rh, cand = cache
     dz, dcand, dh_prev = dh * (h_prev - cand), dh * (1.0 - z), dh * z
     da_cand = dcand * (1.0 - cand * cand)
@@ -217,17 +232,17 @@ def _oracle_gru_step_backward(p, pre, cache, dh):
     dr = drh * h_prev
     dh_prev = dh_prev + drh * r
     da_z, da_r = dz * z * (1.0 - z), dr * r * (1.0 - r)
-    grads = {}
+    grads = _zero_grads(p, cell)
     for gate, da, u_in in (("z", da_z, h_prev), ("r", da_r, h_prev), ("h", da_cand, rh)):
-        grads[f"{pre}W_{gate}"] = np.outer(da, x)
-        grads[f"{pre}U_{gate}"] = np.outer(da, u_in)
-        grads[f"{pre}b_{gate}"] = da
+        _block(grads, cell, f"W_{gate}")[:] = np.outer(da, x)
+        _block(grads, cell, f"U_{gate}")[:] = np.outer(da, u_in)
+        _block(grads, cell, f"b_{gate}")[:] = da
     dx = g("W_z").T @ da_z + g("W_r").T @ da_r + g("W_h").T @ da_cand
     return grads, dx, dh_prev + g("U_z").T @ da_z + g("U_r").T @ da_r
 
 
-def _oracle_lstm_step(p, pre, x, h_prev, c_prev):
-    g = lambda n: p[pre + n]
+def _oracle_lstm_step(p, cell, x, h_prev, c_prev):
+    g = lambda n: _block(p, cell, n)
     i, f, o = (nn.sigmoid(g(f"W_{k}") @ x + g(f"U_{k}") @ h_prev + g(f"b_{k}")) for k in "ifo")
     cand = np.tanh(g("W_g") @ x + g("U_g") @ h_prev + g("b_g"))
     c = f * c_prev + i * cand
@@ -235,17 +250,17 @@ def _oracle_lstm_step(p, pre, x, h_prev, c_prev):
     return o * tc, c, (x, h_prev, c_prev, i, f, o, cand, tc)
 
 
-def _oracle_lstm_step_backward(p, pre, cache, dh, dc):
+def _oracle_lstm_step_backward(p, cell, cache, dh, dc):
     x, h_prev, c_prev, i, f, o, cand, tc = cache
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    grads, dx, dh_prev = {}, np.zeros_like(x), np.zeros_like(h_prev)
+    grads, dx, dh_prev = _zero_grads(p, cell), np.zeros_like(x), np.zeros_like(h_prev)
     for gate, da in (("i", dc_total * cand * i * (1.0 - i)), ("f", dc_total * c_prev * f * (1.0 - f)),
                      ("o", dh * tc * o * (1.0 - o)), ("g", dc_total * i * (1.0 - cand * cand))):
-        grads[f"{pre}W_{gate}"] = np.outer(da, x)
-        grads[f"{pre}U_{gate}"] = np.outer(da, h_prev)
-        grads[f"{pre}b_{gate}"] = da
-        dx += p[f"{pre}W_{gate}"].T @ da
-        dh_prev += p[f"{pre}U_{gate}"].T @ da
+        _block(grads, cell, f"W_{gate}")[:] = np.outer(da, x)
+        _block(grads, cell, f"U_{gate}")[:] = np.outer(da, h_prev)
+        _block(grads, cell, f"b_{gate}")[:] = da
+        dx += _block(p, cell, f"W_{gate}").T @ da
+        dh_prev += _block(p, cell, f"U_{gate}").T @ da
     return grads, dx, dh_prev, dc_total * f
 
 
@@ -253,21 +268,21 @@ def _oracle_bidirectional(kind, p, prefix, x, grad_out):
     """States [n, 2h] of one sequence, and its param grads and dx for grad_out."""
     n, h = x.shape[0], grad_out.shape[1] // 2
     states, grads, dx = np.zeros((n, 2 * h)), {}, np.zeros_like(x)
-    for col, direction, order in ((0, "fwd", range(n)), (h, "bwd", range(n - 1, -1, -1))):
-        pre = f"{prefix}{direction}."
+    for col, k, order in ((0, 0, range(n)), (h, 1, range(n - 1, -1, -1))):
+        cell = (prefix, kind, k)
         hs, cs, caches = np.zeros(h), np.zeros(h), {}
         for t in order:
             if kind == "gru":
-                hs, caches[t] = _oracle_gru_step(p, pre, x[t], hs)
+                hs, caches[t] = _oracle_gru_step(p, cell, x[t], hs)
             else:
-                hs, cs, caches[t] = _oracle_lstm_step(p, pre, x[t], hs, cs)
+                hs, cs, caches[t] = _oracle_lstm_step(p, cell, x[t], hs, cs)
             states[t, col:col + h] = hs
         dh, dc = np.zeros(h), np.zeros(h)
         for t in reversed(order):
             if kind == "gru":
-                g, dxt, dh = _oracle_gru_step_backward(p, pre, caches[t], grad_out[t, col:col + h] + dh)
+                g, dxt, dh = _oracle_gru_step_backward(p, cell, caches[t], grad_out[t, col:col + h] + dh)
             else:
-                g, dxt, dh, dc = _oracle_lstm_step_backward(p, pre, caches[t], grad_out[t, col:col + h] + dh, dc)
+                g, dxt, dh, dc = _oracle_lstm_step_backward(p, cell, caches[t], grad_out[t, col:col + h] + dh, dc)
             nn.accumulate(grads, g)
             dx[t] += dxt
     return states, grads, dx
@@ -280,14 +295,27 @@ def _ragged(rng, batch, max_len, d):
 
 def _random_biases(p, rng):
     """Nonzero biases (they start at 0), so a bias used in the wrong place shows."""
-    for name, arr in p.entries.items():
-        if ".b_" in name:
-            arr[:] = rng.normal(size=arr.shape)
+    names = [name for name in p.entries if name.endswith(".b")]
+    assert names, "no recurrent bias to randomise"
+    for name in names:
+        p[name][:] = rng.normal(size=p[name].shape)
 
 
-def _one_direction(p, pre, kind):
-    """One direction's (W, U, b) as the D=1 stack, from its per-gate arrays."""
-    return tuple(np.concatenate([p[f"{pre}{m}_{g}"] for g in layers.GATES[kind]])[None] for m in "WUb")
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_bidirectional_init_draws_blocks_in_order(kind):
+    """Per direction, per gate: W's (h, d) Glorot block, then U's (h, h) block,
+    drawn in turn from the recorded seed; the biases start at zero."""
+    d, h = 5, 4
+    p = nn.ModelParameters(rng_seed=9)
+    nn.init_bidirectional(p, "b.", kind, d=d, h=h)
+    rng = np.random.default_rng(9)
+    r_w, r_u = np.sqrt(6.0 / (d + h)), np.sqrt(6.0 / (2 * h))
+    assert list(p.entries) == ["b.W", "b.U", "b.b"]
+    for k in range(2):
+        for j in range(len(layers.GATES[kind])):
+            assert np.array_equal(p["b.W"][k, j * h:(j + 1) * h], rng.uniform(-r_w, r_w, size=(h, d)))
+            assert np.array_equal(p["b.U"][k, j * h:(j + 1) * h], rng.uniform(-r_u, r_u, size=(h, h)))
+    assert p["b.b"].shape == (2, len(layers.GATES[kind]) * h) and not p["b.b"].any()
 
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
@@ -306,8 +334,8 @@ def test_fused_directions_equal_one_direction_cells(kind, batch):
         padded = np.zeros((2, states.shape[1], batch, 5))
         for b, x in enumerate(xs):
             padded[0, :len(x), b], padded[1, :len(x), b] = x, x[::-1]
-        fwd, bwd = (layers._cell_forward(kind, _one_direction(p, f"b.{direction}.", kind), padded[k:k + 1])[0][0]
-                    for k, direction in enumerate(("fwd", "bwd")))
+        fwd, bwd = (layers._cell_forward(kind, tuple(p[f"b.{m}"][k:k + 1] for m in "WUb"), padded[k:k + 1])[0][0]
+                    for k in range(2))
         for b, x in enumerate(xs):
             n = len(x)
             assert np.array_equal(states[b, :n, :4], fwd[:n, b])
@@ -320,21 +348,22 @@ class TestRecurrenceOracle:
     def test_steps_equal_oracle(self, kind):
         rng = np.random.default_rng(20)
         p = nn.ModelParameters(rng_seed=21)
-        nn.init_bidirectional(p, "s.", kind, d=5, h=4)
+        getattr(nn, f"init_{kind}")(p, "s.", d=5, h=4)
         _random_biases(p, rng)
+        cell = ("s.", kind, 0)
         for _ in range(10):
             x, h_prev, c_prev, dh, dc = (rng.normal(size=k) for k in (5, 4, 4, 4, 4))
             if kind == "gru":
-                h, cache = nn.gru_step(p, "s.fwd.", x, h_prev)
-                want_h, oc = _oracle_gru_step(p, "s.fwd.", x, h_prev)
-                got = nn.gru_step_backward(p, "s.fwd.", cache, dh)
-                want = _oracle_gru_step_backward(p, "s.fwd.", oc, dh)
+                h, cache = nn.gru_step(p, "s.", x, h_prev)
+                want_h, oc = _oracle_gru_step(p, cell, x, h_prev)
+                got = nn.gru_step_backward(p, "s.", cache, dh)
+                want = _oracle_gru_step_backward(p, cell, oc, dh)
             else:
-                h, c, cache = nn.lstm_step(p, "s.fwd.", x, h_prev, c_prev)
-                want_h, want_c, oc = _oracle_lstm_step(p, "s.fwd.", x, h_prev, c_prev)
+                h, c, cache = nn.lstm_step(p, "s.", x, h_prev, c_prev)
+                want_h, want_c, oc = _oracle_lstm_step(p, cell, x, h_prev, c_prev)
                 assert np.abs(c - want_c).max() < 1e-12
-                got = nn.lstm_step_backward(p, "s.fwd.", cache, dh, dc)
-                want = _oracle_lstm_step_backward(p, "s.fwd.", oc, dh, dc)
+                got = nn.lstm_step_backward(p, "s.", cache, dh, dc)
+                want = _oracle_lstm_step_backward(p, cell, oc, dh, dc)
             assert np.abs(h - want_h).max() < 1e-12
             assert set(got[0]) == set(want[0])
             for name in want[0]:

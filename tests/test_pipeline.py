@@ -37,6 +37,12 @@ class TestConfig:
         (lambda doc: doc.pop("vocab_path"), "missing required key(s): vocab_path"),
         (lambda doc: doc["hyper"].update(dropout=0.1), "invalid hyper"),
         (lambda doc: doc.update(hyper=[1]), "invalid hyper"),
+        (lambda doc: doc.update(solver_timout=1.0), "unknown key(s): solver_timout"),
+        (lambda doc: doc.update(retrieval_k="10"), "retrieval_k must be an integer >= 1, got '10'"),
+        (lambda doc: doc.update(retrieval_k=True), "retrieval_k must be an integer >= 1, got True"),
+        (lambda doc: doc.update(solver_timeout="fast"), "solver_timeout must be a number > 0, got 'fast'"),
+        (lambda doc: doc.update(solver_timeout=0), "solver_timeout must be a number > 0, got 0"),
+        (lambda doc: doc.update(solver_timeout=False), "solver_timeout must be a number > 0, got False"),
     ])
     def test_malformed_config_is_config_error(self, tmp_path, toy, edit, message):
         with open(toy["config"], encoding="utf-8") as fh:
