@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Config comes from --config or the OPENQA_CONFIG environment variable.
+Config comes from --config or the OPENQA_CONFIG environment variable. The
+`train` flags --epochs, --lr and --seed override the config's `hyper` and
+are checked as it is; `serve --addr` is checked before the system is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +18,7 @@ from .errors import OpenQAError
 from .hyper import Hyper
 from .kb import build_entity_dictionary, load_triples
 from .ld_solver import load_scorer_data, load_tagger_data, train_relation_scorer, train_tagger
-from .pipeline import System, SystemConfig, ask, build_corpus, evaluate, load_qa_pairs, make_selector_data
+from .pipeline import System, SystemConfig, ask, build_corpus, evaluate, load_qa_pairs, make_selector_data, split_addr
 from .reader import load_reader_data, train_reader
 from .selector import load_selector_data, train_selector
 from .service import serve
@@ -30,14 +33,13 @@ def _load_config(args) -> SystemConfig:
 
 
 def _hyper(config: SystemConfig, args) -> Hyper:
-    hyper = Hyper(**vars(config.hyper).copy())
-    if getattr(args, "epochs", None) is not None:
-        hyper.epochs = args.epochs
-    if getattr(args, "lr", None) is not None:
-        hyper.lr = args.lr
-    if getattr(args, "seed", None) is not None:
-        hyper.seed = args.seed
-    return hyper
+    overrides = {key: getattr(args, key) for key in ("epochs", "lr", "seed") if getattr(args, key) is not None}
+    return dataclasses.replace(config.hyper, **overrides)
+
+
+def _print_answer(response) -> None:
+    print("no answer" if response.answer is None
+          else f"{response.answer}  (confidence {response.confidence:.3f}, via {response.solver})")
 
 
 def cmd_load_kb(args):
@@ -57,7 +59,7 @@ def cmd_train(args):
     hyper = _hyper(config, args)
     vocab = Vocabulary.load(config.vocab_path)
     target = args.target
-    out = args.out or getattr(config, f"{'scorer' if target == 'scorer' else target}_model", None)
+    out = args.out or getattr(config, f"{target}_model")
     if out is None:
         raise SystemExit(f"no output path: pass --out or set {target}_model in the config")
 
@@ -70,10 +72,8 @@ def cmd_train(args):
     else:
         params = train_selector(load_selector_data(args.data), hyper, vocab).params
     params.save(out)
-    losses = params.arch.get("epoch_losses", [])
-    first = losses[0] if losses else float("nan")
-    final = losses[-1] if losses else float("nan")
-    print(f"trained {target}: epochs={hyper.epochs} loss {first:.4f} -> {final:.4f}; wrote {out}")
+    losses = params.arch["epoch_losses"]  # one per epoch, and there is at least one
+    print(f"trained {target}: epochs={hyper.epochs} loss {losses[0]:.4f} -> {losses[-1]:.4f}; wrote {out}")
 
 
 def cmd_ask(args):
@@ -82,10 +82,7 @@ def cmd_ask(args):
     if args.json:
         print(json.dumps(response.to_dict()))
     else:
-        if response.answer is None:
-            print("no answer")
-        else:
-            print(f"{response.answer}  (confidence {response.confidence:.3f}, via {response.solver})")
+        _print_answer(response)
 
 
 def cmd_repl(args):
@@ -103,10 +100,7 @@ def cmd_repl(args):
         except OpenQAError as exc:
             print(f"error: {exc}")
             continue
-        if response.answer is None:
-            print("no answer")
-        else:
-            print(f"{response.answer}  (confidence {response.confidence:.3f}, via {response.solver})")
+        _print_answer(response)
 
 
 def cmd_eval(args):
@@ -125,8 +119,9 @@ def cmd_make_selector_data(args):
 
 def cmd_serve(args):
     config = _load_config(args)
-    system = System(config)
     addr = args.addr or config.http_addr
+    split_addr(addr)  # a bad address fails before the build, not after it
+    system = System(config)
     print(f"serving on http://{addr}")
     serve(system, addr)
 

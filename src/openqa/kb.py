@@ -34,12 +34,7 @@ class KnowledgeBase:
     """Immutable triple collection with (s,p)->objects and (p,o)->subjects indices."""
 
     def __init__(self, triples: list[Triple]):
-        seen: set[Triple] = set()
-        self.triples: list[Triple] = []
-        for t in triples:
-            if t not in seen:
-                seen.add(t)
-                self.triples.append(t)
+        self.triples: list[Triple] = list(dict.fromkeys(triples))  # first occurrence of each, in order
 
         self.by_subject_predicate: dict[tuple[str, str], list[str]] = {}
         self.by_predicate_object: dict[tuple[str, str], list[str]] = {}

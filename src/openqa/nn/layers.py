@@ -329,14 +329,11 @@ def attention(query: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[
     return context, weights, cache
 
 
-def attention_backward(cache: dict, grad_context: np.ndarray, grad_weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def attention_backward(cache: dict, grad_context: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (grad_query, grad_keys, grad_values)."""
     q, K, V, w, scale = cache["query"], cache["keys"], cache["values"], cache["weights"], cache["scale"]
     dV = np.outer(w, grad_context)
-    dw = V @ grad_context
-    if grad_weights is not None:
-        dw = dw + grad_weights
-    ds = softmax_backward(w, dw)
+    ds = softmax_backward(w, V @ grad_context)
     dK = np.outer(ds, q) * scale
     dq = (K.T @ ds) * scale
     return dq, dK, dV
@@ -374,10 +371,10 @@ def layer_norm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, 
 # transformer encoder layer (post-norm, ReLU feed-forward)
 # ---------------------------------------------------------------------------
 
-def init_transformer_layer(params: ModelParameters, prefix: str, d: int, heads: int, d_ff: int | None = None) -> None:
+def init_transformer_layer(params: ModelParameters, prefix: str, d: int, heads: int) -> None:
     if d % heads != 0:
         raise ShapeMismatch(f"model dim {d} not divisible by {heads} heads")
-    d_ff = d_ff or 4 * d
+    d_ff = 4 * d
     for name in ("Wq", "Wk", "Wv", "Wo"):
         params.add(f"{prefix}{name}", (d, d))
     # no key bias: a shared offset on every key cancels in the row softmax

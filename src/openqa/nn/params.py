@@ -52,17 +52,6 @@ class ModelParameters:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def copy(self) -> "ModelParameters":
-        out = ModelParameters(self.rng_seed, self.arch)
-        out.entries = {k: v.copy() for k, v in self.entries.items()}
-        return out
-
-    def zeros_like(self) -> Grads:
-        return {k: np.zeros_like(v) for k, v in self.entries.items()}
-
     def save(self, path: str) -> None:
         doc: dict = {"rng_seed": self.rng_seed, "arch": self.arch}
         for name, arr in self.entries.items():

@@ -18,8 +18,8 @@ from typing import Optional
 
 from . import nn
 from .answers import SOLVER_LD, SOLVER_ORDER, SOLVER_RR, SOLVER_SP, AnswerCandidate
-from .errors import ConfigError, EmptyDataset, EmptyQuestion
-from .hyper import Hyper
+from .errors import ConfigError, EmptyDataset, EmptyQuestion, ShapeMismatch
+from .hyper import Hyper, require_int, require_positive
 from .jsonl import read_json_lines
 from .kb import KnowledgeBase, build_entity_dictionary, load_triples
 from .ld_solver import init_relation_scorer, init_tagger, solve_ld
@@ -31,11 +31,11 @@ from .text import EntityDictionary, Vocabulary, normalize
 
 log = logging.getLogger("openqa")
 
-SOLVER_TIMEOUT_SECONDS = 5.0
 REQUIRED_CONFIG_KEYS = ("kb_path", "passages_path", "templates_path", "vocab_path")
 # config slot -> (model kind, the function that builds a model of that kind)
 MODEL_KINDS = {"tagger_model": ("tagger", init_tagger), "scorer_model": ("relation_scorer", init_relation_scorer),
                "reader_model": ("reader", init_reader), "selector_model": ("selector", init_selector)}
+PATH_KEYS = REQUIRED_CONFIG_KEYS + tuple(MODEL_KINDS)
 
 
 @dataclass
@@ -51,21 +51,19 @@ class SystemConfig:
     retrieval_k: int = 10
     hyper: Hyper = field(default_factory=Hyper)
     http_addr: str = "127.0.0.1:8080"
-    solver_timeout: float = SOLVER_TIMEOUT_SECONDS
+    solver_timeout: float = 5.0
 
     def __post_init__(self):
-        if isinstance(self.retrieval_k, bool) or not isinstance(self.retrieval_k, int) or self.retrieval_k < 1:
-            raise ConfigError(f"retrieval_k must be an integer >= 1, got {self.retrieval_k!r}")
-        timeout = self.solver_timeout
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0:
-            raise ConfigError(f"solver_timeout must be a number > 0, got {timeout!r}")
-        for name in REQUIRED_CONFIG_KEYS:
+        require_int("retrieval_k", self.retrieval_k, 1)
+        require_positive("solver_timeout", self.solver_timeout)
+        split_addr(self.http_addr)
+        for name in PATH_KEYS:
             path = getattr(self, name)
+            if path is None and name in MODEL_KINDS:
+                continue
+            if not isinstance(path, str):
+                raise ConfigError(f"{name} must be a path string, got {path!r}")
             if not os.path.exists(path):
-                raise ConfigError(f"{name} does not exist: {path}")
-        for name in MODEL_KINDS:
-            path = getattr(self, name)
-            if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{name} does not exist: {path}")
 
     @classmethod
@@ -84,30 +82,23 @@ class SystemConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
         base = os.path.dirname(os.path.abspath(path))
+        for key in PATH_KEYS:  # an absolute path stays as it is
+            if isinstance(doc.get(key), str):
+                doc[key] = os.path.join(base, doc[key])
+        if "hyper" in doc:
+            try:
+                doc["hyper"] = Hyper(**doc["hyper"])
+            except (TypeError, ConfigError) as exc:
+                raise ConfigError(f"{path}: invalid hyper: {exc}") from exc
+        return cls(**doc)
 
-        def resolve(p):
-            if p is None:
-                return None
-            return p if os.path.isabs(p) else os.path.join(base, p)
 
-        try:
-            hyper = Hyper(**doc.get("hyper", {}))
-        except TypeError as exc:
-            raise ConfigError(f"{path}: invalid hyper: {exc}") from exc
-        return cls(
-            kb_path=resolve(doc["kb_path"]),
-            passages_path=resolve(doc["passages_path"]),
-            templates_path=resolve(doc["templates_path"]),
-            vocab_path=resolve(doc["vocab_path"]),
-            tagger_model=resolve(doc.get("tagger_model")),
-            scorer_model=resolve(doc.get("scorer_model")),
-            reader_model=resolve(doc.get("reader_model")),
-            selector_model=resolve(doc.get("selector_model")),
-            retrieval_k=doc.get("retrieval_k", 10),
-            hyper=hyper,
-            http_addr=doc.get("http_addr", "127.0.0.1:8080"),
-            solver_timeout=doc.get("solver_timeout", SOLVER_TIMEOUT_SECONDS),
-        )
+def split_addr(addr: str) -> tuple[str, int]:
+    """`host:port` -> (host, port); an empty host is 127.0.0.1."""
+    host, colon, port = addr.rpartition(":") if isinstance(addr, str) else ("", "", "")
+    if not (colon and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+        raise ConfigError(f"http_addr must be host:port with a port in 1..65535, got {addr!r}")
+    return host or "127.0.0.1", int(port)
 
 
 @dataclass
@@ -176,9 +167,9 @@ class System:
 
     def _load_model(self, name: str) -> Optional[nn.ModelParameters]:
         """The configured model `name`, checked against its slot, the vocabulary
-        and the parameter names and shapes of a model of its kind built from
-        its `arch`: a mismatch would otherwise turn into no answer, or into an
-        error on every question."""
+        and the arch keys, parameter names and shapes of a model of its kind
+        built from its `arch`: a mismatch would otherwise turn into no answer,
+        or into an error on every question."""
         path = getattr(self.config, name)
         if path is None:
             return None
@@ -193,11 +184,14 @@ class System:
         if vocab != self.vocab.size:
             raise ConfigError(f"{name} {path}: built for a vocabulary of {vocab} words, "
                               f"but {self.config.vocab_path} has {self.vocab.size}")
-        try:  # the reference model is dropped as soon as its shapes are read
-            hyper = Hyper(**{key: arch[key] for key in ("d", "h", "heads", "layers") if key in arch})
-            want = {key: arr.shape for key, arr in init(vocab, hyper).entries.items()}
-        except (ValueError, TypeError) as exc:
+        try:  # a model of the recorded arch: its arch keys and shapes are the ones to have
+            reference = init(vocab, Hyper(**{key: arch[key] for key in ("d", "h", "heads", "layers") if key in arch}))
+        except (ValueError, TypeError, ConfigError, ShapeMismatch) as exc:
             raise ConfigError(f"{name} {path}: invalid arch: {exc}") from exc
+        lacking = sorted(reference.arch.keys() - arch.keys())
+        if lacking:
+            raise ConfigError(f"{name} {path}: arch lacks {_listed(lacking)}")
+        want = {key: arr.shape for key, arr in reference.entries.items()}
         got = {key: arr.shape for key, arr in params.entries.items()}
         if got != want:
             problems = {"missing": want.keys() - got.keys(), "unexpected": got.keys() - want.keys(),

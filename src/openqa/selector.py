@@ -28,11 +28,11 @@ class SelectorModel:
 
     @property
     def heads(self) -> int:
-        return int(self.params.arch.get("heads", 2))
+        return self.params.arch["heads"]
 
     @property
     def layers(self) -> int:
-        return int(self.params.arch.get("layers", 1))
+        return self.params.arch["layers"]
 
 
 @dataclass(frozen=True)

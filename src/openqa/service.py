@@ -6,7 +6,7 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import EmptyQuestion
-from .pipeline import System, ask
+from .pipeline import System, ask, split_addr
 
 MAX_BODY_BYTES = 1 << 20  # a question is a sentence; anything larger is refused unread
 READ_TIMEOUT_S = 10.0  # a client that stalls mid-request must not hold a server thread forever
@@ -73,8 +73,7 @@ def make_server(system: System, host: str, port: int) -> ThreadingHTTPServer:
 
 
 def serve(system: System, addr: str) -> None:
-    host, _, port = addr.rpartition(":")
-    server = make_server(system, host or "127.0.0.1", int(port))
+    server = make_server(system, *split_addr(addr))
     try:
         server.serve_forever()
     finally:

@@ -33,7 +33,6 @@ def normalize(text: str) -> str:
 @dataclass(frozen=True)
 class TokenSequence:
     tokens: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...]  # [start, end) offsets into the source
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -46,35 +45,24 @@ def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> Toke
     window of normalized tokens (up to the dictionary's longest entry)
     that exactly equals a dictionary key becomes a single token.
     """
-    base_tokens: list[str] = []
-    base_spans: list[tuple[int, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        base_tokens.append(m.group(0).lower())
-        base_spans.append((m.start(), m.end()))
-
+    base = [t.lower() for t in _TOKEN_RE.findall(text)]
     if dictionary is None or not dictionary.entries:
-        return TokenSequence(tuple(base_tokens), tuple(base_spans))
+        return TokenSequence(tuple(base))
 
-    merged_tokens: list[str] = []
-    merged_spans: list[tuple[int, int]] = []
+    merged: list[str] = []
     i = 0
-    n = len(base_tokens)
+    n = len(base)
     max_w = max(dictionary.max_entry_tokens, 1)
     while i < n:
-        matched = False
         for w in range(min(max_w, n - i), 1, -1):
-            key = " ".join(base_tokens[i : i + w])
+            key = " ".join(base[i : i + w])
             if key in dictionary.entries:
-                merged_tokens.append(key)
-                merged_spans.append((base_spans[i][0], base_spans[i + w - 1][1]))
-                i += w
-                matched = True
                 break
-        if not matched:
-            merged_tokens.append(base_tokens[i])
-            merged_spans.append(base_spans[i])
-            i += 1
-    return TokenSequence(tuple(merged_tokens), tuple(merged_spans))
+        else:
+            key, w = base[i], 1
+        merged.append(key)
+        i += w
+    return TokenSequence(tuple(merged))
 
 
 def code_matrix(strings: list[str]) -> np.ndarray:
@@ -151,9 +139,6 @@ class Vocabulary:
 
     def token_of(self, idx: int) -> str:
         return self._id_to_token[idx]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
 
     def __len__(self) -> int:
         return len(self._id_to_token)

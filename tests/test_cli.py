@@ -78,25 +78,35 @@ class TestAsk:
         err = capsys.readouterr().err
         assert err.startswith(f"error: reader_model {reader}: built for a vocabulary of 10") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing-array", "per-gate-layout"])
+    @pytest.mark.parametrize("damage", ["truncated", "missing-array", "per-gate-layout",
+                                        "arch-lacks-heads", "arch-heads-do-not-divide-d"])
     def test_bad_model_file_is_one_error_line(self, toy, tmp_path, capsys, damage):
-        reader = str(tmp_path / "reader.json")
+        slot = "selector" if damage.startswith("arch-") else "reader"
+        model = str(tmp_path / f"{slot}.json")
         if damage == "truncated":
             with open(toy["models"]["reader"], "rb") as fh:
                 head = fh.read(2000)
-            with open(reader, "wb") as fh:
+            with open(model, "wb") as fh:
                 fh.write(head)
         else:
-            params = nn.ModelParameters.load(toy["models"]["reader"])
+            params = nn.ModelParameters.load(toy["models"][slot])
             if damage == "missing-array":
                 del params.entries["p.b"]
+            elif damage == "arch-lacks-heads":
+                del params.arch["heads"]
+            elif damage == "arch-heads-do-not-divide-d":
+                params.arch["heads"] = 3  # the toy d is 16
             else:
                 params = _per_gate_layout(params)
-            params.save(reader)
-        config = toy["write_config"](str(tmp_path / "config.json"), {"reader_model": reader})
+            params.save(model)
+        config = toy["write_config"](str(tmp_path / "config.json"), {f"{slot}_model": model})
         assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: reader_model {reader}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {slot}_model {model}: ") and err.count("\n") == 1
+        arch_errors = {"arch-lacks-heads": "arch lacks heads",
+                       "arch-heads-do-not-divide-d": "invalid arch: model dim 16 not divisible by 3 heads"}
+        if damage in arch_errors:
+            assert err == f"error: selector_model {model}: {arch_errors[damage]}\n"
 
     def test_no_config(self, monkeypatch):
         monkeypatch.delenv("OPENQA_CONFIG", raising=False)
@@ -125,6 +135,26 @@ class TestTrain:
                      "--epochs", "2", "--out", out_path]) == 0
         assert os.path.exists(out_path)
         assert "trained tagger" in capsys.readouterr().out
+
+
+    def test_bad_epochs_is_one_error_line(self, fx, toy, tmp_path, capsys):
+        out_path = str(tmp_path / "tagger.json")
+        assert main(["--config", toy["config"], "train", "tagger",
+                     os.path.join(fx, "tagger.jsonl"),
+                     "--epochs", "-1", "--out", out_path]) == 1
+        assert capsys.readouterr().err == "error: epochs must be an integer >= 1, got -1\n"
+        assert not os.path.exists(out_path)
+
+
+class TestServe:
+    def test_bad_addr_is_one_error_line_before_the_build(self, toy, capsys, monkeypatch):
+        def no_build(config):
+            pytest.fail("System built for an address that cannot be served")
+
+        monkeypatch.setattr("openqa.cli.System", no_build)
+        assert main(["--config", toy["config"], "serve", "--addr", "localhost:http"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: http_addr must be host:port with a port in 1..65535, got 'localhost:http'\n"
 
 
 class TestMakeSelectorData:

@@ -43,6 +43,14 @@ class TestConfig:
         (lambda doc: doc.update(solver_timeout="fast"), "solver_timeout must be a number > 0, got 'fast'"),
         (lambda doc: doc.update(solver_timeout=0), "solver_timeout must be a number > 0, got 0"),
         (lambda doc: doc.update(solver_timeout=False), "solver_timeout must be a number > 0, got False"),
+        (lambda doc: doc.update(http_addr=8080), "http_addr must be host:port with a port in 1..65535, got 8080"),
+        (lambda doc: doc.update(http_addr="localhost:http"), "got 'localhost:http'"),
+        (lambda doc: doc.update(kb_path=5), "kb_path must be a path string, got 5"),
+        (lambda doc: doc["hyper"].update(d="x"), "invalid hyper: d must be an integer >= 1, got 'x'"),
+        (lambda doc: doc["hyper"].update(d=0), "invalid hyper: d must be an integer >= 1, got 0"),
+        (lambda doc: doc["hyper"].update(epochs=-1), "invalid hyper: epochs must be an integer >= 1, got -1"),
+        (lambda doc: doc["hyper"].update(lr=0), "invalid hyper: lr must be a number > 0, got 0"),
+        (lambda doc: doc["hyper"].update(seed=-1), "invalid hyper: seed must be an integer >= 0, got -1"),
     ])
     def test_malformed_config_is_config_error(self, tmp_path, toy, edit, message):
         with open(toy["config"], encoding="utf-8") as fh:

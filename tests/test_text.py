@@ -30,16 +30,16 @@ class TestNormalize:
 
 
 class TestTokenize:
-    def test_basic_tokens_and_spans(self):
-        seq = tokenize("who wrote hamlet")
+    def test_basic_tokens(self):
+        seq = tokenize("Who wrote Hamlet?")
         assert seq.tokens == ("who", "wrote", "hamlet")
-        assert seq.spans == ((0, 3), (4, 9), (10, 16))
+        assert len(seq) == 3
 
     def test_interior_marks_stay_in_token(self):
         assert tokenize("don't e-mail 3.14").tokens == ("don't", "e-mail", "3.14")
 
     def test_empty_text(self):
-        assert tokenize("") == TokenSequence((), ())
+        assert tokenize("") == TokenSequence(())
 
     def test_dictionary_merges_longest_match(self):
         d = EntityDictionary({"new york": "new_york", "new york city": "nyc"}, 3)
@@ -50,9 +50,7 @@ class TestTokenize:
         d = EntityDictionary({"new york": "new_york"}, 2)
         seq = tokenize("in new york today", d)
         assert seq.tokens == ("in", "new york", "today")
-        # spans still index into the normalized string
-        start, end = seq.spans[1]
-        assert normalize("in new york today")[start:end] == "new york"
+        assert tokenize("new new york", d).tokens == ("new", "new york")
 
 
 class TestLevenshtein:
