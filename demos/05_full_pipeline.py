@@ -40,7 +40,7 @@ def write_config(name, models):
     return path
 
 print("training the solver models ...")
-paths = {k: os.path.join(workdir, f"{k}.json") for k in ("tagger", "scorer", "reader", "selector")}
+paths = {k: os.path.join(workdir, f"{k}.npz") for k in ("tagger", "scorer", "reader", "selector")}
 train_tagger(load_tagger_data(os.path.join(TOYWORLD, "tagger.jsonl")),
              hyper(60), vocab).save(paths["tagger"])
 train_relation_scorer(load_scorer_data(os.path.join(TOYWORLD, "scorer.jsonl")),

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import nn
 from .errors import OpenQAError
 from .hyper import Hyper
 from .kb import build_entity_dictionary, load_triples

@@ -11,6 +11,7 @@ compared by cosine similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -131,21 +132,20 @@ def _best_run(tags) -> tuple[int, int] | None:
     return best
 
 
-def extract_mention(tags: TagSequence, tokens) -> str:
-    token_list = tokens.tokens if hasattr(tokens, "tokens") else tuple(tokens)
-    if len(tags.tags) != len(token_list):
+def extract_mention(tags: TagSequence, tokens: Sequence[str]) -> str:
+    if len(tags.tags) != len(tokens):
         raise MisalignedExample(0)
     run = _best_run(tags.tags)
     if run is None:
         return ""
-    return " ".join(token_list[run[0] : run[1] + 1])
+    return " ".join(tokens[run[0] : run[1] + 1])
 
 
-def link_entity(mention: str, dictionary: EntityDictionary, max_distance: int = MAX_LINK_DISTANCE) -> list[EntityCandidate]:
-    """Dictionary entries within edit distance of the normalized mention.
+def link_entity(mention: str, dictionary: EntityDictionary) -> list[EntityCandidate]:
+    """Dictionary entries within MAX_LINK_DISTANCE edits of the normalized mention.
 
     The edit distance is at least the difference in length, so only the
-    keys whose length is within max_distance of the mention's can match.
+    keys whose length is within MAX_LINK_DISTANCE of the mention's can match.
     They are one contiguous block of the dictionary's length-sorted keys,
     and one edit_distances call compares the mention with all of them,
     reading no column past the longest key that can match."""
@@ -153,14 +153,14 @@ def link_entity(mention: str, dictionary: EntityDictionary, max_distance: int = 
         return []
     norm = normalize(mention)
     m = len(norm)
-    lo = int(np.searchsorted(dictionary.key_lengths, m - max_distance, side="left"))
-    hi = int(np.searchsorted(dictionary.key_lengths, m + max_distance, side="right"))
+    lo = int(np.searchsorted(dictionary.key_lengths, m - MAX_LINK_DISTANCE, side="left"))
+    hi = int(np.searchsorted(dictionary.key_lengths, m + MAX_LINK_DISTANCE, side="right"))
     if lo >= hi:
         return []
-    distances = edit_distances(norm, dictionary.key_codes[lo:hi, : m + max_distance], dictionary.key_lengths[lo:hi])
+    distances = edit_distances(norm, dictionary.key_codes[lo:hi, : m + MAX_LINK_DISTANCE], dictionary.key_lengths[lo:hi])
     out = [
         EntityCandidate(dictionary.entries[dictionary.keys_by_length[lo + r]], int(distances[r]), mention)
-        for r in np.flatnonzero(distances <= max_distance)
+        for r in np.flatnonzero(distances <= MAX_LINK_DISTANCE)
     ]
     return sorted(out, key=lambda c: (c.distance, -len(c.entity), c.entity))
 
@@ -283,7 +283,7 @@ def solve_ld(
     if len(tokens) == 0:
         return []
     tags = tag_entities(tagger, vocab, question)
-    mention = extract_mention(tags, tokens)
+    mention = extract_mention(tags, tokens.tokens)
 
     if mention:
         linked = link_entity(mention, dictionary)

@@ -37,19 +37,3 @@ from .layers import (
     transformer_encoder_layer,
     transformer_encoder_layer_backward,
 )
-
-__all__ = [
-    "Grads", "ModelParameters", "accumulate", "grad_check", "sgd_step",
-    "softmax", "softmax_backward", "softmax_cross_entropy",
-    "cross_entropy", "cosine", "cosine_backward", "sigmoid",
-    "linear_forward", "linear_backward",
-    "embedding_lookup", "embedding_backward",
-    "conv1d_forward", "conv1d_backward",
-    "gru_step", "gru_step_backward", "lstm_step", "lstm_step_backward",
-    "init_gru", "init_lstm", "init_bidirectional",
-    "bidirectional_encode", "bidirectional_encode_batch", "bidirectional_backward",
-    "attention", "attention_backward",
-    "layer_norm", "layer_norm_backward",
-    "init_transformer_layer", "transformer_encoder_layer",
-    "transformer_encoder_layer_backward",
-]

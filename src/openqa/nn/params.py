@@ -3,11 +3,16 @@
 Everything is float64. Initialization is uniform(-r, r) with
 r = sqrt(6 / (fan_in + fan_out)) from a generator seeded by a recorded
 64-bit seed, so a saved model can be re-derived from its seed.
+
+A model file is numpy's own .npz archive: one float64 .npy entry per
+parameter, in order, and a META entry. Only this module knows the format.
 """
 
 from __future__ import annotations
 
 import json
+import tokenize
+import zipfile
 from typing import Callable
 
 import numpy as np
@@ -15,6 +20,7 @@ import numpy as np
 from ..errors import ShapeMismatch
 
 Grads = dict[str, np.ndarray]
+META = "__meta__"  # the archive entry that holds rng_seed and arch as a JSON string
 
 
 class ModelParameters:
@@ -53,22 +59,34 @@ class ModelParameters:
         return self.entries[name]
 
     def save(self, path: str) -> None:
-        doc: dict = {"rng_seed": self.rng_seed, "arch": self.arch}
-        for name, arr in self.entries.items():
-            doc[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        """One .npz archive at exactly `path`: the arrays in order, then META."""
+        meta = np.array(json.dumps({"rng_seed": self.rng_seed, "arch": self.arch}))
+        with open(path, "wb") as fh:  # given a bare path, np.savez would append ".npz"
+            np.savez(fh, **self.entries, **{META: meta})
 
     @classmethod
     def load(cls, path: str) -> "ModelParameters":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        out = cls(doc.get("rng_seed", 0), doc.get("arch"))
-        for name, value in doc.items():
-            if name in ("rng_seed", "arch"):
-                continue
-            arr = np.asarray(value["data"], dtype=np.float64).reshape(value["shape"])
-            out.entries[name] = arr
+        """The model `save` wrote to `path`; ValueError for any other file."""
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":  # np.load would return a bare .npy as one array
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            # what zipfile and numpy raise on damaged bytes; numpy's text for an
+            # object array advises allow_pickle=True, so only the type is kept
+            try:
+                with np.load(fh, allow_pickle=False) as archive:
+                    arrays = {name: archive[name] for name in archive.files}
+            except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, tokenize.TokenError) as exc:
+                raise ValueError(f"damaged .npz archive ({type(exc).__name__})") from exc
+        meta = arrays.pop(META, None)
+        doc = json.loads(meta.item()) if isinstance(meta, np.ndarray) and meta.dtype.kind == "U" else None
+        if not (isinstance(doc, dict) and isinstance(doc.get("rng_seed"), int) and isinstance(doc.get("arch"), dict)):
+            raise ValueError(f"no {META} entry holding a JSON object with an integer rng_seed and an object arch")
+        other = [name for name, arr in arrays.items() if getattr(arr, "dtype", None) != np.float64]
+        if other:
+            raise ValueError(f"arrays that are not float64: {', '.join(other)}")
+        out = cls(doc["rng_seed"], doc["arch"])
+        out.entries.update(arrays)
         return out
 
 

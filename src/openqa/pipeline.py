@@ -175,8 +175,8 @@ class System:
             return None
         try:
             params = nn.ModelParameters.load(path)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"{name} {path}: not a readable model file: {exc!r}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{name} {path}: not a readable model file: {exc}") from exc
         (expected, init), arch = MODEL_KINDS[name], params.arch
         kind, vocab = arch.get("kind"), arch.get("vocab")
         if kind != expected:

@@ -36,7 +36,6 @@ class SpanPrediction:
 class ReaderModel:
     params: nn.ModelParameters
     vocab: Vocabulary
-    max_span_len: int = MAX_SPAN_LEN
 
 
 def init_reader(vocab_size: int, hyper: Hyper) -> nn.ModelParameters:
@@ -161,13 +160,12 @@ def read(
     model: ReaderModel,
     question: str,
     results: list[RetrievalResult],
-    top_k_passages: int = TOP_K_PASSAGES,
 ) -> list[AnswerCandidate]:
     """Best span per passage; confidences are a softmax over raw scores.
 
     The question is encoded once and shared by every passage; the
     passages are encoded together, as one padded batch."""
-    docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:top_k_passages]
+    docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:TOP_K_PASSAGES]
     passages = [(doc.doc_id, list(tokenize(doc.value_field).tokens)) for doc in docs]
     passages = [(doc_id, tokens) for doc_id, tokens in passages if tokens]
     if not passages:
@@ -176,7 +174,7 @@ def read(
     embedded = [nn.embedding_lookup(model.params["emb"], encode(model.vocab, tokens)) for _, tokens in passages]
     # [0]: the batch's encoder cache is dropped at once
     p_states = nn.bidirectional_encode_batch("gru", model.params, "p.", embedded)[0]
-    best_spans = [best_span(start[:len(tokens)], end[:len(tokens)], model.max_span_len, doc_id, tokens)
+    best_spans = [best_span(start[:len(tokens)], end[:len(tokens)], MAX_SPAN_LEN, doc_id, tokens)
                   for (doc_id, tokens), start, end in zip(passages, p_states @ v_s, p_states @ v_e)]
     confidences = nn.softmax(np.array([s.raw_score for s in best_spans]))
     candidates = [

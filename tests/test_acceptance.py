@@ -28,7 +28,7 @@ from openqa.ld_solver import (
     train_relation_scorer, train_tagger,
 )
 from openqa.pipeline import System, SystemConfig, ask, evaluate, split_dataset
-from openqa.reader import ReaderModel, enumerate_spans, load_reader_data, predict_logits, train_reader
+from openqa.reader import MAX_SPAN_LEN, ReaderModel, enumerate_spans, load_reader_data, predict_logits, train_reader
 from openqa.retrieval import IndexedDocument, KIND_PASSAGE, build_index, search
 from openqa.selector import (
     SelectorModel, build_sequence, init_selector, score_sequence, select, train_selector,
@@ -382,7 +382,7 @@ def test_criterion_05_overfit(capsys):
     for question, passage, gs, ge in reader_data:
         tokens = list(tokenize(passage).tokens)
         s_logits, e_logits = predict_logits(reader, question, tokens)
-        best = enumerate_spans(s_logits, e_logits, reader.max_span_len, 0, tokens)[0]
+        best = enumerate_spans(s_logits, e_logits, MAX_SPAN_LEN, 0, tokens)[0]
         reader_hits += (best.start, best.end) == (gs, ge)
     reader_acc = reader_hits / len(reader_data)
 

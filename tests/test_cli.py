@@ -2,12 +2,15 @@
 
 import json
 import os
+import zipfile
 
+import numpy as np
 import pytest
 
 from openqa import nn
 from openqa.cli import main
 from openqa.hyper import Hyper
+from openqa.pipeline import System, SystemConfig
 from openqa.reader import init_reader
 
 
@@ -78,19 +81,50 @@ class TestAsk:
         err = capsys.readouterr().err
         assert err.startswith(f"error: reader_model {reader}: built for a vocabulary of 10") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing-array", "per-gate-layout",
+    @pytest.mark.parametrize("damage", ["truncated", "json-layout", "empty", "bare-npy", "unclosed-npy-header",
+                                        "no-meta", "meta-is-a-list", "int32-array", "object-array",
+                                        "missing-array", "per-gate-layout",
                                         "arch-lacks-heads", "arch-heads-do-not-divide-d"])
     def test_bad_model_file_is_one_error_line(self, toy, tmp_path, capsys, damage):
         slot = "selector" if damage.startswith("arch-") else "reader"
+        params = nn.ModelParameters.load(toy["models"][slot])
         model = str(tmp_path / f"{slot}.json")
+        models = [model]
         if damage == "truncated":
             with open(toy["models"]["reader"], "rb") as fh:
-                head = fh.read(2000)
+                whole = fh.read()
+            cuts = (0, 2000, len(whole) - 1)
+            models = [str(tmp_path / f"reader-{cut}.npz") for cut in cuts]
+            for path, cut in zip(models, cuts):
+                with open(path, "wb") as fh:
+                    fh.write(whole[:cut])
+        elif damage == "json-layout":  # how model files were written before they were .npz archives
+            doc = {"rng_seed": params.rng_seed, "arch": params.arch}
+            doc.update({name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                        for name, arr in params.entries.items()})
+            with open(model, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        elif damage == "empty":
+            open(model, "wb").close()
+        elif damage == "bare-npy":
             with open(model, "wb") as fh:
-                fh.write(head)
+                np.save(fh, params["p.b"])
+        elif damage == "unclosed-npy-header":  # numpy tokenizes the header: a TokenError
+            header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (3,\n"
+            with zipfile.ZipFile(model, "w") as archive:
+                archive.writestr("p.b.npy", b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header)
+        elif damage in ("no-meta", "meta-is-a-list"):
+            entries = dict(params.entries)
+            if damage == "meta-is-a-list":
+                entries["__meta__"] = np.array(json.dumps([params.rng_seed, params.arch]))
+            with open(model, "wb") as fh:
+                np.savez(fh, **entries)
         else:
-            params = nn.ModelParameters.load(toy["models"][slot])
-            if damage == "missing-array":
+            if damage == "int32-array":
+                params.entries["p.b"] = params.entries["p.b"].astype(np.int32)
+            elif damage == "object-array":  # numpy's own error for it advises allow_pickle=True
+                params.entries["p.b"] = params.entries["p.b"].astype(object)
+            elif damage == "missing-array":
                 del params.entries["p.b"]
             elif damage == "arch-lacks-heads":
                 del params.arch["heads"]
@@ -99,10 +133,12 @@ class TestAsk:
             else:
                 params = _per_gate_layout(params)
             params.save(model)
-        config = toy["write_config"](str(tmp_path / "config.json"), {f"{slot}_model": model})
-        assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {slot}_model {model}: ") and err.count("\n") == 1
+        for model in models:
+            config = toy["write_config"](str(tmp_path / "config.json"), {f"{slot}_model": model})
+            assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {slot}_model {model}: ") and err.count("\n") == 1
+            assert "allow_pickle" not in err
         arch_errors = {"arch-lacks-heads": "arch lacks heads",
                        "arch-heads-do-not-divide-d": "invalid arch: model dim 16 not divisible by 3 heads"}
         if damage in arch_errors:
@@ -135,6 +171,8 @@ class TestTrain:
                      "--epochs", "2", "--out", out_path]) == 0
         assert os.path.exists(out_path)
         assert "trained tagger" in capsys.readouterr().out
+        config = toy["write_config"](str(tmp_path / "config.json"), {"tagger_model": out_path})
+        assert System(SystemConfig.load(config)).tagger is not None
 
 
     def test_bad_epochs_is_one_error_line(self, fx, toy, tmp_path, capsys):

@@ -59,7 +59,9 @@ class TestLinking:
 
     def test_beyond_max_distance_is_empty(self):
         d = EntityDictionary({"hamlet": "hamlet"}, 1)
-        assert link_entity("xyzzy", d, max_distance=MAX_LINK_DISTANCE) == []
+        assert link_entity("xyzzy", d) == []
+        just_beyond = "x" * (MAX_LINK_DISTANCE + 1) + "hamlet"[MAX_LINK_DISTANCE + 1:]
+        assert link_entity(just_beyond, d) == []
 
     def test_sorted_by_distance_then_entity(self):
         d = EntityDictionary({"mars": "mars", "marx": "marx", "mar": "mar"}, 1)
@@ -67,7 +69,7 @@ class TestLinking:
         assert out[0].entity == "mars" and out[0].distance == 0
         assert [c.distance for c in out] == sorted(c.distance for c in out)
 
-    def test_length_pruning_equals_full_scan(self, scalar_levenshtein):
+    def test_length_pruning_equals_full_scan(self, scalar_levenshtein, monkeypatch):
         rng = random.Random(17)
 
         def word(lo, hi):
@@ -77,9 +79,10 @@ class TestLinking:
             d = EntityDictionary({word(1, 8): word(1, 6) for _ in range(rng.randint(1, 30))}, 1)
             for _ in range(5):
                 mention, max_distance = word(1, 9), rng.randint(0, 3)
-                assert link_entity(mention, d, max_distance) == _scan(mention, d, max_distance, scalar_levenshtein)
+                monkeypatch.setattr(ld_solver, "MAX_LINK_DISTANCE", max_distance)
+                assert link_entity(mention, d) == _scan(mention, d, max_distance, scalar_levenshtein)
 
-    def test_batched_dp_equals_scalar_scan(self, scalar_levenshtein):
+    def test_batched_dp_equals_scalar_scan(self, scalar_levenshtein, monkeypatch):
         rng = random.Random(23)
         alphabet = "abü😀"
 
@@ -94,9 +97,10 @@ class TestLinking:
             d = EntityDictionary({k: word(rng.randint(1, 4)) for k in keys}, 2)
             for mention in (word(m), word(m).upper() + "?", word(m + 3) + " " + word(m + 3)):
                 for max_distance in range(-1, 4):
+                    monkeypatch.setattr(ld_solver, "MAX_LINK_DISTANCE", max_distance)
                     expected = _scan(mention, d, max_distance, scalar_levenshtein)
-                    assert link_entity(mention, d, max_distance) == expected, (mention, keys)
-                    assert link_entity(mention, EntityDictionary(), max_distance) == []
+                    assert link_entity(mention, d) == expected, (mention, keys)
+                    assert link_entity(mention, EntityDictionary()) == []
 
 
 class TestModels:

@@ -5,6 +5,8 @@ here we pin analytic behaviors and a few representative backward passes,
 and test the batched recurrences against a per-step oracle.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -151,15 +153,40 @@ class TestParameters:
         assert np.array_equal(a["W"], b["W"])
 
     def test_save_load_roundtrip(self, tmp_path):
-        params = nn.ModelParameters(rng_seed=11, arch={"kind": "demo"})
+        arch = {"kind": "demo", "d": 3, "epoch_losses": [0.5, 1 / 3]}
+        params = nn.ModelParameters(rng_seed=11, arch=arch)
         params.add("W", (3, 2))
         params.add_zeros("b", (3,))
+        params.add("p.U", (2, 3, 4))
         path = str(tmp_path / "model.json")
         params.save(path)
+        assert os.listdir(tmp_path) == ["model.json"]  # no "model.json.npz"
         loaded = nn.ModelParameters.load(path)
-        assert np.array_equal(loaded["W"], params["W"])
+        assert list(loaded.entries) == ["W", "b", "p.U"]
+        for name, arr in loaded.entries.items():
+            assert np.array_equal(arr, params[name])
+            assert arr.dtype == np.float64 and arr.flags.writeable
         assert loaded.rng_seed == 11
-        assert loaded.arch["kind"] == "demo"
+        assert loaded.arch == arch
+
+    def test_flipped_bit_loads_the_same_model_or_is_a_value_error(self, tmp_path):
+        params = nn.ModelParameters(rng_seed=3, arch={"kind": "demo"})
+        params.add("W", (3, 2))
+        path, damaged = str(tmp_path / "model.npz"), str(tmp_path / "damaged.npz")
+        params.save(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for i in range(len(data)):  # one bit per byte, every bit position in turn
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << (i % 8)
+            with open(damaged, "wb") as fh:
+                fh.write(flipped)
+            try:
+                loaded = nn.ModelParameters.load(damaged)
+            except ValueError:
+                continue
+            assert list(loaded.entries) == ["W"] and np.array_equal(loaded["W"], params["W"])
+            assert (loaded.rng_seed, loaded.arch) == (3, {"kind": "demo"})
 
     def test_sgd_step(self):
         params = nn.ModelParameters(rng_seed=0)

@@ -82,14 +82,14 @@ class TestBestSpan:
         assert (span.start, span.end, span.text) == (0, 0, "a")
 
 
-def _read_per_passage(model, question, results, top_k_passages=TOP_K_PASSAGES):
+def _read_per_passage(model, question, results):
     """The reader as one full forward pass and one span enumeration per passage."""
     best = []
-    for r in [r for r in results if r.doc.kind == KIND_PASSAGE][:top_k_passages]:
+    for r in [r for r in results if r.doc.kind == KIND_PASSAGE][:TOP_K_PASSAGES]:
         tokens = list(tokenize(r.doc.value_field).tokens)
         if tokens:
             start, end = predict_logits(model, question, tokens)
-            best.append(enumerate_spans(start, end, model.max_span_len, r.doc.doc_id, tokens)[0])
+            best.append(enumerate_spans(start, end, MAX_SPAN_LEN, r.doc.doc_id, tokens)[0])
     if not best:
         return []
     confidences = nn.softmax(np.array([s.raw_score for s in best]))
