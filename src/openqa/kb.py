@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FilterTypeError, MalformedLine
-from .text import EntityDictionary, normalize, tokenize
+from .text import EntityDictionary, dictionary_key
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,18 @@ def execute_sparql(kb: KnowledgeBase, q: SparqlQuery) -> list[str]:
 
 
 def build_entity_dictionary(kb: KnowledgeBase) -> EntityDictionary:
-    """Export KB entities keyed by their normalized surface form.
+    """Export KB entities keyed by their tokens joined by one space
+    (`dictionary_key`), the form `tokenize` merges: "Paris, Texas" is
+    keyed "paris texas".
 
-    When two entities normalize to the same key the lexicographically
-    smallest canonical string wins.
+    When two entities have the same key the lexicographically smallest
+    canonical string wins.
     """
     entries: dict[str, str] = {}
     for entity in kb.entities:
-        key = normalize(entity)
+        key = dictionary_key(entity)
         if not key:
             continue
         if key not in entries or entity < entries[key]:
             entries[key] = entity
-    max_tokens = max((len(tokenize(k)) for k in entries), default=0)
-    return EntityDictionary(entries=entries, max_entry_tokens=max_tokens)
+    return EntityDictionary(entries)

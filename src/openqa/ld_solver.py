@@ -17,14 +17,7 @@ import numpy as np
 
 from . import nn
 from .answers import SOLVER_LD, AnswerCandidate
-from .errors import (
-    EmptyPattern,
-    EmptyQuestion,
-    EmptyRelation,
-    MisalignedExample,
-    NoCandidates,
-    NoNegatives,
-)
+from .errors import EmptyPattern, EmptyQuestion, EmptyRelation, MisalignedExample, NoNegatives
 from .hyper import Hyper
 from .jsonl import read_json_lines
 from .kb import KnowledgeBase
@@ -244,17 +237,11 @@ def score_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_patte
 
 
 def _best_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], candidates: list[str]) -> tuple[float, str]:
-    """(best combined score, relation), scoring each candidate once; ties
-    go to the smallest relation string."""
-    if not candidates:
-        raise NoCandidates("no candidate relations")
+    """(best combined score, relation), scoring each of the (non-empty)
+    candidates once; ties go to the smallest relation string."""
     scored = [(score_relation(scorer, vocab, question_pattern, rel).combined, rel) for rel in candidates]
     best = max(s for s, _ in scored)
     return best, min(rel for s, rel in scored if s == best)
-
-
-def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], candidates: list[str]) -> str:
-    return _best_relation(scorer, vocab, question_pattern, candidates)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +282,13 @@ def solve_ld(
         return []
     entity_cand = linked[0]
 
-    relations = kb.predicates_of(entity_cand.entity)
+    relations = [r for r in kb.predicates_of(entity_cand.entity) if _relation_tokens(r)]
     if not relations:
         return []
 
+    # the pattern keeps at least the placeholder, so it is never empty
     pattern = _pattern_tokens(list(tokens.tokens), entity_cand.mention)
-    try:
-        combined, relation = _best_relation(scorer, vocab, pattern, relations)
-    except (EmptyPattern, EmptyRelation, NoCandidates):
-        return []
+    combined, relation = _best_relation(scorer, vocab, pattern, relations)
 
     objects = kb.by_subject_predicate.get((entity_cand.entity, relation), [])
     confidence = (1.0 / (1.0 + entity_cand.distance)) * (combined + 1.0) / 2.0

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .answers import SOLVER_RR, AnswerCandidate
-from .errors import EmptyPassage, SpanOutOfRange
+from .errors import SpanOutOfRange
 from .hyper import Hyper
 from .jsonl import read_json_lines
 from .retrieval import KIND_PASSAGE, RetrievalResult
@@ -103,15 +103,6 @@ def _backward(params: nn.ModelParameters, cache, d_start: np.ndarray, d_end: np.
 
 def _question_tokens(question: str) -> list[str]:
     return list(tokenize(question).tokens) or ["<unk>"]
-
-
-def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Raw, per-position start/end scores (no per-passage normalization)."""
-    if not passage_tokens:
-        raise EmptyPassage("passage has no tokens")
-    start, end, _ = _forward(model.params, encode(model.vocab, _question_tokens(question)),
-                             encode(model.vocab, passage_tokens))
-    return start, end
 
 
 def enumerate_spans(

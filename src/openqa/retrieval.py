@@ -3,16 +3,18 @@
 Documents carry a subject field (entities) and a value field (text).
 Triples are spliced into single-line documents; passages are tagged with
 the dictionary entities they mention. Query terms matching a document's
-subject field contribute double.
+subject field contribute double. Document text, subject entities and the
+query are all split into terms by `tokenize`, so the index sees the same
+tokens as the reader.
 
 `search` scores term-at-a-time (Turtle & Flood 1995). `build_index`
 computes every posting's BM25 contribution once, into flat arrays grouped
 by term; a query adds each distinct query term's slice of contributions
 into a dense per-document accumulator, in query order, so it costs the
 total length of its posting lists in numpy, not in Python. Every document
-receives its contributions in the same order as `bm25_score`, the
-per-document scorer kept as the reference, and each contribution is
-computed in the same operation order, so scores are equal to the last bit.
+receives its contributions in the order a per-document scorer would add
+them, each computed in that scorer's operation order, so scores are equal
+to the last bit.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateDocId, EmptyPassage, UnknownDoc
+from .errors import DuplicateDocId, EmptyPassage
 from .jsonl import read_json_lines
 from .kb import Triple
-from .text import EntityDictionary, normalize, tokenize
+from .text import EntityDictionary, tokenize
 
 K1 = 1.2
 B = 0.75
@@ -88,9 +90,6 @@ class InvertedIndex:
     docs: dict[int, IndexedDocument] = field(default_factory=dict)
     # term -> [n, 2] (doc_id, tf) rows, doc ids ascending: a view into one flat array
     postings: dict[str, np.ndarray] = field(default_factory=dict)
-    doc_lengths: dict[int, int] = field(default_factory=dict)
-    subject_terms: dict[str, set[int]] = field(default_factory=dict)
-    avg_doc_length: float = 0.0
     doc_count: int = 0
     # position -> doc_id, ascending; `search` accumulates scores by position
     doc_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
@@ -109,29 +108,28 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
 
     ordered = sorted(idx.docs)
     term_ids: dict[str, int] = {}
-    post_term: list[int] = []  # per posting, in doc order: its term's id and tf
+    # per posting, in doc order: its term's id, its tf and whether the term is in the doc's subject field
+    post_term: list[int] = []
     post_tf: list[int] = []
+    post_subject: list[bool] = []
+    lengths: list[int] = []  # per doc: its number of terms
     distinct: list[int] = []  # per doc: its number of postings
     for doc_id in ordered:
         doc = idx.docs[doc_id]
-        terms = tokenize(normalize(doc.value_field)).tokens
-        idx.doc_lengths[doc_id] = len(terms)
+        terms = tokenize(doc.value_field).tokens
         counts: dict[str, int] = {}
         for t in terms:
             counts[t] = counts.get(t, 0) + 1
+        subject = {term for entity in doc.subject_field for term in tokenize(entity).tokens}
         post_term += [term_ids.setdefault(term, len(term_ids)) for term in counts]
         post_tf += counts.values()
+        post_subject += [term in subject for term in counts]
+        lengths.append(len(terms))
         distinct.append(len(counts))
-        for entity in doc.subject_field:
-            for term in tokenize(normalize(entity)).tokens:
-                idx.subject_terms.setdefault(term, set()).add(doc_id)
 
-    idx.doc_count = len(idx.docs)
-    if idx.doc_count:
-        idx.avg_doc_length = sum(idx.doc_lengths.values()) / idx.doc_count
-
-    # One vectorised pass: group the postings by term and compute each one's
-    # contribution in `bm25_score`'s operation order, so every value is bit-identical.
+    idx.doc_count = len(ordered)
+    # One vectorised pass: group the postings by term and compute each one's contribution
+    # in the per-document formula's operation order, so every value is bit-identical.
     idx.doc_ids = np.array(ordered, dtype=np.int64)
     order = np.argsort(np.array(post_term, dtype=np.intp), kind="stable")  # by term, then position
     idx.positions = np.repeat(np.arange(idx.doc_count), distinct)[order]
@@ -142,44 +140,16 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
         idx.rows[term] = rows = slice(end - int(df[t]), end)
         idx.postings[term] = pairs[rows]
     idf = np.array([_idf(idx, term) for term in term_ids])
-    lengths = np.array(list(idx.doc_lengths.values()), dtype=np.int64)  # in doc id order
-    norm = K1 * (1.0 - B + B * lengths / idx.avg_doc_length) if idx.avg_doc_length else np.zeros(idx.doc_count)
+    avg_length = sum(lengths) / idx.doc_count if idx.doc_count else 0.0
+    norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.int64) / avg_length) if avg_length else np.zeros(idx.doc_count)
     idx.contributions = np.repeat(idf, df) * tf * (K1 + 1.0) / (tf + norm[idx.positions])
-    # (term id, position) keys ascend over the grouped postings; find each subject-field hit among them
-    keys = np.repeat(np.arange(len(term_ids)), df) * idx.doc_count + idx.positions
-    position = {doc_id: pos for pos, doc_id in enumerate(ordered)}
-    hits = np.array([term_ids[term] * idx.doc_count + position[doc_id] for term, doc_ids in idx.subject_terms.items()
-                     if term in term_ids for doc_id in doc_ids], dtype=np.intp)
-    found = np.searchsorted(keys, hits)
-    idx.contributions[found[keys[np.minimum(found, len(keys) - 1)] == hits]] *= SUBJECT_BOOST
+    idx.contributions[np.array(post_subject, dtype=bool)[order]] *= SUBJECT_BOOST
     return idx
 
 
 def _idf(idx: InvertedIndex, term: str) -> float:
     df = len(idx.postings.get(term, []))
     return math.log(1.0 + (idx.doc_count - df + 0.5) / (df + 0.5))
-
-
-def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float:
-    """BM25 (k1=1.2, b=0.75) with a 2x boost for subject-field term hits."""
-    if doc_id not in idx.docs:
-        raise UnknownDoc(f"doc_id {doc_id} not in index")
-    length = idx.doc_lengths[doc_id]
-    norm = K1 * (1.0 - B + B * length / idx.avg_doc_length) if idx.avg_doc_length else 0.0
-    score = 0.0
-    for term in dict.fromkeys(query_terms):  # distinct terms, query order
-        tf = 0
-        for d, f in idx.postings.get(term, []):
-            if d == doc_id:
-                tf = int(f)
-                break
-        if tf == 0:
-            continue
-        contribution = _idf(idx, term) * tf * (K1 + 1.0) / (tf + norm)
-        if doc_id in idx.subject_terms.get(term, ()):
-            contribution *= SUBJECT_BOOST
-        score += contribution
-    return score
 
 
 def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]:
@@ -189,7 +159,7 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
         raise ValueError("k must be >= 1")
     scores = np.zeros(idx.doc_count)
     hit = np.zeros(idx.doc_count, dtype=bool)
-    for term in dict.fromkeys(tokenize(normalize(query)).tokens):  # distinct terms, query order
+    for term in dict.fromkeys(tokenize(query).tokens):  # distinct terms, query order
         rows = idx.rows.get(term)
         if rows is not None:
             positions = idx.positions[rows]

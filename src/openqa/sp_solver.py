@@ -16,7 +16,7 @@ from typing import Optional
 from .answers import SOLVER_SP, AnswerCandidate
 from .jsonl import read_json_lines
 from .kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
-from .text import EntityDictionary, normalize, tokenize
+from .text import EntityDictionary, dictionary_key, normalize, tokenize
 
 DICTIONARY_CONFIDENCE = 1.0
 TEMPLATE_CAPTURE_CONFIDENCE = 0.8
@@ -65,7 +65,6 @@ class SubjectCandidate:
 class PredicateCandidate:
     predicate: str
     confidence: float
-    template_id: int
 
 
 def recognize_subjects(
@@ -97,7 +96,7 @@ def recognize_subjects(
         surface = m.group(tpl.subject_group)
         if surface is None:
             continue
-        entity = dictionary.entries.get(normalize(surface))
+        entity = dictionary.entries.get(dictionary_key(surface))
         if entity is not None:
             offer(SubjectCandidate(surface, entity, TEMPLATE_CAPTURE_CONFIDENCE, "template"))
 
@@ -108,12 +107,12 @@ def recognize_predicates(question: str, templates: list[QuestionTemplate]) -> li
     """Match the normalized question against each template in list order."""
     norm_q = normalize(question)
     found: dict[str, PredicateCandidate] = {}
-    for idx, tpl in enumerate(templates):
+    for tpl in templates:
         if not tpl.regex.search(norm_q):
             continue
         old = found.get(tpl.predicate)
         if old is None or tpl.confidence > old.confidence:
-            found[tpl.predicate] = PredicateCandidate(tpl.predicate, tpl.confidence, idx)
+            found[tpl.predicate] = PredicateCandidate(tpl.predicate, tpl.confidence)
     return sorted(found.values(), key=lambda c: (-c.confidence, c.predicate))
 
 

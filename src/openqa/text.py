@@ -1,8 +1,10 @@
 """Tokenization, normalization, edit distance and vocabulary encoding.
 
-Every solver shares these primitives: the rule-based solver matches
-normalized text against templates and the entity dictionary, the neural
-solvers encode token ids, and entity linking runs on Levenshtein distance.
+Every solver shares these primitives. `tokenize` is the one rule that
+turns text into terms: dictionary keys, BM25 terms and the neural
+solvers' token ids all come from it. The rule-based solver matches
+normalized text against templates, and entity linking runs on
+Levenshtein distance.
 The distance is one row-by-row DP over a matrix of UTF-32 code points, so a
 mention is compared with a whole block of dictionary keys at once.
 """
@@ -39,11 +41,11 @@ class TokenSequence:
 
 
 def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> TokenSequence:
-    """Segment on whitespace/punctuation, then merge dictionary entries.
+    """Segment on whitespace/punctuation and lowercase, then merge dictionary entries.
 
     Merging is forward maximum matching: at each position the longest
-    window of normalized tokens (up to the dictionary's longest entry)
-    that exactly equals a dictionary key becomes a single token.
+    window of tokens (up to the dictionary's longest entry), joined by one
+    space, that exactly equals a dictionary key becomes a single token.
     """
     base = [t.lower() for t in _TOKEN_RE.findall(text)]
     if dictionary is None or not dictionary.entries:
@@ -52,9 +54,8 @@ def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> Toke
     merged: list[str] = []
     i = 0
     n = len(base)
-    max_w = max(dictionary.max_entry_tokens, 1)
     while i < n:
-        for w in range(min(max_w, n - i), 1, -1):
+        for w in range(min(dictionary.max_entry_tokens, n - i), 1, -1):
             key = " ".join(base[i : i + w])
             if key in dictionary.entries:
                 break
@@ -63,6 +64,11 @@ def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> Toke
         merged.append(key)
         i += w
     return TokenSequence(tuple(merged))
+
+
+def dictionary_key(text: str) -> str:
+    """The form `tokenize` merges: the text's tokens joined by one space."""
+    return " ".join(tokenize(text).tokens)
 
 
 def code_matrix(strings: list[str]) -> np.ndarray:
@@ -97,20 +103,22 @@ def levenshtein(a: str, b: str) -> int:
 
 @dataclass(frozen=True)
 class EntityDictionary:
-    """Normalized surface form -> canonical entity string.
+    """Dictionary key (see dictionary_key) -> canonical entity string.
 
-    The keys are also kept sorted by length, with their lengths and their
-    code matrix (see edit_distances), so that linking takes the keys of a
-    length range as one contiguous block.
+    max_entry_tokens, the longest key's token count, bounds the windows
+    `tokenize` merges. The keys are also kept sorted by length, with their
+    lengths and their code matrix (see edit_distances), so that linking
+    takes the keys of a length range as one contiguous block.
     """
 
     entries: dict[str, str] = field(default_factory=dict)
-    max_entry_tokens: int = 0
+    max_entry_tokens: int = field(init=False)
     keys_by_length: list[str] = field(init=False, repr=False, compare=False)
     key_lengths: np.ndarray = field(init=False, repr=False, compare=False)
     key_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_entry_tokens", max((k.count(" ") + 1 for k in self.entries), default=0))
         keys = sorted(self.entries, key=len)
         object.__setattr__(self, "keys_by_length", keys)
         object.__setattr__(self, "key_lengths", np.array([len(k) for k in keys], dtype=np.intp))

@@ -24,11 +24,11 @@ from openqa.errors import FilterTypeError
 from openqa.hyper import Hyper
 from openqa.kb import KnowledgeBase, ObjectUnknown, SparqlQuery, SubjectUnknown, Triple, execute_sparql
 from openqa.ld_solver import (
-    detect_relation, load_scorer_data, load_tagger_data, tag_entities,
+    load_scorer_data, load_tagger_data, tag_entities,
     train_relation_scorer, train_tagger,
 )
 from openqa.pipeline import System, SystemConfig, ask, evaluate, split_dataset
-from openqa.reader import MAX_SPAN_LEN, ReaderModel, enumerate_spans, load_reader_data, predict_logits, train_reader
+from openqa.reader import MAX_SPAN_LEN, ReaderModel, enumerate_spans, load_reader_data, train_reader
 from openqa.retrieval import IndexedDocument, KIND_PASSAGE, build_index, search
 from openqa.selector import (
     SelectorModel, build_sequence, init_selector, score_sequence, select, train_selector,
@@ -37,6 +37,7 @@ from openqa.service import make_server
 from openqa.text import Vocabulary, levenshtein, tokenize
 
 from conftest import FIXTURES
+from oracles import detect_relation, predict_logits
 
 
 def report(capsys, n: int, ok: bool, detail: str):
@@ -568,8 +569,11 @@ def test_criterion_10_service_contract(capsys, toy):
                                      headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
-        assert err.value.code == 400
+        with err.value as resp:
+            assert resp.code == 400
     finally:
         srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
     report(capsys, 10, True,
            "POST /ask equals CLI ask --json on all 25 questions; empty question is 400")

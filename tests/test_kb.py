@@ -10,6 +10,7 @@ from openqa.kb import (
     KnowledgeBase, ObjectUnknown, SparqlQuery, SubjectUnknown, Triple,
     build_entity_dictionary, execute_sparql, load_triples, serialize_sparql,
 )
+from openqa.text import tokenize
 
 SERIALIZED = {
     "SELECT ?x WHERE { <paris> <capital_of> ?x . }": SparqlQuery("x", ObjectUnknown("paris", "capital_of")),
@@ -135,6 +136,13 @@ class TestEntityDictionary:
         d = build_entity_dictionary(kb)
         assert d.entries["new york"] == "New York"
         assert d.max_entry_tokens >= 2
+
+    def test_keys_are_tokens_joined_by_a_space(self):
+        names = ["Paris, Texas", "Dr. No", "Jean-Luc Picard", "New  York"]
+        d = build_entity_dictionary(KnowledgeBase([Triple(n, "p", "o") for n in names]))
+        assert d.entries == {" ".join(tokenize(n).tokens): n for n in names}
+        assert sorted(d.entries) == ["dr no", "jean-luc picard", "new york", "paris texas"]
+        assert d.max_entry_tokens == 2
 
     def test_collision_keeps_lexicographically_smallest(self):
         kb = KnowledgeBase([Triple("X", "p", "o"), Triple("x", "p", "o")])

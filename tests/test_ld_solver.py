@@ -8,15 +8,18 @@ import pytest
 
 from openqa import ld_solver, nn
 from openqa.hyper import Hyper
-from openqa.kb import build_entity_dictionary, load_triples
+from openqa.errors import EmptyRelation
+from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
 from openqa.ld_solver import (
     HINGE_MARGIN, MAX_LINK_DISTANCE, PLACEHOLDER, TAGS,
     EntityCandidate, RelationScore, TagSequence,
-    detect_relation, extract_mention, init_relation_scorer, init_tagger,
+    extract_mention, init_relation_scorer, init_tagger,
     link_entity, load_scorer_data, load_tagger_data,
     repair_bio, score_relation, solve_ld, tag_entities,
 )
 from openqa.text import EntityDictionary, Vocabulary, normalize, tokenize
+
+from oracles import detect_relation
 
 
 class TestBio:
@@ -48,23 +51,23 @@ def _scan(mention, dictionary, max_distance, levenshtein):
 
 class TestLinking:
     def test_exact_match_distance_zero(self):
-        d = EntityDictionary({"hamlet": "hamlet"}, 1)
+        d = EntityDictionary({"hamlet": "hamlet"})
         assert link_entity("hamlet", d) == [EntityCandidate("hamlet", 0, "hamlet")]
 
     def test_typo_within_max_distance(self):
-        d = EntityDictionary({"hamlet": "hamlet", "macbeth": "macbeth"}, 1)
+        d = EntityDictionary({"hamlet": "hamlet", "macbeth": "macbeth"})
         out = link_entity("hamlat", d)
         assert [c.entity for c in out] == ["hamlet"]
         assert out[0].distance == 1
 
     def test_beyond_max_distance_is_empty(self):
-        d = EntityDictionary({"hamlet": "hamlet"}, 1)
+        d = EntityDictionary({"hamlet": "hamlet"})
         assert link_entity("xyzzy", d) == []
         just_beyond = "x" * (MAX_LINK_DISTANCE + 1) + "hamlet"[MAX_LINK_DISTANCE + 1:]
         assert link_entity(just_beyond, d) == []
 
     def test_sorted_by_distance_then_entity(self):
-        d = EntityDictionary({"mars": "mars", "marx": "marx", "mar": "mar"}, 1)
+        d = EntityDictionary({"mars": "mars", "marx": "marx", "mar": "mar"})
         out = link_entity("mars", d)
         assert out[0].entity == "mars" and out[0].distance == 0
         assert [c.distance for c in out] == sorted(c.distance for c in out)
@@ -76,7 +79,7 @@ class TestLinking:
             return "".join(rng.choice("abc") for _ in range(rng.randint(lo, hi)))
 
         for _ in range(60):
-            d = EntityDictionary({word(1, 8): word(1, 6) for _ in range(rng.randint(1, 30))}, 1)
+            d = EntityDictionary({word(1, 8): word(1, 6) for _ in range(rng.randint(1, 30))})
             for _ in range(5):
                 mention, max_distance = word(1, 9), rng.randint(0, 3)
                 monkeypatch.setattr(ld_solver, "MAX_LINK_DISTANCE", max_distance)
@@ -94,7 +97,7 @@ class TestLinking:
             # key lengths span the mention's length +-3; some keys hold a space
             keys = [word(rng.randint(max(m - 3, 1), m + 3)) for _ in range(rng.randint(1, 25))]
             keys += [word(rng.randint(1, 3)) + " " + word(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
-            d = EntityDictionary({k: word(rng.randint(1, 4)) for k in keys}, 2)
+            d = EntityDictionary({k: word(rng.randint(1, 4)) for k in keys})
             for mention in (word(m), word(m).upper() + "?", word(m + 3) + " " + word(m + 3)):
                 for max_distance in range(-1, 4):
                     monkeypatch.setattr(ld_solver, "MAX_LINK_DISTANCE", max_distance)
@@ -157,6 +160,14 @@ class TestSolve:
     def test_unknown_entity_is_empty(self, world, vocab):
         kb, d, tagger, scorer = world
         assert solve_ld("who wrote ulysses", kb, d, tagger, scorer, vocab) == []
+
+    def test_relation_without_tokens_is_not_scored(self, world, vocab):
+        _, _, tagger, scorer = world
+        kb = KnowledgeBase([Triple("hamlet", "author", "shakespeare"), Triple("hamlet", "_", "x")])
+        out = solve_ld("who wrote hamlet", kb, build_entity_dictionary(kb), tagger, scorer, vocab)
+        assert [c.answer for c in out] == ["shakespeare"]
+        with pytest.raises(EmptyRelation):
+            score_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], "_")
 
     def test_each_relation_scored_once(self, world, vocab, monkeypatch):
         kb, d, tagger, scorer = world

@@ -26,7 +26,8 @@ class TestConfig:
         assert os.path.exists(config.kb_path)
 
     def test_missing_resource_rejected(self, tmp_path, toy):
-        doc = json.load(open(toy["config"]))
+        with open(toy["config"], encoding="utf-8") as fh:
+            doc = json.load(fh)
         doc["kb_path"] = "/nonexistent/kb.tsv"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -62,7 +63,8 @@ class TestConfig:
             SystemConfig.load(str(bad))
 
     def test_retrieval_k_must_be_positive(self, toy):
-        doc = json.load(open(toy["config"]))
+        with open(toy["config"], encoding="utf-8") as fh:
+            doc = json.load(fh)
         doc["retrieval_k"] = 0
         with pytest.raises(ConfigError):
             SystemConfig(**{**{k: doc[k] for k in

@@ -10,10 +10,12 @@ from openqa.errors import DuplicateDocId, MalformedLine, UnknownDoc
 from openqa.kb import Triple, build_entity_dictionary, load_triples
 from openqa.retrieval import (
     B, K1, KIND_PASSAGE, KIND_TRIPLE, SUBJECT_BOOST,
-    IndexedDocument, bm25_score, build_index, load_passages,
+    IndexedDocument, build_index, load_passages,
     search, splice_triple, tag_passage,
 )
-from openqa.text import EntityDictionary
+from openqa.text import EntityDictionary, tokenize
+
+from oracles import bm25_score
 
 
 def corpus() -> list[IndexedDocument]:
@@ -21,7 +23,7 @@ def corpus() -> list[IndexedDocument]:
         splice_triple(Triple("hamlet", "author", "shakespeare"), 0),
         splice_triple(Triple("paris", "capital_of", "france"), 1),
     ]
-    d = EntityDictionary({"paris": "paris"}, 1)
+    d = EntityDictionary({"paris": "paris"})
     docs.append(tag_passage("p1", "paris has been the capital of france", d, 2))
     docs.append(tag_passage("p2", "the sky is blue", d, 3))
     return docs
@@ -36,7 +38,7 @@ class TestDocuments:
         assert doc.value_field == "hamlet author shakespeare"
 
     def test_tag_passage_collects_mentioned_entities(self):
-        d = EntityDictionary({"paris": "paris", "france": "france"}, 1)
+        d = EntityDictionary({"paris": "paris", "france": "france"})
         doc = tag_passage("p1", "Paris has been the capital of France", d, 0)
         assert doc.kind == KIND_PASSAGE
         assert set(doc.subject_field) == {"paris", "france"}
@@ -54,9 +56,9 @@ class TestScoring:
         idx = build_index(corpus())
         n, df = idx.doc_count, 2  # "france" appears in two documents
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        doc_len = idx.doc_lengths[2]
+        lengths = [len(tokenize(doc.value_field)) for doc in corpus()]
         tf = 1
-        expected = idf * (tf * (K1 + 1)) / (tf + K1 * (1 - B + B * doc_len / idx.avg_doc_length))
+        expected = idf * (tf * (K1 + 1)) / (tf + K1 * (1 - B + B * lengths[2] / (sum(lengths) / n)))
         assert bm25_score(idx, ["france"], 2) == pytest.approx(expected)
 
     def test_subject_field_boost(self):
@@ -125,7 +127,7 @@ class TestSearch:
         index, queries of unseen terms only, and k above the number of matched
         docs."""
         rng = random.Random(37)
-        pool = [f"w{i}" for i in range(12)]
+        pool = [f"w{i}" for i in range(12)] + ["İstanbul", "paris,", "dr."]
         for size in [0] + [rng.randint(1, 30) for _ in range(40)]:
             docs = []
             for doc_id in rng.sample(range(5, 400), size):
@@ -138,11 +140,12 @@ class TestSearch:
                 docs.append(IndexedDocument(doc_id, subjects, words, KIND_PASSAGE))
             idx = build_index(docs)
             queries = [[rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 5))] for _ in range(5)]
-            for terms in queries + [["absent", "unseen"]]:
+            for words in queries + [["absent", "unseen"]]:
+                terms = tokenize(" ".join(words)).tokens
                 matched = {int(d) for t in terms for d, _ in idx.postings.get(t, [])}
                 k = rng.randint(1, len(matched) + 3)
                 want = sorted((-bm25_score(idx, terms, d), d) for d in matched)[:k]
-                got = search(idx, " ".join(terms), k)
+                got = search(idx, " ".join(words), k)
                 assert [(r.doc.doc_id, r.score) for r in got] == [(d, -s) for s, d in want]
 
     def test_boost_only_on_the_subject_docs_postings(self):
@@ -154,6 +157,16 @@ class TestSearch:
         assert [r.doc.doc_id for r in got] == [12, 45, 90]
         assert got[0].score == SUBJECT_BOOST * got[1].score and got[1].score == got[2].score
         assert [r.score for r in got] == [bm25_score(idx, ["paris"], d) for d in (12, 45, 90)]
+
+    def test_index_terms_are_the_readers_tokens(self):
+        # lowercasing "İ" adds a combining dot, which splits the word if done before tokenizing
+        d = EntityDictionary({"i\u0307stanbul": "İstanbul"})
+        doc = tag_passage("p", "Trams cross İstanbul, then İstanbul's bridges.", d, 0)
+        assert doc.subject_field == ("İstanbul",)
+        idx = build_index([doc])
+        assert sorted(idx.postings) == sorted(set(tokenize(doc.value_field).tokens))
+        got = search(idx, "İstanbul", k=1)
+        assert [(r.doc.doc_id, r.score) for r in got] == [(0, bm25_score(idx, ["i\u0307stanbul"], 0))]
 
     def test_postings_are_doc_id_tf_rows(self):
         docs = [IndexedDocument(7, (), "a b a", KIND_PASSAGE), IndexedDocument(3, (), "a c", KIND_PASSAGE)]

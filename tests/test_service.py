@@ -20,6 +20,8 @@ def server(toy):
     thread.start()
     yield f"http://127.0.0.1:{srv.server_address[1]}"
     srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=10)
 
 
 def post_ask(base: str, body: bytes, content_type="application/json"):
@@ -48,17 +50,20 @@ class TestAsk:
         body = json.dumps({"question": "   "}).encode()
         with pytest.raises(urllib.error.HTTPError) as err:
             post_ask(server, body)
-        assert err.value.code == 400
+        with err.value as resp:
+            assert resp.code == 400
 
     def test_missing_question_field_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             post_ask(server, json.dumps({"q": "hi"}).encode())
-        assert err.value.code == 400
+        with err.value as resp:
+            assert resp.code == 400
 
     def test_invalid_json_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             post_ask(server, b"not json {")
-        assert err.value.code == 400
+        with err.value as resp:
+            assert resp.code == 400
 
     @pytest.mark.parametrize("body, error", [
         (b"[1,2]", "body must be a JSON object"),
@@ -117,7 +122,8 @@ class TestAsk:
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{server}/nope", timeout=10)
-        assert err.value.code == 404
+        with err.value as resp:
+            assert resp.code == 404
 
     def test_concurrent_requests(self, server):
         answers = []

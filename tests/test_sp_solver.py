@@ -4,12 +4,15 @@ import os
 
 import pytest
 
+from openqa import sp_solver
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples, serialize_sparql
+from openqa.retrieval import tag_passage
 from openqa.sp_solver import (
     DEFAULT_TEMPLATE_CONFIDENCE, DICTIONARY_CONFIDENCE, TEMPLATE_CAPTURE_CONFIDENCE,
-    QuestionTemplate, generate_queries, load_templates,
+    QuestionTemplate, SubjectCandidate, generate_queries, load_templates,
     recognize_predicates, recognize_subjects, solve_sp,
 )
+from openqa.text import tokenize
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +38,7 @@ class TestRecognition:
         # the capture links to an entity the token pass cannot see
         # (the dictionary key spans two tokens but FMM consumed the first)
         from openqa.text import EntityDictionary
-        d = EntityDictionary({"new york": "new_york", "york city": "york_city"}, 2)
+        d = EntityDictionary({"new york": "new_york", "york city": "york_city"})
         templates = [QuestionTemplate(pattern="^about new (.+)$", predicate="p", subject_group=1)]
         subjects = recognize_subjects("about new york city", d, templates)
         by_source = {s.source: s for s in subjects}
@@ -107,6 +110,53 @@ class TestQueriesAndSolve:
         out = solve_sp("who wrote hamlet", kb, d, templates)
         assert len(out) == 1
         assert out[0].confidence == pytest.approx(0.9)
+
+
+PUNCTUATED_KB = KnowledgeBase([
+    Triple("Paris, Texas", "population", "24171"),
+    Triple("Dr. No", "director", "Terence Young"),
+    Triple("Jean-Luc Picard", "captain_of", "Enterprise"),
+])
+PUNCTUATED_TEMPLATES = [
+    QuestionTemplate(pattern="^what is the population of (.+)$", predicate="population", subject_group=1),
+    QuestionTemplate(pattern="^who directed (.+)$", predicate="director", subject_group=1),
+]
+PUNCTUATED_QUESTIONS = [
+    ("What is the population of Paris, Texas?", "paris texas", "Paris, Texas", "24171"),
+    ("what is the population of paris texas", "paris texas", "Paris, Texas", "24171"),
+    ("Who directed Dr. No?", "dr no", "Dr. No", "Terence Young"),
+    ("who directed Dr No", "dr no", "Dr. No", "Terence Young"),
+]
+
+
+class TestPunctuatedNames:
+    """Names with punctuation are keyed by their tokens, the form the token
+    pass merges, so they are found with or without their punctuation."""
+
+    @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
+    def test_dictionary_pass(self, question, key, entity, answer):
+        d = build_entity_dictionary(PUNCTUATED_KB)
+        assert recognize_subjects(question, d, []) == [
+            SubjectCandidate(key, entity, DICTIONARY_CONFIDENCE, "dictionary")]
+
+    @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
+    def test_template_capture(self, monkeypatch, question, key, entity, answer):
+        # with the token pass merging nothing, only the capture can find the entity
+        monkeypatch.setattr(sp_solver, "tokenize", lambda text, dictionary=None: tokenize(text))
+        d = build_entity_dictionary(PUNCTUATED_KB)
+        subjects = recognize_subjects(question, d, PUNCTUATED_TEMPLATES)
+        assert [(s.entity, s.source) for s in subjects] == [(entity, "template")]
+
+    @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
+    def test_solve(self, question, key, entity, answer):
+        d = build_entity_dictionary(PUNCTUATED_KB)
+        out = solve_sp(question, PUNCTUATED_KB, d, PUNCTUATED_TEMPLATES)
+        assert [c.answer for c in out] == [answer]
+
+    def test_passage_subject_field(self):
+        d = build_entity_dictionary(PUNCTUATED_KB)
+        doc = tag_passage("p", "Jean-Luc Picard watched Dr. No in Paris, Texas.", d, 0)
+        assert doc.subject_field == ("Jean-Luc Picard", "Dr. No", "Paris, Texas")
 
 
 class TestTemplates:

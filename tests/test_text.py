@@ -42,12 +42,12 @@ class TestTokenize:
         assert tokenize("") == TokenSequence(())
 
     def test_dictionary_merges_longest_match(self):
-        d = EntityDictionary({"new york": "new_york", "new york city": "nyc"}, 3)
+        d = EntityDictionary({"new york": "new_york", "new york city": "nyc"})
         seq = tokenize("visit New York City now", d)
         assert seq.tokens == ("visit", "new york city", "now")
 
     def test_dictionary_match_is_forward_greedy(self):
-        d = EntityDictionary({"new york": "new_york"}, 2)
+        d = EntityDictionary({"new york": "new_york"})
         seq = tokenize("in new york today", d)
         assert seq.tokens == ("in", "new york", "today")
         assert tokenize("new new york", d).tokens == ("new", "new york")
@@ -87,14 +87,14 @@ class TestEditDistances:
 
 class TestEntityDictionary:
     def test_keys_sorted_by_length_with_codes(self):
-        d = EntityDictionary({"new york": "new_york", "ur": "ur", "zürich": "zurich"}, 2)
+        d = EntityDictionary({"new york": "new_york", "ur": "ur", "zürich": "zurich"})
         assert d.keys_by_length == ["ur", "zürich", "new york"]
         assert d.key_lengths.tolist() == [2, 6, 8]
         assert d.key_codes.shape == (3, 8)
 
     def test_derived_fields_stay_out_of_eq_and_repr(self):
-        d = EntityDictionary({"paris": "paris"}, 1)
-        assert d == EntityDictionary({"paris": "paris"}, 1)
+        d = EntityDictionary({"paris": "paris"})
+        assert d == EntityDictionary({"paris": "paris"})
         assert repr(d) == "EntityDictionary(entries={'paris': 'paris'}, max_entry_tokens=1)"
         empty = EntityDictionary()
         assert empty.keys_by_length == [] and empty.key_codes.shape[0] == 0
