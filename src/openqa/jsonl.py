@@ -33,3 +33,11 @@ def read_json_lines(path: str, row: Callable[[dict], T]) -> list[T]:
             except (TypeError, ValueError) as exc:
                 raise MalformedLine(path, lineno, str(exc)) from exc
     return out
+
+
+def text_field(obj: dict, key: str) -> str:
+    """obj[key], which must be a JSON string; anything else is a TypeError naming the field."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"field {key!r} must be a string, got {json.dumps(value)}")
+    return value

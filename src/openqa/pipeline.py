@@ -20,7 +20,7 @@ from . import nn
 from .answers import SOLVER_LD, SOLVER_ORDER, SOLVER_RR, SOLVER_SP, AnswerCandidate
 from .errors import ConfigError, EmptyDataset, EmptyQuestion, ShapeMismatch
 from .hyper import Hyper, require_int, require_positive
-from .jsonl import read_json_lines
+from .jsonl import read_json_lines, text_field
 from .kb import KnowledgeBase, build_entity_dictionary, load_triples
 from .ld_solver import init_relation_scorer, init_tagger, solve_ld
 from .reader import ReaderModel, init_reader, read
@@ -280,7 +280,7 @@ def split_dataset(pairs: list[tuple[str, str]], train_fraction: float = 0.7, see
 
 def load_qa_pairs(path: str) -> list[tuple[str, str]]:
     """JSON Lines {"question": str, "answer": str}."""
-    return read_json_lines(path, lambda obj: (obj["question"], obj["answer"]))
+    return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_field(obj, "answer")))
 
 
 def evaluate(system: System, dataset: list[tuple[str, str]]) -> EvalReport:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyPassage
-from .jsonl import read_json_lines
+from .jsonl import read_json_lines, text_field
 from .kb import Triple
 from .text import EntityDictionary, tokenize
 
@@ -71,14 +71,11 @@ def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary, doc_id
     """Passage document tagged with dictionary entities found in its text."""
     if not text:
         raise EmptyPassage(f"passage {passage_id!r} is empty")
-    entities: list[str] = []
-    for token in tokenize(text, dictionary).tokens:
-        canonical = dictionary.entries.get(token)
-        if canonical is not None and canonical not in entities:
-            entities.append(canonical)
+    entries = dictionary.entries
+    canonicals = (entries[t] for t in tokenize(text, dictionary).tokens if t in entries)
     return IndexedDocument(
         doc_id=doc_id,
-        subject_field=tuple(entities),
+        subject_field=tuple(dict.fromkeys(canonicals)),  # distinct, in order of first mention
         value_field=text,
         kind=KIND_PASSAGE,
         origin=f"passage:{passage_id}",
@@ -114,13 +111,17 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
     post_subject: list[bool] = []
     lengths: list[int] = []  # per doc: its number of terms
     distinct: list[int] = []  # per doc: its number of postings
+    entity_terms: dict[str, tuple[str, ...]] = {}  # each subject entity is tokenized once per build
     for doc_id in ordered:
         doc = idx.docs[doc_id]
         terms = tokenize(doc.value_field).tokens
         counts: dict[str, int] = {}
         for t in terms:
             counts[t] = counts.get(t, 0) + 1
-        subject = {term for entity in doc.subject_field for term in tokenize(entity).tokens}
+        for entity in doc.subject_field:
+            if entity not in entity_terms:
+                entity_terms[entity] = tokenize(entity).tokens
+        subject = {term for entity in doc.subject_field for term in entity_terms[entity]}
         post_term += [term_ids.setdefault(term, len(term_ids)) for term in counts]
         post_tf += counts.values()
         post_subject += [term in subject for term in counts]
@@ -172,4 +173,4 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
 
 def load_passages(path: str) -> list[tuple[str, str]]:
     """JSON Lines {"id": str, "text": str} -> [(id, text)]."""
-    return read_json_lines(path, lambda obj: (str(obj["id"]), obj["text"]))
+    return read_json_lines(path, lambda obj: (str(obj["id"]), text_field(obj, "text")))

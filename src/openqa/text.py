@@ -46,23 +46,29 @@ def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> Toke
     Merging is forward maximum matching: at each position the longest
     window of tokens (up to the dictionary's longest entry), joined by one
     space, that exactly equals a dictionary key becomes a single token.
+    Windows are tried only where a multi-token key starts (the position's
+    token is in `first_tokens`), since a window can only equal a key that
+    begins with the window's first token.
     """
     base = [t.lower() for t in _TOKEN_RE.findall(text)]
-    if dictionary is None or not dictionary.entries:
+    if dictionary is None or not dictionary.first_tokens:
         return TokenSequence(tuple(base))
 
-    merged: list[str] = []
-    i = 0
+    entries, starts, longest = dictionary.entries, dictionary.first_tokens, dictionary.max_entry_tokens
     n = len(base)
-    while i < n:
-        for w in range(min(dictionary.max_entry_tokens, n - i), 1, -1):
+    merged: list[str] = []
+    done = 0  # base[done:] is not in merged yet
+    for i in [j for j, t in enumerate(base) if t in starts]:
+        if i < done:
+            continue
+        for w in range(min(longest, n - i), 1, -1):
             key = " ".join(base[i : i + w])
-            if key in dictionary.entries:
+            if key in entries:
+                merged += base[done:i]
+                merged.append(key)
+                done = i + w
                 break
-        else:
-            key, w = base[i], 1
-        merged.append(key)
-        i += w
+    merged += base[done:]
     return TokenSequence(tuple(merged))
 
 
@@ -106,19 +112,23 @@ class EntityDictionary:
     """Dictionary key (see dictionary_key) -> canonical entity string.
 
     max_entry_tokens, the longest key's token count, bounds the windows
-    `tokenize` merges. The keys are also kept sorted by length, with their
-    lengths and their code matrix (see edit_distances), so that linking
-    takes the keys of a length range as one contiguous block.
+    `tokenize` merges, and first_tokens, the first token of every
+    multi-token key, marks the positions where it tries them. The keys
+    are also kept sorted by length, with their lengths and their code
+    matrix (see edit_distances), so that linking takes the keys of a
+    length range as one contiguous block.
     """
 
     entries: dict[str, str] = field(default_factory=dict)
     max_entry_tokens: int = field(init=False)
+    first_tokens: frozenset[str] = field(init=False, repr=False, compare=False)
     keys_by_length: list[str] = field(init=False, repr=False, compare=False)
     key_lengths: np.ndarray = field(init=False, repr=False, compare=False)
     key_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_entry_tokens", max((k.count(" ") + 1 for k in self.entries), default=0))
+        object.__setattr__(self, "first_tokens", frozenset(k.split(" ", 1)[0] for k in self.entries if " " in k))
         keys = sorted(self.entries, key=len)
         object.__setattr__(self, "keys_by_length", keys)
         object.__setattr__(self, "key_lengths", np.array([len(k) for k in keys], dtype=np.intp))

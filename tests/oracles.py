@@ -14,7 +14,7 @@ from openqa.errors import UnknownDoc
 from openqa.ld_solver import score_relation
 from openqa.reader import ReaderModel, _forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
-from openqa.text import Vocabulary, encode, tokenize
+from openqa.text import EntityDictionary, Vocabulary, encode, tokenize
 
 
 def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float:
@@ -38,6 +38,26 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
             contribution *= SUBJECT_BOOST
         score += contribution
     return score
+
+
+def merge_entries(text: str, dictionary: EntityDictionary) -> tuple[str, ...]:
+    """`tokenize(text, dictionary)` by trying the windows at every position:
+    the longest window of tokens, joined by one space, that is a dictionary
+    key becomes one token, else the position's own token does."""
+    base = tokenize(text).tokens
+    merged: list[str] = []
+    i = 0
+    n = len(base)
+    while i < n:
+        for w in range(min(dictionary.max_entry_tokens, n - i), 1, -1):
+            key = " ".join(base[i : i + w])
+            if key in dictionary.entries:
+                break
+        else:
+            key, w = base[i], 1
+        merged.append(key)
+        i += w
+    return tuple(merged)
 
 
 def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:

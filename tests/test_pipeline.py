@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion
+from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion, MalformedLine
 from openqa.hyper import Hyper
 from openqa.pipeline import (
     System, SystemConfig, ask, evaluate, load_qa_pairs,
@@ -260,3 +260,13 @@ def test_load_qa_pairs(fx):
     pairs = load_qa_pairs(os.path.join(fx, "qa.jsonl"))
     assert len(pairs) == 25
     assert pairs[0] == ("who wrote hamlet", "shakespeare")
+
+
+@pytest.mark.parametrize("field", ["question", "answer"])
+@pytest.mark.parametrize("value", [5, ["a"], None])
+def test_qa_field_that_is_not_a_string_is_malformed(tmp_path, field, value):
+    path = tmp_path / "qa.jsonl"
+    path.write_text(json.dumps({"question": "who wrote hamlet", "answer": "x", field: value}) + "\n")
+    with pytest.raises(MalformedLine) as info:
+        load_qa_pairs(str(path))
+    assert str(info.value) == f"{path}: malformed line 1: field {field!r} must be a string, got {json.dumps(value)}"

@@ -44,6 +44,11 @@ class TestDocuments:
         assert set(doc.subject_field) == {"paris", "france"}
         assert doc.origin == "passage:p1"
 
+    def test_tag_passage_lists_each_canonical_once(self):
+        d = EntityDictionary({"nyc": "new york", "new york": "new york", "paris": "paris"})
+        doc = tag_passage("p1", "NYC is not Paris, but New York is nyc", d, 0)
+        assert doc.subject_field == ("new york", "paris")
+
     def test_duplicate_doc_ids_rejected(self):
         a = splice_triple(Triple("a", "p", "b"), 0)
         b = splice_triple(Triple("c", "p", "d"), 0)
@@ -186,6 +191,9 @@ class TestPersistence:
         ('{"id": "p2", "text": ', "malformed line 2: Expecting value"),
         ('["p2", "text"]', "malformed line 2: expected a JSON object, got list"),
         ('{"id": "p2"}', "malformed line 2: missing key 'text'"),
+        ('{"id": "p2", "text": 5}', "malformed line 2: field 'text' must be a string, got 5"),
+        ('{"id": "p2", "text": ["a"]}', "malformed line 2: field 'text' must be a string, got [\"a\"]"),
+        ('{"id": "p2", "text": null}', "malformed line 2: field 'text' must be a string, got null"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "passages.jsonl"

@@ -8,8 +8,10 @@ import pytest
 from openqa.text import (
     CLS, PAD, SEP, UNK,
     EntityDictionary, TokenSequence, Vocabulary,
-    code_matrix, edit_distances, encode, levenshtein, normalize, tokenize,
+    code_matrix, dictionary_key, edit_distances, encode, levenshtein, normalize, tokenize,
 )
+
+from oracles import merge_entries
 
 
 class TestNormalize:
@@ -51,6 +53,24 @@ class TestTokenize:
         seq = tokenize("in new york today", d)
         assert seq.tokens == ("in", "new york", "today")
         assert tokenize("new new york", d).tokens == ("new", "new york")
+
+    def test_merge_equals_every_position_oracle(self):
+        names = ["new york", "new york city", "new jersey", "a b", "b c", "a", "c",
+                 "Paris, Texas", "texas", "york city", "city hall", "a b c"]
+        words = ["new", "New", "york", "city", "jersey", "a", "b", "c", "Paris,", "Texas", "hall", "x", "."]
+        fixed = ["a b c", "new new york", "New York City hall", "Paris, Texas.", "new jersey new york city"]
+        rng = random.Random(17)
+        for _ in range(300):
+            keys = rng.sample(names, rng.randint(1, len(names)))
+            d = EntityDictionary({dictionary_key(k): k for k in keys})
+            texts = fixed + [" ".join(rng.choice(words) for _ in range(rng.randint(0, 12))) for _ in range(5)]
+            for text in texts:
+                assert tokenize(text, d).tokens == merge_entries(text, d), (keys, text)
+
+    def test_first_tokens_mark_multi_token_keys(self):
+        d = EntityDictionary({"new york": "a", "new york city": "b", "paris texas": "c", "paris": "d"})
+        assert d.first_tokens == {"new", "paris"}
+        assert EntityDictionary({"paris": "d"}).first_tokens == frozenset()
 
 
 class TestLevenshtein:
