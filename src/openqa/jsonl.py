@@ -41,3 +41,11 @@ def text_field(obj: dict, key: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"field {key!r} must be a string, got {json.dumps(value)}")
     return value
+
+
+def text_list(obj: dict, key: str) -> list[str]:
+    """obj[key], which must be a JSON array of strings; anything else is a TypeError naming the field."""
+    value = obj[key]
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise TypeError(f"field {key!r} must be an array of strings, got {json.dumps(value)}")
+    return value

@@ -11,7 +11,7 @@ compared by cosine similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import nn
 from .answers import SOLVER_LD, AnswerCandidate
 from .errors import EmptyPattern, EmptyQuestion, EmptyRelation, MisalignedExample, NoNegatives
 from .hyper import Hyper
-from .jsonl import read_json_lines
+from .jsonl import read_json_lines, text_field, text_list
 from .kb import KnowledgeBase
 from .sp_solver import recognize_subjects
 from .text import EntityDictionary, Vocabulary, edit_distances, encode, normalize, tokenize
@@ -61,8 +61,8 @@ class RelationScore:
 # tagger
 # ---------------------------------------------------------------------------
 
-def init_tagger(vocab_size: int, hyper: Hyper) -> nn.ModelParameters:
-    params = nn.ModelParameters(hyper.seed, {"kind": "tagger", "d": hyper.d, "h": hyper.h, "vocab": vocab_size})
+def init_tagger(vocab_size: int, hyper: Hyper, draw: bool = True) -> nn.ModelParameters:
+    params = nn.ModelParameters(hyper.seed, {"kind": "tagger", "d": hyper.d, "h": hyper.h, "vocab": vocab_size}, draw)
     params.add("emb", (vocab_size, hyper.d))
     nn.init_bidirectional(params, "lstm.", "lstm", hyper.d, hyper.h)
     params.add("out_W", (len(TAGS), 2 * hyper.h))
@@ -162,8 +162,9 @@ def link_entity(mention: str, dictionary: EntityDictionary) -> list[EntityCandid
 # relation scorer
 # ---------------------------------------------------------------------------
 
-def init_relation_scorer(vocab_size: int, hyper: Hyper) -> nn.ModelParameters:
-    params = nn.ModelParameters(hyper.seed, {"kind": "relation_scorer", "d": hyper.d, "h": hyper.h, "vocab": vocab_size})
+def init_relation_scorer(vocab_size: int, hyper: Hyper, draw: bool = True) -> nn.ModelParameters:
+    params = nn.ModelParameters(hyper.seed, {"kind": "relation_scorer", "d": hyper.d, "h": hyper.h, "vocab": vocab_size},
+                                draw)
     params.add("emb", (vocab_size, hyper.d))
     params.add("cnn.F", (hyper.d, CONV_WIDTH, hyper.d))
     params.add("cnn.q", (hyper.d,), fan_in=hyper.d, fan_out=hyper.d)
@@ -231,17 +232,25 @@ def _score_backward(params: nn.ModelParameters, cache, d_combined: float) -> nn.
     return grads
 
 
-def score_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], relation: str) -> RelationScore:
-    score, _ = _score_with_cache(scorer, vocab, question_pattern, relation)
-    return score
+def encode_relations(scorer: nn.ModelParameters, vocab: Vocabulary, relations: Iterable[str]) -> dict[str, tuple]:
+    """relation -> its (CNN, BiGRU) vectors under the scorer's weights as they
+    are now, for every relation with tokens. The vectors depend only on the
+    weights, so a loaded scorer's table holds for every question; training
+    changes the weights and never uses one."""
+    return {rel: _encode_side(scorer, encode(vocab, tokens))[:2]
+            for rel in relations if (tokens := _relation_tokens(rel))}
 
 
-def _best_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], candidates: list[str]) -> tuple[float, str]:
-    """(best combined score, relation), scoring each of the (non-empty)
-    candidates once; ties go to the smallest relation string."""
-    scored = [(score_relation(scorer, vocab, question_pattern, rel).combined, rel) for rel in candidates]
-    best = max(s for s, _ in scored)
-    return best, min(rel for s, rel in scored if s == best)
+def score_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], relation: str,
+                   pattern_vectors: tuple | None = None, relation_vectors: tuple | None = None) -> RelationScore:
+    """How well `relation` fits the question pattern. `solve_ld` passes the
+    pattern's (CNN, BiGRU) vectors, encoded once per question, and the
+    relation's from `encode_relations`; without them both sides are encoded
+    here, to the same bits."""
+    if pattern_vectors is None or relation_vectors is None:
+        return _score_with_cache(scorer, vocab, question_pattern, relation)[0]
+    (p_cnn, p_gru), (r_cnn, r_gru) = pattern_vectors, relation_vectors
+    return RelationScore(relation, nn.cosine(p_cnn, r_cnn), nn.cosine(p_gru, r_gru))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +274,12 @@ def solve_ld(
     tagger: nn.ModelParameters,
     scorer: nn.ModelParameters,
     vocab: Vocabulary,
+    relation_table: dict[str, tuple] | None = None,
 ) -> list[AnswerCandidate]:
+    """The objects of the linked entity's best-scoring relation. `relation_table`
+    is `encode_relations` of every KB predicate under `scorer` (`System` keeps
+    one); without it the entity's relations are encoded here. The question
+    pattern is encoded once, and `score_relation` is called once per relation."""
     tokens = tokenize(question)
     if len(tokens) == 0:
         return []
@@ -282,13 +296,19 @@ def solve_ld(
         return []
     entity_cand = linked[0]
 
-    relations = [r for r in kb.predicates_of(entity_cand.entity) if _relation_tokens(r)]
+    predicates = kb.predicates_of(entity_cand.entity)
+    table = relation_table if relation_table is not None else encode_relations(scorer, vocab, predicates)
+    relations = [r for r in predicates if r in table]  # a relation without tokens is not scored
     if not relations:
         return []
 
     # the pattern keeps at least the placeholder, so it is never empty
     pattern = _pattern_tokens(list(tokens.tokens), entity_cand.mention)
-    combined, relation = _best_relation(scorer, vocab, pattern, relations)
+    pattern_vectors = _encode_side(scorer, encode(vocab, pattern))[:2]
+    scored = [(score_relation(scorer, vocab, pattern, rel, pattern_vectors, table[rel]).combined, rel)
+              for rel in relations]
+    combined = max(s for s, _ in scored)
+    relation = min(rel for s, rel in scored if s == combined)  # ties go to the smallest relation string
 
     objects = kb.by_subject_predicate.get((entity_cand.entity, relation), [])
     confidence = (1.0 / (1.0 + entity_cand.distance)) * (combined + 1.0) / 2.0
@@ -302,12 +322,13 @@ def solve_ld(
 
 def load_tagger_data(path: str) -> list[tuple[str, list[str]]]:
     """JSON Lines: {"question": str, "tags": ["O","B",...]}."""
-    return read_json_lines(path, lambda obj: (obj["question"], list(obj["tags"])))
+    return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_list(obj, "tags")))
 
 
 def load_scorer_data(path: str) -> list[tuple[list[str], str, list[str]]]:
     """JSON Lines: {"pattern": [str], "gold": str, "negatives": [str]}."""
-    return read_json_lines(path, lambda obj: (list(obj["pattern"]), obj["gold"], list(obj["negatives"])))
+    return read_json_lines(path, lambda obj: (text_list(obj, "pattern"), text_field(obj, "gold"),
+                                              text_list(obj, "negatives")))
 
 
 def train_tagger(dataset: list[tuple[str, list[str]]], hyper: Hyper, vocab: Vocabulary) -> nn.ModelParameters:

@@ -61,10 +61,12 @@ def linear_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 def embedding_lookup(table: np.ndarray, ids: list[int]) -> np.ndarray:
-    for i in ids:
-        if i < 0 or i >= table.shape[0]:
-            raise IndexOutOfRange(f"id {i} outside vocab of {table.shape[0]}")
-    return table[np.asarray(ids, dtype=np.intp)]
+    """The rows of `table` for ids; the first id outside it is IndexOutOfRange."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        bad = ids[(ids < 0) | (ids >= table.shape[0])][0]
+        raise IndexOutOfRange(f"id {bad} outside vocab of {table.shape[0]}")
+    return table[ids]
 
 
 def embedding_backward(grad_out: np.ndarray, ids: list[int], vocab_size: int) -> np.ndarray:
@@ -167,35 +169,67 @@ def _times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x.reshape(len(x), -1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[2:])
 
 
+def _halved(kind: str, M: np.ndarray) -> np.ndarray:
+    """A copy of the stacked M ([D, G] or [D, G, k]) with the rows of its sigmoid
+    gates (all but the last gate) halved: the forward computes each sigmoid as
+    1/2 tanh(v/2) + 1/2, and halving by a power of two is exact, so a matmul or
+    sum over halved rows is the halved pre-activation to the bit."""
+    gates = len(GATES[kind])
+    M = M.copy()
+    M[:, :M.shape[1] // gates * (gates - 1)] *= 0.5
+    return M
+
+
 def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np.ndarray, dict]:
     """D directions at once: direction k runs over the time-major x[k] ([D, L, B, d])
     with the k-th of each stacked weight, from states h, c [D, B, h] (default 0).
     Returns states [D, L, B, h]. Only the states are kept; `_cell_backward`
-    recomputes the gates from them."""
+    recomputes the gates from them. Each step takes one tanh per gate block,
+    the sigmoid gates' rows pre-halved (see `_halved`), and writes its states
+    in place."""
     W, U, b = weights
     (D, L, B, d), n = x.shape, U.shape[2]
     if h is None:
         h = c = np.zeros((D, B, n))
     if (W.shape[0], W.shape[2]) != (D, d) or h.shape != (D, B, n):
         raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
-    a = _project(x, W, b)
+    a = _project(x, _halved(kind, W), _halved(kind, b))
+    U = _halved(kind, U)
     hs, cs = np.empty((D, L + 1, B, n)), None  # hs[:, t], cs[:, t]: step t's incoming states
     hs[:, 0] = h
     if kind == "gru":
         U_zr, U_h = U[:, :2 * n].swapaxes(1, 2), U[:, 2 * n:].swapaxes(1, 2)
         for t in range(L):
-            zr = sigmoid(a[:, t, :, :2 * n] + h @ U_zr)
-            g = np.tanh(a[:, t, :, 2 * n:] + (zr[..., n:] * h) @ U_h)
-            h = hs[:, t + 1] = g + zr[..., :n] * (h - g)
+            zr = h @ U_zr
+            zr += a[:, t, :, :2 * n]
+            np.tanh(zr, out=zr)
+            zr *= 0.5
+            zr += 0.5
+            g = (zr[..., n:] * h) @ U_h
+            g += a[:, t, :, 2 * n:]
+            np.tanh(g, out=g)
+            h_new = hs[:, t + 1]
+            np.subtract(h, g, out=h_new)
+            h_new *= zr[..., :n]
+            h_new += g
+            h = h_new
     else:
         cs = np.empty_like(hs)
         cs[:, 0] = c
         U_t = U.swapaxes(1, 2)
         for t in range(L):
-            pre = a[:, t] + h @ U_t
-            ifo, g = sigmoid(pre[..., :3 * n]), np.tanh(pre[..., 3 * n:])
-            c = cs[:, t + 1] = ifo[..., n:2 * n] * c + ifo[..., :n] * g
-            h = hs[:, t + 1] = ifo[..., 2 * n:] * np.tanh(c)
+            gates = h @ U_t
+            gates += a[:, t]
+            np.tanh(gates, out=gates)
+            ifo = gates[..., :3 * n]
+            ifo *= 0.5
+            ifo += 0.5
+            c_new, h = cs[:, t + 1], hs[:, t + 1]
+            np.multiply(ifo[..., n:2 * n], c, out=c_new)
+            c_new += ifo[..., :n] * gates[..., 3 * n:]
+            np.tanh(c_new, out=h)
+            h *= ifo[..., 2 * n:]
+            c = c_new
     return hs[:, 1:], {"kind": kind, "x": x, "h": hs, "c": cs}
 
 

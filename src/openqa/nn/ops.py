@@ -57,7 +57,6 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, grad: float) -> tuple[np.ndarr
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic: exp only ever sees -|x|."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """The logistic as 1/2 tanh(x/2) + 1/2: one overflow-free ufunc, and the
+    identity the recurrent cells compute their gates with."""
+    return 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 0.5

@@ -26,14 +26,23 @@ META = "__meta__"  # the archive entry that holds rng_seed and arch as a JSON st
 class ModelParameters:
     """Ordered name -> float64 array map plus the seed it was built from."""
 
-    def __init__(self, rng_seed: int = 0, arch: dict | None = None):
+    def __init__(self, rng_seed: int = 0, arch: dict | None = None, draw: bool = True):
+        """With draw=False nothing is drawn and every parameter stays zero: an
+        init function then gives a model's names, shapes and arch for the cost
+        of its zero arrays."""
         self.entries: dict[str, np.ndarray] = {}
         self.rng_seed = int(rng_seed)
         self.arch: dict = dict(arch or {})
-        self._rng = np.random.default_rng(self.rng_seed)
+        self._draw = draw
+        self._rng = None  # made on the first draw, so loading a model never imports numpy.random
 
     def glorot(self, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
-        """The next Glorot-uniform draw from the recorded seed, not stored."""
+        """The next Glorot-uniform draw from the recorded seed, not stored
+        (0.0 if this collection does not draw)."""
+        if not self._draw:
+            return 0.0
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.rng_seed)
         if fan_in is None or fan_out is None:
             if len(shape) >= 2:
                 fan_out, fan_in = shape[0], int(np.prod(shape[1:]))
@@ -45,7 +54,8 @@ class ModelParameters:
     def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
         """Glorot-uniform initialized parameter drawn from the recorded seed."""
         arr = self.add_zeros(name, shape)
-        arr[...] = self.glorot(shape, fan_in, fan_out)
+        if self._draw:
+            arr[...] = self.glorot(shape, fan_in, fan_out)
         return arr
 
     def add_zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import ConfigError, EmptyDataset, EmptyQuestion, ShapeMismatch
 from .hyper import Hyper, require_int, require_positive
 from .jsonl import read_json_lines, text_field
 from .kb import KnowledgeBase, build_entity_dictionary, load_triples
-from .ld_solver import init_relation_scorer, init_tagger, solve_ld
+from .ld_solver import encode_relations, init_relation_scorer, init_tagger, solve_ld
 from .reader import ReaderModel, init_reader, read
 from .retrieval import InvertedIndex, build_index, load_passages, search, splice_triple, tag_passage
 from .selector import SelectorModel, init_selector, select
@@ -161,15 +161,20 @@ class System:
 
         self.tagger = self._load_model("tagger_model")
         self.scorer = self._load_model("scorer_model")
+        self.relation_table = None  # every KB predicate's relation vectors, encoded once for the loaded scorer
+        if self.scorer is not None:
+            predicates = dict.fromkeys(t.predicate for t in self.kb.triples)
+            self.relation_table = encode_relations(self.scorer, self.vocab, predicates)
         reader, selector = self._load_model("reader_model"), self._load_model("selector_model")
         self.reader = ReaderModel(reader, self.vocab) if reader is not None else None
         self.selector = SelectorModel(selector, self.vocab) if selector is not None else None
 
     def _load_model(self, name: str) -> Optional[nn.ModelParameters]:
         """The configured model `name`, checked against its slot, the vocabulary
-        and the arch keys, parameter names and shapes of a model of its kind
-        built from its `arch`: a mismatch would otherwise turn into no answer,
-        or into an error on every question."""
+        and the arch keys, parameter names and shapes that its kind's init
+        function gives its `arch` (worked out without drawing weights): a
+        mismatch would otherwise turn into no answer, or into an error on
+        every question."""
         path = getattr(self.config, name)
         if path is None:
             return None
@@ -184,8 +189,9 @@ class System:
         if vocab != self.vocab.size:
             raise ConfigError(f"{name} {path}: built for a vocabulary of {vocab} words, "
                               f"but {self.config.vocab_path} has {self.vocab.size}")
-        try:  # a model of the recorded arch: its arch keys and shapes are the ones to have
-            reference = init(vocab, Hyper(**{key: arch[key] for key in ("d", "h", "heads", "layers") if key in arch}))
+        try:  # a zero model of the recorded arch: its arch keys and shapes are the ones to have
+            hyper = Hyper(**{key: arch[key] for key in ("d", "h", "heads", "layers") if key in arch})
+            reference = init(vocab, hyper, draw=False)
         except (ValueError, TypeError, ConfigError, ShapeMismatch) as exc:
             raise ConfigError(f"{name} {path}: invalid arch: {exc}") from exc
         lacking = sorted(reference.arch.keys() - arch.keys())
@@ -207,7 +213,7 @@ class System:
     def run_ld(self, question: str) -> list[AnswerCandidate]:
         if self.tagger is None or self.scorer is None:
             return []
-        return solve_ld(question, self.kb, self.dictionary, self.tagger, self.scorer, self.vocab)
+        return solve_ld(question, self.kb, self.dictionary, self.tagger, self.scorer, self.vocab, self.relation_table)
 
     def run_rr(self, question: str) -> list[AnswerCandidate]:
         if self.reader is None:
@@ -259,6 +265,8 @@ def ask(system: System, question: str) -> AskResponse:
         return AskResponse(None, 0.0, "none", candidates, timings)
 
     if system.selector is not None:
+        if len(tops) == 1:  # the softmax of one score is exactly 1.0: no transformer run
+            return AskResponse(tops[0].answer, 1.0, "selector", candidates, timings)
         result = select(system.selector, question, tops)
         return AskResponse(result.answer.answer, result.probabilities[result.chosen],
                            "selector", candidates, timings)

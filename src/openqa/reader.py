@@ -8,6 +8,7 @@ argmax over every passage's best span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from . import nn
 from .answers import SOLVER_RR, AnswerCandidate
 from .errors import SpanOutOfRange
 from .hyper import Hyper
-from .jsonl import read_json_lines
+from .jsonl import read_json_lines, text_field
 from .retrieval import KIND_PASSAGE, RetrievalResult
 from .text import Vocabulary, encode, tokenize
 
@@ -38,8 +39,8 @@ class ReaderModel:
     vocab: Vocabulary
 
 
-def init_reader(vocab_size: int, hyper: Hyper) -> nn.ModelParameters:
-    params = nn.ModelParameters(hyper.seed, {"kind": "reader", "d": hyper.d, "h": hyper.h, "vocab": vocab_size})
+def init_reader(vocab_size: int, hyper: Hyper, draw: bool = True) -> nn.ModelParameters:
+    params = nn.ModelParameters(hyper.seed, {"kind": "reader", "d": hyper.d, "h": hyper.h, "vocab": vocab_size}, draw)
     params.add("emb", (vocab_size, hyper.d))
     nn.init_bidirectional(params, "q.", "gru", hyper.d, hyper.h)
     params.add("q_pool", (2 * hyper.h,), fan_in=2 * hyper.h, fan_out=2 * hyper.h)
@@ -126,25 +127,33 @@ def enumerate_spans(
     return spans
 
 
-def best_span(
+def best_spans(
     start_logits: np.ndarray,
     end_logits: np.ndarray,
     max_span_len: int,
-    doc_id: int,
-    tokens: list[str],
-) -> SpanPrediction:
-    """`enumerate_spans(...)[0]` without enumerating: a banded argmax.
+    passages: list[tuple[int, Sequence[str]]],
+) -> list[SpanPrediction]:
+    """`enumerate_spans(...)[0]` for every row of a padded batch, without
+    enumerating: one banded argmax over the [P, L] logits.
 
-    Row i, column w of the band holds start[i] + end[i + w] for
-    w < max_span_len, and -inf past the passage end. The row-major argmax
-    takes the first maximum, that is the smallest start and then the
-    smallest end, which is `enumerate_spans`' tie-break.
+    Row p holds passage p, (doc_id, tokens); its logits past len(tokens)
+    are finite padding. Row p, position i, column w of the band holds
+    start[p, i] + end[p, i + w] for w < max_span_len, and -inf where the
+    end lies past the passage, as it does for every start past it. Each
+    row's row-major argmax takes the first maximum, that is the smallest
+    start and then the smallest end, which is `enumerate_spans`' tie-break.
     """
-    n = len(tokens)
-    padded_end = np.concatenate([end_logits, np.full(max_span_len - 1, -np.inf)])
-    band = start_logits[:, None] + np.lib.stride_tricks.sliding_window_view(padded_end, max_span_len)[:n]
-    i, w = divmod(int(np.argmax(band)), max_span_len)
-    return SpanPrediction(doc_id, i, i + w, float(band[i, w]), " ".join(tokens[i : i + w + 1]))
+    P, L = start_logits.shape
+    past = np.arange(L) >= np.array([len(tokens) for _, tokens in passages])[:, None]
+    end = np.concatenate([np.where(past, -np.inf, end_logits), np.full((P, max_span_len - 1), -np.inf)], axis=1)
+    band = start_logits[:, :, None] + np.lib.stride_tricks.sliding_window_view(end, max_span_len, axis=1)
+    band = band.reshape(P, -1)
+    best = band.argmax(axis=1)
+    spans = []
+    for (doc_id, tokens), k, score in zip(passages, best.tolist(), band[np.arange(P), best].tolist()):
+        i, w = divmod(k, max_span_len)
+        spans.append(SpanPrediction(doc_id, i, i + w, score, " ".join(tokens[i : i + w + 1])))
+    return spans
 
 
 def read(
@@ -154,24 +163,27 @@ def read(
 ) -> list[AnswerCandidate]:
     """Best span per passage; confidences are a softmax over raw scores.
 
-    The question is encoded once and shared by every passage; the
-    passages are encoded together, as one padded batch."""
+    The question is encoded once and shared by every passage. The passages'
+    embeddings come from one lookup, the passages are encoded together as
+    one padded batch, and one banded argmax over the batch's logits takes
+    every passage's best span (`best_spans`)."""
     docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:TOP_K_PASSAGES]
-    passages = [(doc.doc_id, list(tokenize(doc.value_field).tokens)) for doc in docs]
+    passages = [(doc.doc_id, tokenize(doc.value_field).tokens) for doc in docs]
     passages = [(doc_id, tokens) for doc_id, tokens in passages if tokens]
     if not passages:
         return []
-    v_s, v_e = _encode_question(model.params, encode(model.vocab, _question_tokens(question)))[:2]
-    embedded = [nn.embedding_lookup(model.params["emb"], encode(model.vocab, tokens)) for _, tokens in passages]
+    params = model.params
+    v_s, v_e = _encode_question(params, encode(model.vocab, _question_tokens(question)))[:2]
+    embedded = nn.embedding_lookup(params["emb"], encode(model.vocab, [t for _, tokens in passages for t in tokens]))
+    offsets = np.cumsum([len(tokens) for _, tokens in passages[:-1]], dtype=np.intp)
     # [0]: the batch's encoder cache is dropped at once
-    p_states = nn.bidirectional_encode_batch("gru", model.params, "p.", embedded)[0]
-    best_spans = [best_span(start[:len(tokens)], end[:len(tokens)], MAX_SPAN_LEN, doc_id, tokens)
-                  for (doc_id, tokens), start, end in zip(passages, p_states @ v_s, p_states @ v_e)]
-    confidences = nn.softmax(np.array([s.raw_score for s in best_spans]))
+    p_states = nn.bidirectional_encode_batch("gru", params, "p.", np.split(embedded, offsets))[0]
+    spans = best_spans(p_states @ v_s, p_states @ v_e, MAX_SPAN_LEN, passages)
+    confidences = nn.softmax(np.array([s.raw_score for s in spans]))
     candidates = [
         AnswerCandidate(span.text, float(conf), SOLVER_RR,
                         provenance=f"doc={span.passage_doc_id} span=({span.start},{span.end})")
-        for span, conf in zip(best_spans, confidences)
+        for span, conf in zip(spans, confidences)
     ]
     candidates.sort(key=lambda c: (-c.confidence, c.provenance))
     return candidates
@@ -179,7 +191,7 @@ def read(
 
 def load_reader_data(path: str) -> list[tuple[str, str, int, int]]:
     """JSON Lines: question, passage, answer_start_token, answer_end_token."""
-    return read_json_lines(path, lambda obj: (obj["question"], obj["passage"],
+    return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_field(obj, "passage"),
                                               int(obj["answer_start_token"]), int(obj["answer_end_token"])))
 
 

@@ -15,7 +15,7 @@ from . import nn
 from .answers import AnswerCandidate
 from .errors import EmptyInput, GoldOutOfRange, NoCandidates, SequenceTooLong
 from .hyper import Hyper
-from .jsonl import read_json_lines
+from .jsonl import read_json_lines, text_field, text_list
 from .text import CLS, SEP, Vocabulary, encode, tokenize
 
 MAX_LEN = 64
@@ -42,11 +42,11 @@ class SelectionResult:
     answer: AnswerCandidate
 
 
-def init_selector(vocab_size: int, hyper: Hyper) -> nn.ModelParameters:
+def init_selector(vocab_size: int, hyper: Hyper, draw: bool = True) -> nn.ModelParameters:
     params = nn.ModelParameters(hyper.seed, {
         "kind": "selector", "d": hyper.d, "heads": hyper.heads,
         "layers": hyper.layers, "vocab": vocab_size,
-    })
+    }, draw)
     params.add("emb", (vocab_size, hyper.d))
     params.add("pos", (MAX_LEN, hyper.d))
     for layer in range(hyper.layers):
@@ -127,7 +127,8 @@ def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate
 
 def load_selector_data(path: str) -> list[tuple[str, list[str], int]]:
     """JSON Lines: {"question": str, "candidates": [str], "gold": int}."""
-    return read_json_lines(path, lambda obj: (obj["question"], list(obj["candidates"]), int(obj["gold"])))
+    return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_list(obj, "candidates"),
+                                              int(obj["gold"])))
 
 
 def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, vocab: Vocabulary) -> SelectorModel:

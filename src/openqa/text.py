@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -179,5 +180,5 @@ class Vocabulary:
 
 def encode(vocab: Vocabulary, tokens: list[str] | tuple[str, ...]) -> list[int]:
     """Map tokens to ids; out-of-vocabulary tokens become UNK."""
-    return [vocab.id_of(t) for t in tokens]
+    return list(map(vocab._token_to_id.get, tokens, repeat(UNK)))
 

@@ -215,6 +215,19 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: malformed line ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("model,row", [
+        ("reader", {"question": 5, "passage": "the sky is blue", "answer_start_token": 3, "answer_end_token": 3}),
+        ("tagger", {"question": "who wrote hamlet", "tags": "OOB"}),
+        ("scorer", {"pattern": "who wrote", "gold": "author", "negatives": ["capital"]}),
+        ("selector", {"question": "who wrote hamlet", "candidates": [1, 2], "gold": 0}),
+    ])
+    def test_training_field_of_the_wrong_type_is_one_error_line(self, toy, tmp_path, capsys, model, row):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        assert main(["--config", toy["config"], "train", model, "--out", str(tmp_path / "m.npz"), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed line 1: field ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["load-kb", "eval"])
     def test_missing_file_is_one_error_line(self, toy, tmp_path, capsys, command):
         missing = str(tmp_path / "missing.tsv")

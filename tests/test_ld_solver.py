@@ -1,5 +1,6 @@
 """Neural KBQA solver: BIO tagging, entity linking, relation detection."""
 
+import json
 import os
 import random
 
@@ -8,12 +9,12 @@ import pytest
 
 from openqa import ld_solver, nn
 from openqa.hyper import Hyper
-from openqa.errors import EmptyRelation
+from openqa.errors import EmptyRelation, MalformedLine
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
 from openqa.ld_solver import (
     HINGE_MARGIN, MAX_LINK_DISTANCE, PLACEHOLDER, TAGS,
     EntityCandidate, RelationScore, TagSequence,
-    extract_mention, init_relation_scorer, init_tagger,
+    encode_relations, extract_mention, init_relation_scorer, init_tagger,
     link_entity, load_scorer_data, load_tagger_data,
     repair_bio, score_relation, solve_ld, tag_entities,
 )
@@ -199,3 +200,53 @@ class TestData:
         for pattern, gold, negatives in data:
             assert PLACEHOLDER in pattern
             assert gold not in negatives
+
+    @pytest.mark.parametrize("loader,row,field,value", [
+        (load_tagger_data, {"question": "who wrote hamlet", "tags": ["O", "O", "B"]}, "question", 5),
+        (load_tagger_data, {"question": "who wrote hamlet", "tags": ["O", "O", "B"]}, "tags", "OOB"),
+        (load_tagger_data, {"question": "who wrote hamlet", "tags": ["O", "O", "B"]}, "tags", ["O", 1, "B"]),
+        (load_scorer_data, {"pattern": ["who", "wrote", PLACEHOLDER], "gold": "author", "negatives": ["capital"]},
+         "pattern", "who wrote"),
+        (load_scorer_data, {"pattern": ["who", "wrote", PLACEHOLDER], "gold": "author", "negatives": ["capital"]},
+         "gold", ["author"]),
+        (load_scorer_data, {"pattern": ["who", "wrote", PLACEHOLDER], "gold": "author", "negatives": ["capital"]},
+         "negatives", None),
+    ])
+    def test_field_of_the_wrong_type_is_malformed(self, tmp_path, loader, row, field, value):
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+        with pytest.raises(MalformedLine) as info:
+            loader(str(path))
+        kind = "an array of strings" if isinstance(row[field], list) else "a string"
+        assert str(info.value) == f"{path}: malformed line 2: field {field!r} must be {kind}, got {json.dumps(value)}"
+
+
+class TestRelationTable:
+    def test_table_scores_equal_scoring_from_scratch(self, vocab):
+        """Scores from the pattern's vectors and `encode_relations`' table are
+        `_score_with_cache`'s combined scores to the bit, on seeded random
+        scorers, patterns and relations (some without tokens, some out of
+        vocabulary)."""
+        rng = random.Random(31)
+        words = [vocab.token_of(i) for i in range(4, vocab.size)] + ["zorp", "blix"]
+        for seed in range(4):
+            scorer = init_relation_scorer(vocab.size, Hyper(d=8, h=6, seed=seed))
+            relations = ["_".join(rng.sample(words, rng.randint(1, 3))) for _ in range(8)] + ["_", "author"]
+            table = encode_relations(scorer, vocab, relations)
+            assert set(table) == set(relations) - {"_"}
+            for _ in range(5):
+                pattern = rng.sample(words, rng.randint(0, 4)) + [PLACEHOLDER]
+                rng.shuffle(pattern)
+                p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
+                for rel in table:
+                    want = ld_solver._score_with_cache(scorer, vocab, pattern, rel)[0]
+                    got = score_relation(scorer, vocab, pattern, rel, p_vectors, table[rel])
+                    assert got == want and got.combined == want.combined
+
+    def test_solve_with_table_equals_solve_without(self, world, vocab):
+        kb, d, tagger, scorer = world
+        table = encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
+        for question in ("who wrote hamlet", "who wrote hamlit", "what is the capital of france",
+                         "where was shakespeare born", "who wrote ulysses"):
+            assert solve_ld(question, kb, d, tagger, scorer, vocab, table) == \
+                solve_ld(question, kb, d, tagger, scorer, vocab)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from openqa import nn
-from openqa.errors import EvenWidth
+from openqa.errors import EvenWidth, IndexOutOfRange
 from openqa.hyper import Hyper
 from openqa.nn import layers
 
@@ -64,11 +64,16 @@ class TestOps:
             out[~pos] = ex / (1.0 + ex)
             return out
 
+        # sigmoid is 1/2 tanh(x/2) + 1/2, which rounds differently from the exp
+        # formula: they agree to one ulp of 1, and neither gives NaN at the edges
         rng = np.random.default_rng(3)
         edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])
         for sd in (1.0, 30.0, 800.0):
             x = np.concatenate([rng.normal(scale=sd, size=10_000), edges])
-            assert np.array_equal(nn.sigmoid(x), masked(x))
+            got = nn.sigmoid(x)
+            assert np.abs(got - masked(x)).max() <= 2.0 ** -52
+            assert not np.isnan(got).any()
+        assert np.array_equal(nn.sigmoid(edges), [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 
 
 class TestLayers:
@@ -76,6 +81,14 @@ class TestLayers:
         W, b, x = np.array([[1.0, 2.0]]), np.array([0.5]), np.array([[3.0, 4.0]])
         y, _ = nn.linear_forward(W, b, x)
         assert np.allclose(y, [[11.5]])
+
+    def test_embedding_lookup_names_the_first_id_outside_the_table(self):
+        table = RNG.normal(size=(5, 3))
+        assert np.array_equal(nn.embedding_lookup(table, [4, 0, 4]), table[[4, 0, 4]])
+        assert nn.embedding_lookup(table, []).shape == (0, 3)
+        for ids, bad in (([1, 5, -1], 5), ([2, -1, 7], -1)):
+            with pytest.raises(IndexOutOfRange, match=f"^id {bad} outside vocab of 5$"):
+                nn.embedding_lookup(table, ids)
 
     def test_embedding_backward_accumulates_repeats(self):
         grad = np.ones((3, 4))
@@ -368,6 +381,48 @@ def test_fused_directions_equal_one_direction_cells(kind, batch):
             assert np.array_equal(states[b, :n, :4], fwd[:n, b])
             assert np.array_equal(states[b, :n, 4:], bwd[:n, b][::-1])
             assert not states[b, n:].any()
+
+
+def _unhalved_forward(kind, weights, x):
+    """The stacked cell's time loop with every gate through nn.sigmoid of its
+    whole pre-activation: the forward before its sigmoid rows were halved."""
+    W, U, b = weights
+    (D, L, B, _), n = x.shape, U.shape[2]
+    a = layers._project(x, W, b)
+    h = c = np.zeros((D, B, n))
+    states = np.empty((D, L, B, n))
+    for t in range(L):
+        if kind == "gru":
+            zr = nn.sigmoid(a[:, t, :, :2 * n] + h @ U[:, :2 * n].swapaxes(1, 2))
+            g = np.tanh(a[:, t, :, 2 * n:] + (zr[..., n:] * h) @ U[:, 2 * n:].swapaxes(1, 2))
+            h = states[:, t] = g + zr[..., :n] * (h - g)
+        else:
+            pre = a[:, t] + h @ U.swapaxes(1, 2)
+            ifo, g = nn.sigmoid(pre[..., :3 * n]), np.tanh(pre[..., 3 * n:])
+            c = ifo[..., n:2 * n] * c + ifo[..., :n] * g
+            h = states[:, t] = ifo[..., 2 * n:] * np.tanh(c)
+    return states
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_halved_gate_rows_equal_sigmoid_bit_for_bit(kind):
+    """The forward halves its sigmoid gates' rows of W, U and b and takes
+    1/2 tanh + 1/2; halving is exact, so its gates, and with them its states,
+    equal nn.sigmoid of the whole pre-activation to the bit."""
+    rng = np.random.default_rng(50)
+    p = nn.ModelParameters(rng_seed=51)
+    nn.init_bidirectional(p, "b.", kind, d=5, h=4)
+    _random_biases(p, rng)
+    weights = tuple(p[f"b.{m}"] for m in "WUb")
+    for scale in (0.5, 3.0, 40.0):  # 40: saturated gates
+        x = rng.normal(scale=scale, size=(2, 9, 6, 5))
+        a = layers._project(x, *weights[::2])
+        halved = layers._project(x, layers._halved(kind, weights[0]), layers._halved(kind, weights[2]))
+        sig = (len(layers.GATES[kind]) - 1) * 4
+        assert np.array_equal(halved[..., :sig], 0.5 * a[..., :sig])
+        assert np.array_equal(halved[..., sig:], a[..., sig:])
+        states, _ = layers._cell_forward(kind, weights, x)
+        assert np.array_equal(states, _unhalved_forward(kind, weights, x))
 
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])

@@ -4,11 +4,14 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+from openqa import pipeline
 from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion, MalformedLine
 from openqa.hyper import Hyper
 from openqa.pipeline import (
@@ -16,6 +19,7 @@ from openqa.pipeline import (
     make_selector_data, run_solvers, split_dataset,
 )
 from openqa.reader import init_reader
+from openqa.selector import select
 from openqa.text import normalize
 
 
@@ -78,6 +82,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"reader_model {tagger}: a 'tagger' model, expected 'reader'")):
             System(SystemConfig.load(config_path))
 
+    def test_build_draws_no_weights(self, toy):
+        """Loading checks each model's shapes against a zero model of its arch,
+        so building a System never imports numpy.random (fresh process)."""
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        code = ("import sys; from openqa.pipeline import System, SystemConfig; "
+                f"System(SystemConfig.load({toy['config']!r})); print('numpy.random' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_model_for_another_vocabulary_fails_at_load(self, toy, tmp_path):
         reader = str(tmp_path / "reader.json")
         init_reader(toy["system"].vocab.size + 5, Hyper(d=4, h=4)).save(reader)
@@ -123,6 +138,27 @@ class TestAsk:
         response = ask(toy["system_three"], "who wrote hamlet")
         assert response.answer == "shakespeare"
         assert response.solver in ("sp", "ld", "rr")
+
+    @pytest.mark.parametrize("question,only", [("who wrote hamlet", "sp"), ("who wrote hamlet", "ld"),
+                                               ("what color is the sky", "rr")])
+    def test_lone_top_is_selected_without_the_transformer(self, toy, monkeypatch, question, only):
+        """With one solver's top, `ask` gives what `select` gives on that top,
+        without running it; with two or more tops, it runs `select` once."""
+        system = toy["system"]
+        for tag in {"sp", "ld", "rr"} - {only}:
+            monkeypatch.setattr(system, f"run_{tag}", lambda q: [])
+        calls = []
+        monkeypatch.setattr(pipeline, "select", lambda *args: calls.append(args) or select(*args))
+        response = ask(system, question)
+        top = getattr(System, f"run_{only}")(system, question)[0]
+        want = select(system.selector, question, [top])
+        assert calls == []
+        assert (response.answer, response.confidence, response.solver) == \
+            (want.answer.answer, want.probabilities[want.chosen], "selector") == (top.answer, 1.0, "selector")
+        monkeypatch.undo()
+        monkeypatch.setattr(pipeline, "select", lambda *args: calls.append(args) or select(*args))
+        ask(system, "who wrote hamlet")
+        assert len(calls) == 1 and len(calls[0][2]) == 2
 
 
 class TestSolverDegradation:

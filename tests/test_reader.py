@@ -1,5 +1,6 @@
 """Extractive span reader with unnormalized cross-passage comparison."""
 
+import json
 import os
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 from openqa import nn
 from openqa.answers import SOLVER_RR, AnswerCandidate
+from openqa.errors import MalformedLine
 from openqa.hyper import Hyper
 from openqa.kb import Triple
 from openqa.reader import (
     MAX_SPAN_LEN, TOP_K_PASSAGES,
-    ReaderModel, best_span, enumerate_spans, init_reader, load_reader_data, read,
+    ReaderModel, best_spans, enumerate_spans, init_reader, load_reader_data, read,
 )
 from openqa.retrieval import (
     IndexedDocument, KIND_PASSAGE, RetrievalResult, splice_triple,
@@ -64,23 +66,31 @@ class TestEnumerateSpans:
 
 class TestBestSpan:
     def test_equals_first_enumerated_span(self):
-        """Banded argmax against enumerate_spans(...)[0]: integer-valued logits
-        force ties, and lengths run below and above max_span_len."""
+        """One banded argmax over a ragged, padded batch against
+        enumerate_spans(...)[0] per passage: batches hold 1-token passages,
+        integer-valued logits force ties, lengths run below and above
+        max_span_len, and the padding holds values that would win."""
         rng = np.random.default_rng(7)
         for _ in range(300):
-            n = int(rng.integers(1, 25))
+            lengths = [int(n) for n in rng.integers(1, 25, size=int(rng.integers(1, 7)))]
+            if rng.random() < 0.3:
+                lengths[int(rng.integers(len(lengths)))] = 1
             max_span_len = int(rng.integers(1, 18))
-            tokens = [f"t{i}" for i in range(n)]
+            P, L = len(lengths), max(lengths)
             if rng.random() < 0.5:
-                start, end = rng.integers(-2, 3, n).astype(float), rng.integers(-2, 3, n).astype(float)
+                start, end = rng.integers(-2, 3, (P, L)).astype(float), rng.integers(-2, 3, (P, L)).astype(float)
             else:
-                start, end = rng.normal(size=n), rng.normal(size=n)
-            want = enumerate_spans(start, end, max_span_len, 3, tokens)[0]
-            assert best_span(start, end, max_span_len, 3, tokens) == want
+                start, end = rng.normal(size=(P, L)), rng.normal(size=(P, L))
+            passages = [(10 + p, tuple(f"t{p}.{i}" for i in range(n))) for p, n in enumerate(lengths)]
+            for p, n in enumerate(lengths):
+                start[p, n:], end[p, n:] = 9.0, 9.0
+            want = [enumerate_spans(start[p, :n], end[p, :n], max_span_len, doc_id, list(tokens))[0]
+                    for p, ((doc_id, tokens), n) in enumerate(zip(passages, lengths))]
+            assert best_spans(start, end, max_span_len, passages) == want
 
     def test_tie_prefers_earliest_start_then_end(self):
-        tokens = ["a", "b", "c"]
-        span = best_span(np.zeros(3), np.zeros(3), 15, 0, tokens)
+        tokens = ("a", "b", "c")
+        [span] = best_spans(np.zeros((1, 3)), np.zeros((1, 3)), 15, [(0, tokens)])
         assert (span.start, span.end, span.text) == (0, 0, "a")
 
 
@@ -145,6 +155,17 @@ class TestRead:
 
     def test_empty_results(self, reader):
         assert read(reader, "anything", []) == []
+
+
+@pytest.mark.parametrize("field,value", [("question", 5), ("passage", ["a"]), ("passage", None)])
+def test_reader_data_field_that_is_not_a_string_is_malformed(tmp_path, field, value):
+    path = tmp_path / "reader.jsonl"
+    row = {"question": "what color is the sky", "passage": "the sky is blue",
+           "answer_start_token": 3, "answer_end_token": 3, field: value}
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(MalformedLine) as info:
+        load_reader_data(str(path))
+    assert str(info.value) == f"{path}: malformed line 1: field {field!r} must be a string, got {json.dumps(value)}"
 
 
 class TestLogits:

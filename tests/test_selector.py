@@ -1,5 +1,6 @@
 """Transformer answer selector."""
 
+import json
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from openqa import nn
 from openqa.answers import AnswerCandidate
-from openqa.errors import NoCandidates
+from openqa.errors import MalformedLine, NoCandidates
 from openqa.hyper import Hyper
 from openqa.selector import (
     CLS, MAX_LEN, SEP,
@@ -123,3 +124,15 @@ class TestTrainer:
         with pytest.raises(GoldOutOfRange):
             train_selector([("q", ["a", "b"], 2)],
                            Hyper(d=8, h=8, epochs=1), vocab)
+
+
+@pytest.mark.parametrize("field,value,kind", [("question", 5, "a string"),
+                                              ("candidates", "shakespeare", "an array of strings"),
+                                              ("candidates", ["shakespeare", 7], "an array of strings")])
+def test_selector_data_field_of_the_wrong_type_is_malformed(tmp_path, field, value, kind):
+    path = tmp_path / "selector.jsonl"
+    row = {"question": "who wrote hamlet", "candidates": ["shakespeare", "blue"], "gold": 0, field: value}
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(MalformedLine) as info:
+        load_selector_data(str(path))
+    assert str(info.value) == f"{path}: malformed line 1: field {field!r} must be {kind}, got {json.dumps(value)}"
