@@ -242,13 +242,10 @@ def encode_relations(scorer: nn.ModelParameters, vocab: Vocabulary, relations: I
 
 
 def score_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], relation: str,
-                   pattern_vectors: tuple | None = None, relation_vectors: tuple | None = None) -> RelationScore:
-    """How well `relation` fits the question pattern. `solve_ld` passes the
-    pattern's (CNN, BiGRU) vectors, encoded once per question, and the
-    relation's from `encode_relations`; without them both sides are encoded
-    here, to the same bits."""
-    if pattern_vectors is None or relation_vectors is None:
-        return _score_with_cache(scorer, vocab, question_pattern, relation)[0]
+                   pattern_vectors: tuple, relation_vectors: tuple) -> RelationScore:
+    """How well `relation` fits the question pattern, from the pattern's (CNN,
+    BiGRU) vectors and the relation's (an `encode_relations` entry): the same
+    bits as `_score_with_cache`, which encodes both sides from scratch."""
     (p_cnn, p_gru), (r_cnn, r_gru) = pattern_vectors, relation_vectors
     return RelationScore(relation, nn.cosine(p_cnn, r_cnn), nn.cosine(p_gru, r_gru))
 

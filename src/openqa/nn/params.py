@@ -54,8 +54,7 @@ class ModelParameters:
     def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
         """Glorot-uniform initialized parameter drawn from the recorded seed."""
         arr = self.add_zeros(name, shape)
-        if self._draw:
-            arr[...] = self.glorot(shape, fan_in, fan_out)
+        arr[...] = self.glorot(shape, fan_in, fan_out)
         return arr
 
     def add_zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from openqa import nn
 from openqa.errors import UnknownDoc
-from openqa.ld_solver import score_relation
+from openqa.ld_solver import _score_with_cache
 from openqa.reader import ReaderModel, _forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
 from openqa.text import EntityDictionary, Vocabulary, encode, tokenize
@@ -70,4 +70,5 @@ def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str])
 def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str],
                     candidates: list[str]) -> str:
     """The candidate relation with the best combined score; ties go to the smallest string."""
-    return min(candidates, key=lambda rel: (-score_relation(scorer, vocab, question_pattern, rel).combined, rel))
+    return min(candidates,
+               key=lambda rel: (-_score_with_cache(scorer, vocab, question_pattern, rel)[0].combined, rel))

@@ -120,7 +120,10 @@ class TestModels:
 
     def test_score_relation_components(self, vocab, toy):
         scorer = nn.ModelParameters.load(toy["models"]["scorer"])
-        score = score_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author")
+        pattern = ["who", "wrote", PLACEHOLDER]
+        p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
+        score = score_relation(scorer, vocab, pattern, "author", p_vectors,
+                               encode_relations(scorer, vocab, ["author"])["author"])
         assert isinstance(score, RelationScore)
         assert -1.0 <= score.cnn_score <= 1.0
         assert -1.0 <= score.gru_score <= 1.0
@@ -167,8 +170,9 @@ class TestSolve:
         kb = KnowledgeBase([Triple("hamlet", "author", "shakespeare"), Triple("hamlet", "_", "x")])
         out = solve_ld("who wrote hamlet", kb, build_entity_dictionary(kb), tagger, scorer, vocab)
         assert [c.answer for c in out] == ["shakespeare"]
+        assert encode_relations(scorer, vocab, ["author", "_"]).keys() == {"author"}
         with pytest.raises(EmptyRelation):
-            score_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], "_")
+            ld_solver._score_with_cache(scorer, vocab, ["who", "wrote", PLACEHOLDER], "_")
 
     def test_each_relation_scored_once(self, world, vocab, monkeypatch):
         kb, d, tagger, scorer = world
@@ -182,7 +186,7 @@ class TestSolve:
         out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab)
         assert sorted(calls) == sorted(kb.predicates_of("hamlet"))
         # exact link (distance 0): confidence is the winner's combined score mapped to [0, 1]
-        combined = score_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author").combined
+        combined = ld_solver._score_with_cache(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author")[0].combined
         assert out[0].confidence == (combined + 1.0) / 2.0
 
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from openqa import pipeline
@@ -82,16 +83,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"reader_model {tagger}: a 'tagger' model, expected 'reader'")):
             System(SystemConfig.load(config_path))
 
-    def test_build_draws_no_weights(self, toy):
-        """Loading checks each model's shapes against a zero model of its arch,
-        so building a System never imports numpy.random (fresh process)."""
+    def test_build_draws_no_weights(self, toy, monkeypatch):
+        """Loading checks each model's shapes against a zero model of its arch:
+        a build makes no generator and draws nothing, and (in a fresh process)
+        does not import numpy.random if `import numpy` has not already (numpy
+        1.x imports it eagerly, numpy 2 on first use)."""
+        def no_draw(*args):
+            raise AssertionError("a System build made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        system = System(SystemConfig.load(toy["config"]))
+        models = [system.tagger, system.scorer, system.reader.params, system.selector.params]
+        assert all(model is not None and model._rng is None for model in models)
+
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        code = ("import sys; from openqa.pipeline import System, SystemConfig; "
-                f"System(SystemConfig.load({toy['config']!r})); print('numpy.random' in sys.modules)")
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "from openqa.pipeline import System, SystemConfig; "
+                f"System(SystemConfig.load({toy['config']!r})); "
+                "print(before, 'numpy.random' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        before, after = done.stdout.split()
+        assert after == before
 
     def test_model_for_another_vocabulary_fails_at_load(self, toy, tmp_path):
         reader = str(tmp_path / "reader.json")
