@@ -15,15 +15,15 @@ params = nn.ModelParameters(rng_seed=42)
 W = params.add("W", (8, 16))
 print(f"W[8,16]: bound ±{np.sqrt(6 / (16 + 8)):.3f}, observed max |w| = {np.abs(W).max():.3f}")
 
-print("\n-- gradient check: GRU step --")
+print("\n-- gradient check: bidirectional GRU --")
 params = nn.ModelParameters(rng_seed=1)
-nn.init_gru(params, "g.", d=6, h=4)
-x_t, h_prev, R = rng.normal(size=6), rng.normal(size=4), rng.normal(size=4)
+nn.init_bidirectional(params, "g.", "gru", d=6, h=4)
+x, R = rng.normal(size=(3, 6)), rng.normal(size=(3, 8))
 
 def gru_loss(p):
-    h, cache = nn.gru_step(p, "g.", x_t, h_prev)
-    grads, _, _ = nn.gru_step_backward(p, "g.", cache, R)
-    return float((h * R).sum()), grads
+    states, cache = nn.bidirectional_encode("gru", p, "g.", x)
+    grads, _ = nn.bidirectional_backward(p, cache, R)
+    return float((states * R).sum()), grads
 
 print(f"max relative error: {nn.grad_check(gru_loss, params):.2e}")
 

@@ -10,7 +10,7 @@ import os
 from openqa.hyper import Hyper
 from openqa.kb import build_entity_dictionary, load_triples
 from openqa.ld_solver import (
-    load_scorer_data, load_tagger_data, solve_ld, tag_entities,
+    encode_relations, load_scorer_data, load_tagger_data, solve_ld, tag_entities,
     train_relation_scorer, train_tagger,
 )
 from openqa.pipeline import build_corpus
@@ -36,9 +36,10 @@ hyper.epochs = 60
 tagger = train_tagger(load_tagger_data(os.path.join(TOYWORLD, "tagger.jsonl")), hyper, vocab)
 hyper.epochs = 30
 scorer = train_relation_scorer(load_scorer_data(os.path.join(TOYWORLD, "scorer.jsonl")), hyper, vocab)
+relation_table = encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
 for q in ("who wrote hamlet", "who wrote hamlit"):  # note the typo
     tags = tag_entities(tagger, vocab, q)
-    print(f"  {q!r} tags {list(tags.tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab)[0])
+    print(f"  {q!r} tags {list(tags.tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab, relation_table)[0])
 
 print("\n-- rr: retrieve and read --")
 idx = build_corpus(kb, dictionary, os.path.join(TOYWORLD, "passages.jsonl"))

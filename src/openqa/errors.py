@@ -56,10 +56,6 @@ class DuplicateDocId(OpenQAError):
     pass
 
 
-class UnknownDoc(OpenQAError):
-    pass
-
-
 class MisalignedExample(OpenQAError):
     def __init__(self, index: int):
         self.index = index

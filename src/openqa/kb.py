@@ -40,14 +40,12 @@ class KnowledgeBase:
         self.by_predicate_object: dict[tuple[str, str], list[str]] = {}
         self.predicates_by_subject: dict[str, list[str]] = {}  # subject -> predicates, first occurrence first
         for t in self.triples:
+            # each triple is kept once, so a key's objects (subjects) are already distinct
             objs = self.by_subject_predicate.setdefault((t.subject, t.predicate), [])
             if not objs:
                 self.predicates_by_subject.setdefault(t.subject, []).append(t.predicate)
-            if t.object not in objs:
-                objs.append(t.object)
-            subs = self.by_predicate_object.setdefault((t.predicate, t.object), [])
-            if t.subject not in subs:
-                subs.append(t.subject)
+            objs.append(t.object)
+            self.by_predicate_object.setdefault((t.predicate, t.object), []).append(t.subject)
 
         subjects = {t.subject for t in self.triples}
         self.entities: set[str] = set(subjects)
@@ -156,11 +154,7 @@ def execute_sparql(kb: KnowledgeBase, q: SparqlQuery) -> list[str]:
         candidates = kb.by_subject_predicate.get((q.pattern.subject, q.pattern.predicate), [])
     else:
         candidates = kb.by_predicate_object.get((q.pattern.predicate, q.pattern.object), [])
-    out: list[str] = []
-    for binding in candidates:
-        if _passes_filter(binding, q.filter) and binding not in out:
-            out.append(binding)
-    return out
+    return [binding for binding in candidates if _passes_filter(binding, q.filter)]
 
 
 def build_entity_dictionary(kb: KnowledgeBase) -> EntityDictionary:

@@ -241,8 +241,7 @@ def encode_relations(scorer: nn.ModelParameters, vocab: Vocabulary, relations: I
             for rel in relations if (tokens := _relation_tokens(rel))}
 
 
-def score_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str], relation: str,
-                   pattern_vectors: tuple, relation_vectors: tuple) -> RelationScore:
+def score_relation(relation: str, pattern_vectors: tuple, relation_vectors: tuple) -> RelationScore:
     """How well `relation` fits the question pattern, from the pattern's (CNN,
     BiGRU) vectors and the relation's (an `encode_relations` entry): the same
     bits as `_score_with_cache`, which encodes both sides from scratch."""
@@ -271,12 +270,12 @@ def solve_ld(
     tagger: nn.ModelParameters,
     scorer: nn.ModelParameters,
     vocab: Vocabulary,
-    relation_table: dict[str, tuple] | None = None,
+    relation_table: dict[str, tuple],
 ) -> list[AnswerCandidate]:
     """The objects of the linked entity's best-scoring relation. `relation_table`
     is `encode_relations` of every KB predicate under `scorer` (`System` keeps
-    one); without it the entity's relations are encoded here. The question
-    pattern is encoded once, and `score_relation` is called once per relation."""
+    one). The question pattern is encoded once, and `score_relation` is called
+    once per relation."""
     tokens = tokenize(question)
     if len(tokens) == 0:
         return []
@@ -293,17 +292,15 @@ def solve_ld(
         return []
     entity_cand = linked[0]
 
-    predicates = kb.predicates_of(entity_cand.entity)
-    table = relation_table if relation_table is not None else encode_relations(scorer, vocab, predicates)
-    relations = [r for r in predicates if r in table]  # a relation without tokens is not scored
+    # a relation without tokens is not scored
+    relations = [r for r in kb.predicates_of(entity_cand.entity) if r in relation_table]
     if not relations:
         return []
 
     # the pattern keeps at least the placeholder, so it is never empty
     pattern = _pattern_tokens(list(tokens.tokens), entity_cand.mention)
     pattern_vectors = _encode_side(scorer, encode(vocab, pattern))[:2]
-    scored = [(score_relation(scorer, vocab, pattern, rel, pattern_vectors, table[rel]).combined, rel)
-              for rel in relations]
+    scored = [(score_relation(rel, pattern_vectors, relation_table[rel]).combined, rel) for rel in relations]
     combined = max(s for s, _ in scored)
     relation = min(rel for s, rel in scored if s == combined)  # ties go to the smallest relation string
 

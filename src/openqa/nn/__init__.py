@@ -22,18 +22,12 @@ from .layers import (
     conv1d_forward,
     embedding_backward,
     embedding_lookup,
-    gru_step,
-    gru_step_backward,
     init_bidirectional,
-    init_gru,
-    init_lstm,
     init_transformer_layer,
     layer_norm,
     layer_norm_backward,
     linear_backward,
     linear_forward,
-    lstm_step,
-    lstm_step_backward,
     transformer_encoder_layer,
     transformer_encoder_layer_backward,
 )

@@ -6,25 +6,24 @@ by the same names as the parameter dict) and input gradients. Layer
 parameters live in a flat dict under a caller-chosen prefix, e.g.
 "lstm.W".
 
-Gated recurrences are one stacked cell per kind, run over D directions
-at once. A cell under `prefix` is stored as the three arrays it computes
-with: `{prefix}W` [D, G, d], `{prefix}U` [D, G, h] and `{prefix}b`
-[D, G]. G is 3h for the GRU (gates z, r, candidate h) and 4h for the
-LSTM (i, f, o, g), one h-row block per gate in `GATES` order. D is 1
-after `init_gru`/`init_lstm` and 2 after `init_bidirectional` (left to
-right, then right to left). Every step's input projection x W^T + b,
-for all directions, is one batched matmul before the time loop, written
-into one [D, L, B, G] array; each step makes one batched recurrent
-matmul for all directions, [D, B, 2h] for the GRU's z and r (plus U_h
-on r*h_prev for its candidate) or [D, B, 4h] for the LSTM. `gru_step`
-and `lstm_step` run a D=1 cell. The forward keeps only the states; the
-backward recomputes every step's gates from them at once. A batch is
+Gated recurrences are one stacked cell per kind, run bidirectionally over
+whole sequences from zero states: `init_bidirectional`, then
+`bidirectional_encode(_batch)` and `bidirectional_backward`. A cell under
+`prefix` is stored as the three arrays it computes with: `{prefix}W`
+[D, G, d], `{prefix}U` [D, G, h] and `{prefix}b` [D, G], where D = 2
+directions (left to right, then right to left). G is 3h for the GRU (gates
+z, r, candidate h) and 4h for the LSTM (i, f, o, g), one h-row block per
+gate in `GATES` order. Every step's input projection x W^T + b, for both
+directions, is one batched matmul before the time loop, written into one
+[D, L, B, G] array; each step makes one batched recurrent matmul for both
+directions, [D, B, 2h] for the GRU's z and r (plus U_h on r*h_prev for its
+candidate) or [D, B, 4h] for the LSTM. The forward keeps only the states;
+the backward recomputes every step's gates from them at once. A batch is
 left-aligned and zero-padded to [B, L, d] (time-major inside); the
-bidirectional encoder runs the left-to-right pass and the right-to-left
-one, on each sequence reversed within its own length, as D=2 in one
-time loop, so padding only ever follows a sequence's last step. A
-length mask zeroes the padded positions' states and drops their
-gradients.
+right-to-left direction runs over each sequence reversed within its own
+length, in the same time loop, so padding only ever follows a sequence's
+last step. A length mask zeroes the padded positions' states and drops
+their gradients.
 """
 
 from __future__ import annotations
@@ -118,35 +117,9 @@ def conv1d_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.n
 GATES = {"gru": "zrh", "lstm": "ifog"}
 
 
-def _init_cell(params: ModelParameters, prefix: str, d: int, h: int, kind: str, directions: int = 1) -> None:
-    """W, U and b (zero) of a D-direction cell. The Glorot blocks are drawn per
-    direction, per gate: W's (h, d) block, then U's (h, h) block."""
-    G = len(GATES[kind]) * h
-    W = params.add_zeros(f"{prefix}W", (directions, G, d))
-    U = params.add_zeros(f"{prefix}U", (directions, G, h))
-    params.add_zeros(f"{prefix}b", (directions, G))
-    for k in range(directions):
-        for rows in range(0, G, h):
-            W[k, rows:rows + h] = params.glorot((h, d))
-            U[k, rows:rows + h] = params.glorot((h, h))
-
-
-def init_gru(params: ModelParameters, prefix: str, d: int, h: int) -> None:
-    _init_cell(params, prefix, d, h, "gru")
-
-
-def init_lstm(params: ModelParameters, prefix: str, d: int, h: int) -> None:
-    _init_cell(params, prefix, d, h, "lstm")
-
-
 def _weights(params, prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stored (W, U, b) of the cell under `prefix`."""
     return params[f"{prefix}W"], params[f"{prefix}U"], params[f"{prefix}b"]
-
-
-def _named(prefix: str, grads) -> Grads:
-    """(dW, dU, db) under the names of the weights they belong to."""
-    return dict(zip((f"{prefix}W", f"{prefix}U", f"{prefix}b"), grads))
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,19 +153,17 @@ def _halved(kind: str, M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np.ndarray, dict]:
+def _cell_forward(kind: str, weights, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """D directions at once: direction k runs over the time-major x[k] ([D, L, B, d])
-    with the k-th of each stacked weight, from states h, c [D, B, h] (default 0).
-    Returns states [D, L, B, h]. Only the states are kept; `_cell_backward`
-    recomputes the gates from them. Each step takes one tanh per gate block,
-    the sigmoid gates' rows pre-halved (see `_halved`), and writes its states
-    in place."""
+    with the k-th of each stacked weight, from zero states. Returns states
+    [D, L, B, h]. Only the states are kept; `_cell_backward` recomputes the
+    gates from them. Each step takes one tanh per gate block, the sigmoid
+    gates' rows pre-halved (see `_halved`), and writes its states in place."""
     W, U, b = weights
     (D, L, B, d), n = x.shape, U.shape[2]
-    if h is None:
-        h = c = np.zeros((D, B, n))
-    if (W.shape[0], W.shape[2]) != (D, d) or h.shape != (D, B, n):
-        raise ShapeMismatch(f"{kind}: input/state sizes disagree with parameters")
+    if (W.shape[0], W.shape[2]) != (D, d):
+        raise ShapeMismatch(f"{kind}: input sizes disagree with parameters")
+    h = c = np.zeros((D, B, n))
     a = _project(x, _halved(kind, W), _halved(kind, b))
     U = _halved(kind, U)
     hs, cs = np.empty((D, L + 1, B, n)), None  # hs[:, t], cs[:, t]: step t's incoming states
@@ -233,17 +204,15 @@ def _cell_forward(kind: str, weights, x: np.ndarray, h=None, c=None) -> tuple[np
     return hs[:, 1:], {"kind": kind, "x": x, "h": hs, "c": cs}
 
 
-def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
-    """BPTT through `_cell_forward` from grads dH [D, L, B, h] on its states and
-    (LSTM) dc [D, B, h] on its last cell states. Returns ((dW, dU, db) stacked,
-    dx [D, L, B, d], and the grads dh, dc on the initial states).
-    """
+def _cell_backward(weights, cache: dict, dH: np.ndarray):
+    """BPTT through `_cell_forward` from grads dH [D, L, B, h] on its states.
+    Returns ((dW, dU, db) stacked, dx [D, L, B, d])."""
     W, U, b = weights
     x, h_prev = cache["x"], cache["h"][:, :-1]
     D, L, B, n = h_prev.shape
     a = _project(x, W, b)
     da = np.empty_like(a)
-    dh = np.zeros((D, B, n))
+    dh = dc = np.zeros((D, B, n))
     if cache["kind"] == "gru":
         U_zr, U_h = U[:, :2 * n], U[:, 2 * n:]
         zr = sigmoid(a[..., :2 * n] + _times(h_prev, U_zr.swapaxes(1, 2)))
@@ -273,36 +242,20 @@ def _cell_backward(weights, cache: dict, dH: np.ndarray, dc: np.ndarray | None):
             dc = dc * f[:, t]
             dh = da_t @ U
         dU = _outer_sum(da, h_prev)
-    return (_outer_sum(da, x), dU, da.sum(axis=(1, 2))), _times(da, W), dh, dc
-
-
-def gru_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One GRU step, h' = z*h_prev + (1-z)*candidate: the D=1, L=1, B=1 stacked cell."""
-    states, cache = _cell_forward("gru", _weights(params, prefix), x_t[None, None, None], h_prev[None, None])
-    return states[0, 0, 0], cache
-
-
-def gru_step_backward(params, prefix: str, cache: dict, dh: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray]:
-    """Returns (param grads, dx, dh_prev)."""
-    grads, dx, dh_prev, _ = _cell_backward(_weights(params, prefix), cache, dh[None, None, None], None)
-    return _named(prefix, grads), dx[0, 0, 0], dh_prev[0, 0]
-
-
-def lstm_step(params, prefix: str, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One LSTM step: the D=1, L=1, B=1 stacked cell."""
-    states, cache = _cell_forward("lstm", _weights(params, prefix), x_t[None, None, None],
-                                  h_prev[None, None], c_prev[None, None])
-    return states[0, 0, 0], cache["c"][0, 1, 0], cache
-
-
-def lstm_step_backward(params, prefix: str, cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[Grads, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (param grads, dx, dh_prev, dc_prev)."""
-    grads, dx, dh_prev, dc_prev = _cell_backward(_weights(params, prefix), cache, dh[None, None, None], dc[None, None])
-    return _named(prefix, grads), dx[0, 0, 0], dh_prev[0, 0], dc_prev[0, 0]
+    return (_outer_sum(da, x), dU, da.sum(axis=(1, 2))), _times(da, W)
 
 
 def init_bidirectional(params: ModelParameters, prefix: str, cell_kind: str, d: int, h: int) -> None:
-    _init_cell(params, prefix, d, h, cell_kind, directions=2)
+    """W, U and b (zero) of a two-direction cell. The Glorot blocks are drawn per
+    direction, per gate: W's (h, d) block, then U's (h, h) block."""
+    G = len(GATES[cell_kind]) * h
+    W = params.add_zeros(f"{prefix}W", (2, G, d))
+    U = params.add_zeros(f"{prefix}U", (2, G, h))
+    params.add_zeros(f"{prefix}b", (2, G))
+    for k in range(2):
+        for rows in range(0, G, h):
+            W[k, rows:rows + h] = params.glorot((h, d))
+            U[k, rows:rows + h] = params.glorot((h, h))
 
 
 def bidirectional_encode_batch(cell_kind: str, params, prefix: str, xs: list[np.ndarray]) -> tuple[np.ndarray, dict]:
@@ -339,10 +292,10 @@ def bidirectional_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[G
     prefix, mask, rev = cache["prefix"], cache["mask"], cache["rev"]
     g = np.where(mask[..., None], grad_out.swapaxes(0, 1) if grad_out.ndim == 3 else grad_out[:, None], 0.0)
     n, cols = g.shape[2] // 2, np.arange(g.shape[1])
-    grads, dxs, _, _ = _cell_backward(_weights(params, prefix), cache["cell"],
-                                      np.stack([g[..., :n], g[rev, cols, n:]]), np.zeros((2, len(cols), n)))
+    grads, dxs = _cell_backward(_weights(params, prefix), cache["cell"], np.stack([g[..., :n], g[rev, cols, n:]]))
     dx = dxs[0] + dxs[1, rev, cols]
-    return _named(prefix, grads), dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
+    named = dict(zip((f"{prefix}W", f"{prefix}U", f"{prefix}b"), grads))
+    return named, dx.swapaxes(0, 1) if grad_out.ndim == 3 else dx[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,12 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
     for (term, t), end in zip(term_ids.items(), np.cumsum(df).tolist()):
         idx.rows[term] = rows = slice(end - int(df[t]), end)
         idx.postings[term] = pairs[rows]
-    idf = np.array([_idf(idx, term) for term in term_ids])
+    idf = np.array([math.log(1.0 + (idx.doc_count - n + 0.5) / (n + 0.5)) for n in df.tolist()])
     avg_length = sum(lengths) / idx.doc_count if idx.doc_count else 0.0
     norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.int64) / avg_length) if avg_length else np.zeros(idx.doc_count)
     idx.contributions = np.repeat(idf, df) * tf * (K1 + 1.0) / (tf + norm[idx.positions])
     idx.contributions[np.array(post_subject, dtype=bool)[order]] *= SUBJECT_BOOST
     return idx
-
-
-def _idf(idx: InvertedIndex, term: str) -> float:
-    df = len(idx.postings.get(term, []))
-    return math.log(1.0 + (idx.doc_count - df + 0.5) / (df + 0.5))
 
 
 def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]:

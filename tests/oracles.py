@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from openqa import nn
-from openqa.errors import UnknownDoc
 from openqa.ld_solver import _score_with_cache
 from openqa.reader import ReaderModel, _forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
@@ -22,7 +21,7 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
     one document, with lengths, document frequencies and subject terms taken
     from the indexed documents' text by `tokenize`."""
     if doc_id not in idx.docs:
-        raise UnknownDoc(f"doc_id {doc_id} not in index")
+        raise KeyError(f"doc_id {doc_id} not in index")
     terms = {d: tokenize(doc.value_field).tokens for d, doc in idx.docs.items()}
     avg_length = sum(len(t) for t in terms.values()) / len(terms)
     norm = K1 * (1.0 - B + B * len(terms[doc_id]) / avg_length) if avg_length else 0.0

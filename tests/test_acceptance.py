@@ -8,7 +8,6 @@ import json
 import math
 import os
 import random
-import re
 import threading
 import time
 import urllib.error
@@ -28,7 +27,7 @@ from openqa.ld_solver import (
     train_relation_scorer, train_tagger,
 )
 from openqa.pipeline import System, SystemConfig, ask, evaluate, split_dataset
-from openqa.reader import MAX_SPAN_LEN, ReaderModel, enumerate_spans, load_reader_data, train_reader
+from openqa.reader import MAX_SPAN_LEN, enumerate_spans, load_reader_data, train_reader
 from openqa.retrieval import IndexedDocument, KIND_PASSAGE, build_index, search
 from openqa.selector import (
     SelectorModel, build_sequence, init_selector, score_sequence, select, train_selector,
@@ -271,29 +270,19 @@ def test_criterion_04_gradient_checks(capsys):
 
     _check("conv1d", conv_loss, p, worst)
 
-    # GRU step
-    p = nn.ModelParameters(rng_seed=4)
-    nn.init_gru(p, "g.", d=4, h=3)
-    x_t = rng.normal(size=4); h_prev = rng.normal(size=3); R = rng.normal(size=3)
+    # bidirectional GRU and LSTM encoders over a 3-step sequence, nonzero biases
+    x = rng.normal(size=(3, 4))
+    R = rng.normal(size=(3, 6))
+    for seed, kind in ((4, "gru"), (5, "lstm")):
+        p = nn.ModelParameters(rng_seed=seed)
+        nn.init_bidirectional(p, "c.", kind, d=4, h=3)
+        p["c.b"][:] = rng.normal(size=p["c.b"].shape)
 
-    def gru_loss(p):
-        h, cache = nn.gru_step(p, "g.", x_t, h_prev)
-        grads, _, _ = nn.gru_step_backward(p, "g.", cache, R)
-        return float((h * R).sum()), grads
+        def cell_loss(p, kind=kind):
+            states, cache = nn.bidirectional_encode(kind, p, "c.", x)
+            return float((states * R).sum()), nn.bidirectional_backward(p, cache, R)[0]
 
-    _check("gru", gru_loss, p, worst)
-
-    # LSTM step
-    p = nn.ModelParameters(rng_seed=5)
-    nn.init_lstm(p, "l.", d=4, h=3)
-    c_prev = rng.normal(size=3)
-
-    def lstm_loss(p):
-        h, c, cache = nn.lstm_step(p, "l.", x_t, h_prev, c_prev)
-        grads, _, _, _ = nn.lstm_step_backward(p, "l.", cache, R, np.zeros(3))
-        return float((h * R).sum()), grads
-
-    _check("lstm", lstm_loss, p, worst)
+        _check(kind, cell_loss, p, worst)
 
     # scaled dot-product attention (inputs as parameters)
     p = nn.ModelParameters(rng_seed=6)

@@ -12,7 +12,6 @@ import pytest
 
 from openqa import nn
 from openqa.errors import EvenWidth, IndexOutOfRange
-from openqa.hyper import Hyper
 from openqa.nn import layers
 
 RNG = np.random.default_rng(0)
@@ -110,22 +109,16 @@ class TestLayers:
 
     def test_gru_saturated_update_gate_copies_state(self):
         params = nn.ModelParameters(rng_seed=0)
-        nn.init_gru(params, "g.", d=4, h=3)
-        params["g.b"][0, :3] = 60.0  # update gate ~1 everywhere
-        h_prev = RNG.normal(size=3)
-        h, _ = nn.gru_step(params, "g.", RNG.normal(size=4), h_prev)
-        assert np.allclose(h, h_prev, atol=1e-10)
+        nn.init_bidirectional(params, "g.", "gru", d=4, h=3)
+        params["g.b"][:, :3] = 60.0  # update gate ~1 everywhere, in both directions
+        states, _ = nn.bidirectional_encode("gru", params, "g.", RNG.normal(size=(5, 4)))
+        assert np.allclose(states, 0.0, atol=1e-10)  # every state copies the zero start
 
-    def test_lstm_step_shapes(self):
-        params = nn.ModelParameters(rng_seed=0)
-        nn.init_lstm(params, "l.", d=4, h=3)
-        h, c, _ = nn.lstm_step(params, "l.", RNG.normal(size=4), np.zeros(3), np.zeros(3))
-        assert h.shape == (3,) and c.shape == (3,)
-
-    def test_bidirectional_concatenates_directions(self):
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_bidirectional_concatenates_directions(self, kind):
         params = nn.ModelParameters(rng_seed=1)
-        nn.init_bidirectional(params, "b.", "gru", d=4, h=3)
-        states, _ = nn.bidirectional_encode("gru", params, "b.", RNG.normal(size=(6, 4)))
+        nn.init_bidirectional(params, "b.", kind, d=4, h=3)
+        states, _ = nn.bidirectional_encode(kind, params, "b.", RNG.normal(size=(6, 4)))
         assert states.shape == (6, 6)
 
     def test_attention_weights_sum_to_one(self):
@@ -427,32 +420,6 @@ def test_halved_gate_rows_equal_sigmoid_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 class TestRecurrenceOracle:
-    def test_steps_equal_oracle(self, kind):
-        rng = np.random.default_rng(20)
-        p = nn.ModelParameters(rng_seed=21)
-        getattr(nn, f"init_{kind}")(p, "s.", d=5, h=4)
-        _random_biases(p, rng)
-        cell = ("s.", kind, 0)
-        for _ in range(10):
-            x, h_prev, c_prev, dh, dc = (rng.normal(size=k) for k in (5, 4, 4, 4, 4))
-            if kind == "gru":
-                h, cache = nn.gru_step(p, "s.", x, h_prev)
-                want_h, oc = _oracle_gru_step(p, cell, x, h_prev)
-                got = nn.gru_step_backward(p, "s.", cache, dh)
-                want = _oracle_gru_step_backward(p, cell, oc, dh)
-            else:
-                h, c, cache = nn.lstm_step(p, "s.", x, h_prev, c_prev)
-                want_h, want_c, oc = _oracle_lstm_step(p, cell, x, h_prev, c_prev)
-                assert np.abs(c - want_c).max() < 1e-12
-                got = nn.lstm_step_backward(p, "s.", cache, dh, dc)
-                want = _oracle_lstm_step_backward(p, cell, oc, dh, dc)
-            assert np.abs(h - want_h).max() < 1e-12
-            assert set(got[0]) == set(want[0])
-            for name in want[0]:
-                assert np.abs(got[0][name] - want[0][name]).max() < 1e-12
-            for a, b in zip(got[1:], want[1:]):
-                assert np.abs(a - b).max() < 1e-12
-
     @pytest.mark.parametrize("batch", [1, 6])
     def test_batch_equals_oracle(self, kind, batch):
         rng = np.random.default_rng(22 + batch)

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from openqa.errors import DuplicateDocId, MalformedLine, UnknownDoc
-from openqa.kb import Triple, build_entity_dictionary, load_triples
+from openqa.errors import DuplicateDocId, MalformedLine
+from openqa.kb import Triple
 from openqa.retrieval import (
     B, K1, KIND_PASSAGE, KIND_TRIPLE, SUBJECT_BOOST,
     IndexedDocument, build_index, load_passages,
@@ -75,7 +75,7 @@ class TestScoring:
 
     def test_unknown_doc(self):
         idx = build_index(corpus())
-        with pytest.raises(UnknownDoc):
+        with pytest.raises(KeyError):
             bm25_score(idx, ["paris"], 99)
 
     def test_repeated_query_terms_count_once(self):
