@@ -27,7 +27,7 @@ from .reader import ReaderModel, init_reader, read
 from .retrieval import InvertedIndex, build_index, load_passages, search, splice_triple, tag_passage
 from .selector import SelectorModel, init_selector, select
 from .sp_solver import QuestionTemplate, load_templates, solve_sp
-from .text import EntityDictionary, Vocabulary, normalize
+from .text import EntityDictionary, Vocabulary, normalize, split_words
 
 log = logging.getLogger("openqa")
 
@@ -140,11 +140,17 @@ class EvalReport:
 def build_corpus(kb: KnowledgeBase, dictionary: EntityDictionary, passages_path: str) -> InvertedIndex:
     """Index the KB's triples, spliced into one-line documents, then the
     passages, each tagged with the dictionary entities it mentions; doc
-    ids run in that order."""
-    docs = [splice_triple(t, i) for i, t in enumerate(kb.triples)]
-    for pid, text in load_passages(passages_path):
-        docs.append(tag_passage(pid, text, dictionary, len(docs)))
-    return build_index(docs)
+    ids run in that order. Each document's text has one word pass, whose
+    words feed both the tagging and the index, and the documents stream
+    into `build_index` one at a time."""
+    def documents():
+        for doc_id, triple in enumerate(kb.triples):
+            doc = splice_triple(triple, doc_id)
+            yield doc, split_words(doc.value_field)
+        for doc_id, (pid, text) in enumerate(load_passages(passages_path), start=len(kb.triples)):
+            yield tag_passage(pid, text, dictionary, doc_id)
+
+    return build_index(documents())
 
 
 class System:
@@ -248,8 +254,8 @@ def run_solvers(system: System, question: str) -> tuple[dict[str, list[AnswerCan
         else:
             try:
                 candidates[tag] = fn(question)
-            except Exception:
-                log.exception("solver %s failed on %r", tag, question)
+            except Exception as exc:  # one line per failure, no traceback
+                log.error("solver %s failed on %r: %s: %s", tag, question, type(exc).__name__, exc)
         timings[tag] = (time.perf_counter() - begin) * 1000.0
     return candidates, timings
 

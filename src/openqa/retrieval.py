@@ -5,7 +5,10 @@ Triples are spliced into single-line documents; passages are tagged with
 the dictionary entities they mention. Query terms matching a document's
 subject field contribute double. Document text, subject entities and the
 query are all split into terms by `tokenize`, so the index sees the same
-tokens as the reader.
+tokens as the reader. The build reads each document's text once: its
+words (`split_words`) feed both the entity tagging of a passage and the
+index's term counts, and `build_index` counts each document's terms as it
+arrives, holding no list of every document's words.
 
 `search` scores term-at-a-time (Turtle & Flood 1995). `build_index`
 computes every posting's BM25 contribution once, into flat arrays grouped
@@ -21,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DuplicateDocId, EmptyPassage
 from .jsonl import read_json_lines, text_field
 from .kb import Triple
-from .text import EntityDictionary, tokenize
+from .text import EntityDictionary, merge_keys, split_words, tokenize
 
 K1 = 1.2
 B = 0.75
@@ -67,19 +71,24 @@ def splice_triple(t: Triple, doc_id: int) -> IndexedDocument:
     )
 
 
-def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary, doc_id: int) -> IndexedDocument:
-    """Passage document tagged with dictionary entities found in its text."""
+def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary,
+                doc_id: int) -> tuple[IndexedDocument, list[str]]:
+    """Passage document tagged with the dictionary entities found in its
+    text, with the text's words: the one word pass over the passage feeds
+    the tagging here and the term counts in `build_index`."""
     if not text:
         raise EmptyPassage(f"passage {passage_id!r} is empty")
+    words = split_words(text)
     entries = dictionary.entries
-    canonicals = (entries[t] for t in tokenize(text, dictionary).tokens if t in entries)
-    return IndexedDocument(
+    canonicals = (entries[t] for t in merge_keys(words, dictionary) if t in entries)
+    doc = IndexedDocument(
         doc_id=doc_id,
         subject_field=tuple(dict.fromkeys(canonicals)),  # distinct, in order of first mention
         value_field=text,
         kind=KIND_PASSAGE,
         origin=f"passage:{passage_id}",
     )
+    return doc, words
 
 
 @dataclass
@@ -96,31 +105,29 @@ class InvertedIndex:
     contributions: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
+def build_index(documents: Iterable[tuple[IndexedDocument, Sequence[str]]]) -> InvertedIndex:
+    """Index (document, terms) pairs, the terms being `split_words(doc.value_field)`,
+    in one pass: each document's terms are counted on arrival and not kept.
+    Doc ids may arrive in any order; positions are ascending doc ids."""
     idx = InvertedIndex()
-    for doc in docs:
-        if doc.doc_id in idx.docs:
-            raise DuplicateDocId(f"doc_id {doc.doc_id} appears twice")
-        idx.docs[doc.doc_id] = doc
-
-    ordered = sorted(idx.docs)
     term_ids: dict[str, int] = {}
-    # per posting, in doc order: its term's id, its tf and whether the term is in the doc's subject field
+    # per posting, in arrival order: its term's id, its tf and whether the term is in the doc's subject field
     post_term: list[int] = []
     post_tf: list[int] = []
     post_subject: list[bool] = []
     lengths: list[int] = []  # per doc: its number of terms
     distinct: list[int] = []  # per doc: its number of postings
-    entity_terms: dict[str, tuple[str, ...]] = {}  # each subject entity is tokenized once per build
-    for doc_id in ordered:
-        doc = idx.docs[doc_id]
-        terms = tokenize(doc.value_field).tokens
+    entity_terms: dict[str, list[str]] = {}  # each subject entity is split once per build
+    for doc, terms in documents:
+        if doc.doc_id in idx.docs:
+            raise DuplicateDocId(f"doc_id {doc.doc_id} appears twice")
+        idx.docs[doc.doc_id] = doc
         counts: dict[str, int] = {}
         for t in terms:
             counts[t] = counts.get(t, 0) + 1
         for entity in doc.subject_field:
             if entity not in entity_terms:
-                entity_terms[entity] = tokenize(entity).tokens
+                entity_terms[entity] = split_words(entity)
         subject = {term for entity in doc.subject_field for term in entity_terms[entity]}
         post_term += [term_ids.setdefault(term, len(term_ids)) for term in counts]
         post_tf += counts.values()
@@ -128,12 +135,17 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
         lengths.append(len(terms))
         distinct.append(len(counts))
 
-    idx.doc_count = len(ordered)
-    # One vectorised pass: group the postings by term and compute each one's contribution
-    # in the per-document formula's operation order, so every value is bit-identical.
-    idx.doc_ids = np.array(ordered, dtype=np.int64)
-    order = np.argsort(np.array(post_term, dtype=np.intp), kind="stable")  # by term, then position
-    idx.positions = np.repeat(np.arange(idx.doc_count), distinct)[order]
+    idx.doc_count = len(idx.docs)
+    # One vectorised pass: group the postings by term, then position, and compute each one's
+    # contribution in the per-document formula's operation order, so every value is bit-identical.
+    arrived = np.fromiter(idx.docs, dtype=np.int64, count=idx.doc_count)
+    by_id = np.argsort(arrived)  # position -> arrival
+    idx.doc_ids = arrived[by_id]
+    rank = np.argsort(by_id)  # arrival -> position
+    idx.positions = np.repeat(rank, distinct)  # each posting's position, in arrival order until grouped
+    # a doc has one posting per term, so the (term, position) keys are distinct and any sort gives one order
+    order = np.argsort(np.array(post_term, dtype=np.intp) * idx.doc_count + idx.positions)
+    idx.positions = idx.positions[order]
     tf = np.array(post_tf, dtype=np.int64)[order]
     pairs = np.stack([idx.doc_ids[idx.positions], tf], axis=1)
     df = np.bincount(post_term, minlength=len(term_ids))
@@ -142,7 +154,8 @@ def build_index(docs: list[IndexedDocument]) -> InvertedIndex:
         idx.postings[term] = pairs[rows]
     idf = np.array([math.log(1.0 + (idx.doc_count - n + 0.5) / (n + 0.5)) for n in df.tolist()])
     avg_length = sum(lengths) / idx.doc_count if idx.doc_count else 0.0
-    norm = K1 * (1.0 - B + B * np.array(lengths, dtype=np.int64) / avg_length) if avg_length else np.zeros(idx.doc_count)
+    by_position = np.array(lengths, dtype=np.int64)[by_id]
+    norm = K1 * (1.0 - B + B * by_position / avg_length) if avg_length else np.zeros(idx.doc_count)
     idx.contributions = np.repeat(idf, df) * tf * (K1 + 1.0) / (tf + norm[idx.positions])
     idx.contributions[np.array(post_subject, dtype=bool)[order]] *= SUBJECT_BOOST
     return idx

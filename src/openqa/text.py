@@ -2,11 +2,13 @@
 
 Every solver shares these primitives. `tokenize` is the one rule that
 turns text into terms: dictionary keys, BM25 terms and the neural
-solvers' token ids all come from it. The rule-based solver matches
-normalized text against templates, and entity linking runs on
-Levenshtein distance.
-The distance is one row-by-row DP over a matrix of UTF-32 code points, so a
-mention is compared with a whole block of dictionary keys at once.
+solvers' token ids all come from it. It is two passes kept apart,
+`split_words` then `merge_keys`, so that the corpus build can feed one
+word pass per document to both the entity tagging and the index. The
+rule-based solver matches normalized text against templates, and entity
+linking runs on Levenshtein distance. The distance is one DP over a
+matrix of UTF-32 code points, one column per dictionary key, so a mention
+is compared with a whole block of keys at once.
 """
 
 from __future__ import annotations
@@ -41,36 +43,46 @@ class TokenSequence:
         return len(self.tokens)
 
 
-def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> TokenSequence:
-    """Segment on whitespace/punctuation and lowercase, then merge dictionary entries.
+def split_words(text: str) -> list[str]:
+    """The word pass of `tokenize`: segment on whitespace/punctuation, then lowercase."""
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
+
+
+def merge_keys(words: list[str], dictionary: Optional["EntityDictionary"]) -> list[str]:
+    """The merge pass of `tokenize`: dictionary keys over a text's words.
 
     Merging is forward maximum matching: at each position the longest
-    window of tokens (up to the dictionary's longest entry), joined by one
+    window of words (up to the dictionary's longest entry), joined by one
     space, that exactly equals a dictionary key becomes a single token.
     Windows are tried only where a multi-token key starts (the position's
-    token is in `first_tokens`), since a window can only equal a key that
-    begins with the window's first token.
+    word is in `first_tokens`), since a window can only equal a key that
+    begins with the window's first word. With nothing to merge, the words
+    themselves are returned.
     """
-    base = [t.lower() for t in _TOKEN_RE.findall(text)]
     if dictionary is None or not dictionary.first_tokens:
-        return TokenSequence(tuple(base))
-
+        return words
     entries, starts, longest = dictionary.entries, dictionary.first_tokens, dictionary.max_entry_tokens
-    n = len(base)
+    n = len(words)
     merged: list[str] = []
-    done = 0  # base[done:] is not in merged yet
-    for i in [j for j, t in enumerate(base) if t in starts]:
+    done = 0  # words[done:] is not in merged yet
+    for i in [j for j, t in enumerate(words) if t in starts]:
         if i < done:
             continue
         for w in range(min(longest, n - i), 1, -1):
-            key = " ".join(base[i : i + w])
+            key = " ".join(words[i : i + w])
             if key in entries:
-                merged += base[done:i]
+                merged += words[done:i]
                 merged.append(key)
                 done = i + w
                 break
-    merged += base[done:]
-    return TokenSequence(tuple(merged))
+    merged += words[done:]
+    return merged
+
+
+def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> TokenSequence:
+    """Segment on whitespace/punctuation and lowercase, then merge dictionary
+    entries: `merge_keys(split_words(text), dictionary)`."""
+    return TokenSequence(tuple(merge_keys(split_words(text), dictionary)))
 
 
 def dictionary_key(text: str) -> str:
@@ -87,20 +99,24 @@ def edit_distances(a: str, codes: np.ndarray, lengths: np.ndarray) -> np.ndarray
     """Levenshtein distance from a to each row of a code matrix.
 
     Row r holds a string of lengths[r] <= codes.shape[1] characters. The
-    DP keeps one row per string (b along the row) and updates all of them
-    per character of a; substitution and deletion are elementwise, and the
-    insertion chain cur[j] = min_k (cur[k] + j - k) is a running minimum.
-    Column lengths[r] depends only on the columns before it, so the padding
-    never reaches the distance read there.
+    DP keeps one column per string (b down the column, the strings along
+    the last axis) and updates all of them per character of a;
+    substitution and deletion are elementwise, and the insertion chain
+    cur[j] = min_k (cur[k] + j - k) is one running minimum down axis 0
+    for the whole block. Entry lengths[r] of column r depends only on the
+    entries above it, so the padding never reaches the distance read there.
     """
-    cols = np.arange(codes.shape[1] + 1)
-    prev = np.broadcast_to(cols, (codes.shape[0], cols.size))
+    chars = np.ascontiguousarray(codes.T)  # [w, n]: character j of every string in one row
+    j = np.arange(chars.shape[0] + 1)[:, None]
+    prev = np.broadcast_to(j, (j.size, chars.shape[1]))
     for i, ch in enumerate(a, start=1):
         cur = np.empty(prev.shape, dtype=prev.dtype)
-        cur[:, 0] = i
-        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (codes != ord(ch)), out=cur[:, 1:])
-        prev = np.minimum.accumulate(cur - cols, axis=1) + cols
-    return prev[np.arange(codes.shape[0]), lengths]
+        cur[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + (chars != ord(ch)), out=cur[1:])
+        cur -= j
+        prev = np.minimum.accumulate(cur, axis=0)
+        prev += j
+    return prev[lengths, np.arange(chars.shape[1])]
 
 
 def levenshtein(a: str, b: str) -> int:

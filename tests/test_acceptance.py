@@ -33,7 +33,7 @@ from openqa.selector import (
     SelectorModel, build_sequence, init_selector, score_sequence, select, train_selector,
 )
 from openqa.service import make_server
-from openqa.text import Vocabulary, levenshtein, tokenize
+from openqa.text import Vocabulary, levenshtein, split_words, tokenize
 
 from conftest import FIXTURES
 from oracles import detect_relation, predict_logits
@@ -198,7 +198,7 @@ def test_criterion_03_bm25_oracle(capsys):
             doc_texts.append(" ".join(words))
             subject_fields.append(subjects)
             docs.append(IndexedDocument(i, subjects, " ".join(words), KIND_PASSAGE, str(i)))
-        idx = build_index(docs)
+        idx = build_index((doc, split_words(doc.value_field)) for doc in docs)
         for _ in range(4):
             query_terms = [rng.choice(terms_pool) for _ in range(rng.randint(1, 4))]
             k = rng.randint(1, n_docs)

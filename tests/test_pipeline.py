@@ -12,14 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from openqa import pipeline
+from openqa import pipeline, text
 from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion, MalformedLine
 from openqa.hyper import Hyper
+from openqa.kb import build_entity_dictionary, load_triples
 from openqa.pipeline import (
     System, SystemConfig, ask, evaluate, load_qa_pairs,
     make_selector_data, run_solvers, split_dataset,
 )
 from openqa.reader import init_reader
+from openqa.retrieval import load_passages
 from openqa.selector import select
 from openqa.text import normalize
 
@@ -230,6 +232,21 @@ class TestSolverDegradation:
         assert [r.getMessage().split()[1] for r in skips] == ["ld", "rr"]
         assert all(r.exc_info is None for r in skips)
 
+    def test_failed_solver_is_one_error_line(self, toy, monkeypatch, caplog):
+        system = toy["system"]
+
+        def failing_sp(question):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(system, "run_sp", failing_sp)
+        with caplog.at_level(logging.WARNING, logger="openqa"):
+            response = ask(system, "who wrote hamlet")
+        assert response.candidates["sp"] == []
+        assert response.answer == "shakespeare" and (response.candidates["ld"] or response.candidates["rr"])
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == ["solver sp failed on 'who wrote hamlet': ValueError: boom"]
+        assert errors[0].exc_info is None
+
     def test_missing_models_degrade_to_empty(self, toy, tmp_path):
         config_path = toy["write_config"](str(tmp_path / "bare.json"), {})
         bare = System(SystemConfig.load(config_path))
@@ -238,6 +255,30 @@ class TestSolverDegradation:
         assert candidates["sp"][0].answer == "shakespeare"
         # ask remains total
         assert ask(bare, "who wrote hamlet").answer == "shakespeare"
+
+
+class TestBuildCorpus:
+    def test_each_document_is_split_into_words_once(self, fx, monkeypatch):
+        """The token regex runs once per document and once per distinct
+        subject entity: tagging and indexing share each passage's words."""
+        class CountingPattern:
+            def __init__(self, pattern):
+                self.pattern, self.runs = pattern, 0
+
+            def findall(self, text):
+                self.runs += 1
+                return self.pattern.findall(text)
+
+        kb = load_triples(os.path.join(fx, "kb.tsv"))
+        dictionary = build_entity_dictionary(kb)
+        passages_path = os.path.join(fx, "passages.jsonl")
+        passages = load_passages(passages_path)
+        pattern = CountingPattern(text._TOKEN_RE)
+        monkeypatch.setattr(text, "_TOKEN_RE", pattern)
+        idx = pipeline.build_corpus(kb, dictionary, passages_path)
+        entities = {entity for doc in idx.docs.values() for entity in doc.subject_field}
+        assert idx.doc_count == len(kb.triples) + len(passages) and passages and entities
+        assert pattern.runs == idx.doc_count + len(entities)
 
 
 class TestSplit:

@@ -10,12 +10,17 @@ from openqa.errors import DuplicateDocId, MalformedLine
 from openqa.kb import Triple
 from openqa.retrieval import (
     B, K1, KIND_PASSAGE, KIND_TRIPLE, SUBJECT_BOOST,
-    IndexedDocument, build_index, load_passages,
+    IndexedDocument, InvertedIndex, build_index, load_passages,
     search, splice_triple, tag_passage,
 )
-from openqa.text import EntityDictionary, tokenize
+from openqa.text import EntityDictionary, split_words, tokenize
 
 from oracles import bm25_score
+
+
+def indexed(docs: list[IndexedDocument]) -> InvertedIndex:
+    """`build_index` over the documents, each with its words."""
+    return build_index((doc, split_words(doc.value_field)) for doc in docs)
 
 
 def corpus() -> list[IndexedDocument]:
@@ -24,8 +29,8 @@ def corpus() -> list[IndexedDocument]:
         splice_triple(Triple("paris", "capital_of", "france"), 1),
     ]
     d = EntityDictionary({"paris": "paris"})
-    docs.append(tag_passage("p1", "paris has been the capital of france", d, 2))
-    docs.append(tag_passage("p2", "the sky is blue", d, 3))
+    docs.append(tag_passage("p1", "paris has been the capital of france", d, 2)[0])
+    docs.append(tag_passage("p2", "the sky is blue", d, 3)[0])
     return docs
 
 
@@ -39,26 +44,32 @@ class TestDocuments:
 
     def test_tag_passage_collects_mentioned_entities(self):
         d = EntityDictionary({"paris": "paris", "france": "france"})
-        doc = tag_passage("p1", "Paris has been the capital of France", d, 0)
+        doc, _ = tag_passage("p1", "Paris has been the capital of France", d, 0)
         assert doc.kind == KIND_PASSAGE
         assert set(doc.subject_field) == {"paris", "france"}
         assert doc.origin == "passage:p1"
 
+    def test_tag_passage_returns_its_words_unmerged(self):
+        d = EntityDictionary({"new york": "new york"})
+        doc, words = tag_passage("p1", "Trams of New York, then İstanbul's.", d, 0)
+        assert doc.subject_field == ("new york",)
+        assert words == split_words(doc.value_field) != list(tokenize(doc.value_field, d).tokens)
+
     def test_tag_passage_lists_each_canonical_once(self):
         d = EntityDictionary({"nyc": "new york", "new york": "new york", "paris": "paris"})
-        doc = tag_passage("p1", "NYC is not Paris, but New York is nyc", d, 0)
+        doc, _ = tag_passage("p1", "NYC is not Paris, but New York is nyc", d, 0)
         assert doc.subject_field == ("new york", "paris")
 
     def test_duplicate_doc_ids_rejected(self):
         a = splice_triple(Triple("a", "p", "b"), 0)
         b = splice_triple(Triple("c", "p", "d"), 0)
         with pytest.raises(DuplicateDocId):
-            build_index([a, b])
+            indexed([a, b])
 
 
 class TestScoring:
     def test_bm25_matches_hand_formula(self):
-        idx = build_index(corpus())
+        idx = indexed(corpus())
         n, df = idx.doc_count, 2  # "france" appears in two documents
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         lengths = [len(tokenize(doc.value_field)) for doc in corpus()]
@@ -67,32 +78,32 @@ class TestScoring:
         assert bm25_score(idx, ["france"], 2) == pytest.approx(expected)
 
     def test_subject_field_boost(self):
-        idx = build_index(corpus())
+        idx = indexed(corpus())
         # "paris" is in doc 2's subject field, "france" is not
         paris = bm25_score(idx, ["paris"], 2)
         france = bm25_score(idx, ["france"], 2)
         assert paris == pytest.approx(SUBJECT_BOOST * france)
 
     def test_unknown_doc(self):
-        idx = build_index(corpus())
+        idx = indexed(corpus())
         with pytest.raises(KeyError):
             bm25_score(idx, ["paris"], 99)
 
     def test_repeated_query_terms_count_once(self):
-        idx = build_index(corpus())
+        idx = indexed(corpus())
         assert bm25_score(idx, ["paris", "paris"], 2) == bm25_score(idx, ["paris"], 2)
 
 
 class TestSearch:
     def test_top_k_and_order(self):
-        idx = build_index(corpus())
+        idx = indexed(corpus())
         out = search(idx, "capital of france", k=2)
         assert len(out) == 2
         assert out[0].score >= out[1].score
         assert out[0].doc.doc_id == 2  # the passage mentions all three terms
 
     def test_no_matching_terms(self):
-        idx = build_index(corpus())
+        idx = indexed(corpus())
         assert search(idx, "zebra quantum", k=5) == []
 
     def test_tie_break_on_doc_id(self):
@@ -100,7 +111,7 @@ class TestSearch:
             IndexedDocument(0, (), "same words here", KIND_PASSAGE, "a"),
             IndexedDocument(1, (), "same words here", KIND_PASSAGE, "b"),
         ]
-        idx = build_index(docs)
+        idx = indexed(docs)
         out = search(idx, "same words", k=2)
         assert [r.doc.doc_id for r in out] == [0, 1]
         assert out[0].score == pytest.approx(out[1].score)
@@ -115,7 +126,7 @@ class TestSearch:
                 words = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
                 subjects = tuple(rng.sample(words, rng.randint(0, min(2, len(words)))))
                 docs.append(IndexedDocument(i, subjects, " ".join(words), KIND_PASSAGE))
-            idx = build_index(docs)
+            idx = indexed(docs)
             for _ in range(5):
                 terms = [rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 6))]
                 k = rng.randint(1, len(docs) + 2)
@@ -143,7 +154,7 @@ class TestSearch:
                     words = " ".join(rng.choice(pool) for _ in range(rng.randint(1, 8)))
                     subjects = tuple(rng.sample(words.split() + ["w0", "w1"], rng.randint(0, 2)))
                 docs.append(IndexedDocument(doc_id, subjects, words, KIND_PASSAGE))
-            idx = build_index(docs)
+            idx = indexed(docs)
             queries = [[rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 5))] for _ in range(5)]
             for words in queries + [["absent", "unseen"]]:
                 terms = tokenize(" ".join(words)).tokens
@@ -157,7 +168,7 @@ class TestSearch:
         docs = [IndexedDocument(90, (), "paris paris city", KIND_PASSAGE),
                 IndexedDocument(12, ("paris",), "paris paris city", KIND_PASSAGE),
                 IndexedDocument(45, (), "paris paris city", KIND_PASSAGE)]
-        idx = build_index(docs)
+        idx = indexed(docs)
         got = search(idx, "paris", k=5)
         assert [r.doc.doc_id for r in got] == [12, 45, 90]
         assert got[0].score == SUBJECT_BOOST * got[1].score and got[1].score == got[2].score
@@ -166,16 +177,45 @@ class TestSearch:
     def test_index_terms_are_the_readers_tokens(self):
         # lowercasing "İ" adds a combining dot, which splits the word if done before tokenizing
         d = EntityDictionary({"i\u0307stanbul": "İstanbul"})
-        doc = tag_passage("p", "Trams cross İstanbul, then İstanbul's bridges.", d, 0)
+        doc, words = tag_passage("p", "Trams cross İstanbul, then İstanbul's bridges.", d, 0)
         assert doc.subject_field == ("İstanbul",)
-        idx = build_index([doc])
+        idx = build_index([(doc, words)])
         assert sorted(idx.postings) == sorted(set(tokenize(doc.value_field).tokens))
         got = search(idx, "İstanbul", k=1)
         assert [(r.doc.doc_id, r.score) for r in got] == [(0, bm25_score(idx, ["i\u0307stanbul"], 0))]
 
+    def test_one_shot_stream_of_shuffled_ids_equals_ascending_pairs(self):
+        """build_index reads a generator once, in any doc-id order, and gives
+        the postings, rows and scores of the same pairs in ascending order."""
+        rng = random.Random(41)
+        pool = [f"w{i}" for i in range(12)] + ["İstanbul", "paris,", "dr."]
+        for size in [0, 1] + [rng.randint(2, 30) for _ in range(30)]:
+            docs = []
+            for doc_id in sorted(rng.sample(range(5, 400), size)):
+                if docs and rng.random() < 0.3:  # a copy: score ties
+                    words = rng.choice(docs).value_field
+                else:
+                    words = " ".join(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+                subjects = tuple(rng.sample(words.split() + ["w0", "w1"], rng.randint(0, 2)))
+                docs.append(IndexedDocument(doc_id, subjects, words, KIND_PASSAGE))
+            want = build_index([(doc, split_words(doc.value_field)) for doc in docs])
+            got = build_index((doc, split_words(doc.value_field)) for doc in rng.sample(docs, len(docs)))
+            assert got.docs == want.docs and got.doc_count == want.doc_count
+            assert got.doc_ids.tolist() == want.doc_ids.tolist()
+            assert sorted(got.postings) == sorted(want.postings) == sorted(got.rows) == sorted(want.rows)
+            for term, rows in want.rows.items():
+                assert got.postings[term].tolist() == want.postings[term].tolist()
+                assert got.positions[got.rows[term]].tolist() == want.positions[rows].tolist()
+                assert got.contributions[got.rows[term]].tolist() == want.contributions[rows].tolist()
+            for _ in range(5):
+                query = " ".join(rng.choice(pool + ["absent"]) for _ in range(rng.randint(1, 5)))
+                k = rng.randint(1, size + 2)
+                assert [(r.doc, r.score) for r in search(got, query, k)] == \
+                    [(r.doc, r.score) for r in search(want, query, k)]
+
     def test_postings_are_doc_id_tf_rows(self):
         docs = [IndexedDocument(7, (), "a b a", KIND_PASSAGE), IndexedDocument(3, (), "a c", KIND_PASSAGE)]
-        idx = build_index(docs)
+        idx = indexed(docs)
         assert idx.postings["a"].tolist() == [[3, 1], [7, 2]]
         assert idx.postings["b"].tolist() == [[7, 1]]
         assert sorted(idx.postings) == ["a", "b", "c"]

@@ -155,7 +155,7 @@ class TestPunctuatedNames:
 
     def test_passage_subject_field(self):
         d = build_entity_dictionary(PUNCTUATED_KB)
-        doc = tag_passage("p", "Jean-Luc Picard watched Dr. No in Paris, Texas.", d, 0)
+        doc, _ = tag_passage("p", "Jean-Luc Picard watched Dr. No in Paris, Texas.", d, 0)
         assert doc.subject_field == ("Jean-Luc Picard", "Dr. No", "Paris, Texas")
 
 
