@@ -36,14 +36,6 @@ class EmptyQuestion(OpenQAError):
     """The question is empty after normalization."""
 
 
-class EmptyPattern(OpenQAError):
-    pass
-
-
-class EmptyRelation(OpenQAError):
-    pass
-
-
 class NoCandidates(OpenQAError):
     pass
 
@@ -52,32 +44,12 @@ class EmptyPassage(OpenQAError):
     pass
 
 
-class DuplicateDocId(OpenQAError):
-    pass
+class BadExample(OpenQAError):
+    """A training example that cannot be trained on, found before the first step."""
 
-
-class MisalignedExample(OpenQAError):
-    def __init__(self, index: int):
+    def __init__(self, index: int, reason: str):
         self.index = index
-        super().__init__(f"example {index}: tags not aligned with tokens")
-
-
-class NoNegatives(OpenQAError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"example {index}: at least one negative relation required")
-
-
-class SpanOutOfRange(OpenQAError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"example {index}: gold span outside passage")
-
-
-class GoldOutOfRange(OpenQAError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"example {index}: gold index outside candidate list")
+        super().__init__(f"example {index}: {reason}")
 
 
 class EmptyInput(OpenQAError):

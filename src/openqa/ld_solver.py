@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .answers import SOLVER_LD, AnswerCandidate
-from .errors import EmptyPattern, EmptyQuestion, EmptyRelation, MisalignedExample, NoNegatives
+from .errors import BadExample, EmptyQuestion, ShapeMismatch
 from .hyper import Hyper
 from .jsonl import read_json_lines, text_field, text_list
 from .kb import KnowledgeBase
@@ -127,7 +127,7 @@ def _best_run(tags) -> tuple[int, int] | None:
 
 def extract_mention(tags: TagSequence, tokens: Sequence[str]) -> str:
     if len(tags.tags) != len(tokens):
-        raise MisalignedExample(0)
+        raise ShapeMismatch(f"{len(tags.tags)} tags for {len(tokens)} tokens")
     run = _best_run(tags.tags)
     if run is None:
         return ""
@@ -206,25 +206,10 @@ def _relation_tokens(relation: str) -> list[str]:
     return list(tokenize(relation.replace("_", " ")).tokens)
 
 
-def _score_with_cache(params: nn.ModelParameters, vocab: Vocabulary, pattern: list[str], relation: str):
-    if not pattern:
-        raise EmptyPattern("question pattern has no tokens")
-    rel_tokens = _relation_tokens(relation)
-    if not rel_tokens:
-        raise EmptyRelation(f"relation {relation!r} has no tokens")
-    p_ids = encode(vocab, pattern)
-    r_ids = encode(vocab, rel_tokens)
-    p_cnn, p_gru, p_cache = _encode_side(params, p_ids)
-    r_cnn, r_gru, r_cache = _encode_side(params, r_ids)
-    cnn_score = nn.cosine(p_cnn, r_cnn)
-    gru_score = nn.cosine(p_gru, r_gru)
-    vectors = (p_cnn, p_gru, r_cnn, r_gru)
-    return RelationScore(relation, cnn_score, gru_score), (p_cache, r_cache, vectors)
-
-
-def _score_backward(params: nn.ModelParameters, cache, d_combined: float) -> nn.Grads:
-    """Gradient of combined = 0.5*cnn + 0.5*gru through both encoders."""
-    p_cache, r_cache, (p_cnn, p_gru, r_cnn, r_gru) = cache
+def _score_backward(params: nn.ModelParameters, pattern, relation, d_combined: float) -> nn.Grads:
+    """Gradient of combined = 0.5*cnn + 0.5*gru through both encoders, from
+    the pattern's and the relation's `_encode_side` results."""
+    (p_cnn, p_gru, p_cache), (r_cnn, r_gru, r_cache) = pattern, relation
     dp_cnn, dr_cnn = nn.cosine_backward(p_cnn, r_cnn, 0.5 * d_combined)
     dp_gru, dr_gru = nn.cosine_backward(p_gru, r_gru, 0.5 * d_combined)
     grads = _encode_side_backward(params, p_cache, dp_cnn, dp_gru)
@@ -242,9 +227,10 @@ def encode_relations(scorer: nn.ModelParameters, vocab: Vocabulary, relations: I
 
 
 def score_relation(relation: str, pattern_vectors: tuple, relation_vectors: tuple) -> RelationScore:
-    """How well `relation` fits the question pattern, from the pattern's (CNN,
-    BiGRU) vectors and the relation's (an `encode_relations` entry): the same
-    bits as `_score_with_cache`, which encodes both sides from scratch."""
+    """How well `relation` fits the question pattern: the cosine of the
+    pattern's and the relation's CNN vectors and that of their BiGRU vectors,
+    each side's (CNN, BiGRU) pair as `_encode_side` gives it (a relation's is
+    its `encode_relations` entry)."""
     (p_cnn, p_gru), (r_cnn, r_gru) = pattern_vectors, relation_vectors
     return RelationScore(relation, nn.cosine(p_cnn, r_cnn), nn.cosine(p_gru, r_gru))
 
@@ -327,57 +313,57 @@ def load_scorer_data(path: str) -> list[tuple[list[str], str, list[str]]]:
 
 def train_tagger(dataset: list[tuple[str, list[str]]], hyper: Hyper, vocab: Vocabulary) -> nn.ModelParameters:
     """Online SGD on per-token cross entropy over BIO labels."""
-    if not dataset:
-        raise MisalignedExample(0)
     encoded = []
     for idx, (question, tags) in enumerate(dataset):
         tokens = tokenize(question)
+        if len(tokens) == 0:
+            raise BadExample(idx, "question has no tokens")
         if len(tokens) != len(tags) or any(t not in TAGS for t in tags):
-            raise MisalignedExample(idx)
+            raise BadExample(idx, "tags not aligned with tokens")
         encoded.append((encode(vocab, tokens.tokens), [TAGS.index(t) for t in tags]))
-
     params = init_tagger(vocab.size, hyper)
-    losses: list[float] = []
-    for _ in range(hyper.epochs):
-        epoch_loss = 0.0
-        for ids, gold in encoded:
-            logits, cache = _tagger_logits(params, ids)
-            grad_logits = np.zeros_like(logits)
-            for t, g in enumerate(gold):
-                loss_t, grad_t = nn.softmax_cross_entropy(logits[t], g)
-                epoch_loss += loss_t
-                grad_logits[t] = grad_t
-            nn.sgd_step(params, _tagger_backward(params, cache, grad_logits), hyper.lr)
-        losses.append(epoch_loss)
-    params.arch["epoch_losses"] = losses
-    return params
+
+    def step(example):
+        ids, gold = example
+        logits, cache = _tagger_logits(params, ids)
+        per_token = [nn.softmax_cross_entropy(row, g) for row, g in zip(logits, gold)]
+        grad_logits = np.array([grad for _, grad in per_token])
+        return sum(loss for loss, _ in per_token), _tagger_backward(params, cache, grad_logits)
+
+    return nn.fit(params, encoded, step, hyper.epochs, hyper.lr)
 
 
 def train_relation_scorer(dataset: list[tuple[list[str], str, list[str]]], hyper: Hyper, vocab: Vocabulary) -> nn.ModelParameters:
     """Online SGD on pairwise hinge loss: max(0, margin - s_gold + s_neg)."""
-    for idx, (_, _, negatives) in enumerate(dataset):
+    encoded = []
+    for idx, (pattern, gold, negatives) in enumerate(dataset):
+        if not pattern:
+            raise BadExample(idx, "pattern is empty")
         if not negatives:
-            raise NoNegatives(idx)
-
+            raise BadExample(idx, "at least one negative relation required")
+        relations = [(rel, encode(vocab, _relation_tokens(rel))) for rel in [gold] + negatives]
+        for rel, ids in relations:
+            if not ids:
+                raise BadExample(idx, f"relation {rel!r} has no tokens")
+        encoded.append((encode(vocab, pattern), relations[0], relations[1:]))
     params = init_relation_scorer(vocab.size, hyper)
-    losses: list[float] = []
-    for _ in range(hyper.epochs):
-        epoch_loss = 0.0
-        for pattern, gold, negatives in dataset:
-            gold_score, gold_cache = _score_with_cache(params, vocab, pattern, gold)
-            grads: nn.Grads = {}
-            d_gold = 0.0
-            for neg in negatives:
-                neg_score, neg_cache = _score_with_cache(params, vocab, pattern, neg)
-                loss = HINGE_MARGIN - gold_score.combined + neg_score.combined
-                if loss > 0:
-                    epoch_loss += loss
-                    d_gold -= 1.0
-                    nn.accumulate(grads, _score_backward(params, neg_cache, 1.0))
-            if d_gold != 0.0:
-                nn.accumulate(grads, _score_backward(params, gold_cache, d_gold))
-            if grads:
-                nn.sgd_step(params, grads, hyper.lr)
-        losses.append(epoch_loss)
-    params.arch["epoch_losses"] = losses
-    return params
+
+    def step(example):  # the pattern is encoded once; the gold's gradient goes in after the negatives'
+        p_ids, (gold, gold_ids), negatives = example
+        pattern = _encode_side(params, p_ids)
+        gold_side = _encode_side(params, gold_ids)
+        gold_score = score_relation(gold, pattern[:2], gold_side[:2]).combined
+        loss, d_gold = 0.0, 0.0
+        grads: nn.Grads = {}
+        for neg, neg_ids in negatives:
+            neg_side = _encode_side(params, neg_ids)
+            margin = HINGE_MARGIN - gold_score + score_relation(neg, pattern[:2], neg_side[:2]).combined
+            if margin > 0:
+                loss += margin
+                d_gold -= 1.0
+                nn.accumulate(grads, _score_backward(params, pattern, neg_side, 1.0))
+        if d_gold != 0.0:
+            nn.accumulate(grads, _score_backward(params, pattern, gold_side, d_gold))
+        return loss, grads
+
+    return nn.fit(params, encoded, step, hyper.epochs, hyper.lr)

@@ -1,4 +1,4 @@
-"""Named parameter collections: initialization, serialization, SGD, grad check.
+"""Named parameter collections: initialization, serialization, SGD, the training loop, grad check.
 
 Everything is float64. Initialization is uniform(-r, r) with
 r = sqrt(6 / (fan_in + fan_out)) from a generator seeded by a recorded
@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import tokenize
 import zipfile
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import EmptyDataset, ShapeMismatch
 
 Grads = dict[str, np.ndarray]
 META = "__meta__"  # the archive entry that holds rng_seed and arch as a JSON string
@@ -119,6 +119,25 @@ def sgd_step(params: ModelParameters, grads: Grads, lr: float) -> ModelParameter
         if p.shape != g.shape:
             raise ShapeMismatch(f"{name}: param {p.shape} vs grad {g.shape}")
         p -= lr * g
+    return params
+
+
+def fit(params: ModelParameters, examples: Sequence, step: Callable[..., tuple[float, Grads]],
+        epochs: int, lr: float) -> ModelParameters:
+    """Online SGD: `epochs` passes over `examples` in order, one `sgd_step` per
+    example with the gradient `step(example)` returns under the weights as they
+    are then. Each epoch's summed loss goes to arch["epoch_losses"]."""
+    if not examples:
+        raise EmptyDataset("no training examples")
+    losses: list[float] = []
+    for _ in range(epochs):
+        total = 0.0
+        for example in examples:
+            loss, grads = step(example)
+            total += loss
+            sgd_step(params, grads, lr)
+        losses.append(total)
+    params.arch["epoch_losses"] = losses
     return params
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .answers import SOLVER_RR, AnswerCandidate
-from .errors import SpanOutOfRange
+from .errors import BadExample
 from .hyper import Hyper
 from .jsonl import read_json_lines, text_field
 from .retrieval import KIND_PASSAGE, RetrievalResult
@@ -196,25 +196,23 @@ def load_reader_data(path: str) -> list[tuple[str, str, int, int]]:
 
 
 def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: Vocabulary) -> ReaderModel:
-    """SGD on start + end cross entropy over gold span boundaries."""
+    """Online SGD on start + end cross entropy over gold span boundaries."""
     encoded = []
     for idx, (question, passage, gs, ge) in enumerate(dataset):
+        q_tokens = list(tokenize(question).tokens)
+        if not q_tokens:
+            raise BadExample(idx, "question has no tokens")
         p_tokens = list(tokenize(passage).tokens)
         if not (0 <= gs <= ge < len(p_tokens)):
-            raise SpanOutOfRange(idx)
-        q_tokens = list(tokenize(question).tokens)
+            raise BadExample(idx, "gold span outside passage")
         encoded.append((encode(vocab, q_tokens), encode(vocab, p_tokens), gs, ge))
-
     params = init_reader(vocab.size, hyper)
-    losses: list[float] = []
-    for _ in range(hyper.epochs):
-        epoch_loss = 0.0
-        for q_ids, p_ids, gs, ge in encoded:
-            start, end, cache = _forward(params, q_ids, p_ids)
-            loss_s, d_start = nn.softmax_cross_entropy(start, gs)
-            loss_e, d_end = nn.softmax_cross_entropy(end, ge)
-            epoch_loss += loss_s + loss_e
-            nn.sgd_step(params, _backward(params, cache, d_start, d_end), hyper.lr)
-        losses.append(epoch_loss)
-    params.arch["epoch_losses"] = losses
-    return ReaderModel(params, vocab)
+
+    def step(example):
+        q_ids, p_ids, gs, ge = example
+        start, end, cache = _forward(params, q_ids, p_ids)
+        loss_s, d_start = nn.softmax_cross_entropy(start, gs)
+        loss_e, d_end = nn.softmax_cross_entropy(end, ge)
+        return loss_s + loss_e, _backward(params, cache, d_start, d_end)
+
+    return ReaderModel(nn.fit(params, encoded, step, hyper.epochs, hyper.lr), vocab)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDocId, EmptyPassage
+from .errors import EmptyPassage
 from .jsonl import read_json_lines, text_field
 from .kb import Triple
 from .text import EntityDictionary, merge_keys, split_words, tokenize
@@ -93,13 +93,11 @@ def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary,
 
 @dataclass
 class InvertedIndex:
-    docs: dict[int, IndexedDocument] = field(default_factory=dict)
+    docs: list[IndexedDocument] = field(default_factory=list)  # a document's doc_id is its position here
     # term -> [n, 2] (doc_id, tf) rows, doc ids ascending: a view into one flat array
     postings: dict[str, np.ndarray] = field(default_factory=dict)
     doc_count: int = 0
-    # position -> doc_id, ascending; `search` accumulates scores by position
-    doc_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    # term -> its rows in `positions` and `contributions`, which are aligned with the postings
+    # term -> its rows in `positions` (doc ids) and `contributions`, which are aligned with the postings
     rows: dict[str, slice] = field(default_factory=dict)
     positions: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
     contributions: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -108,7 +106,8 @@ class InvertedIndex:
 def build_index(documents: Iterable[tuple[IndexedDocument, Sequence[str]]]) -> InvertedIndex:
     """Index (document, terms) pairs, the terms being `split_words(doc.value_field)`,
     in one pass: each document's terms are counted on arrival and not kept.
-    Doc ids may arrive in any order; positions are ascending doc ids."""
+    Doc ids must arrive as 0, 1, 2, ...: a document's id is its position,
+    by which `search` accumulates scores; any other id is a ValueError."""
     idx = InvertedIndex()
     term_ids: dict[str, int] = {}
     # per posting, in arrival order: its term's id, its tf and whether the term is in the doc's subject field
@@ -119,9 +118,9 @@ def build_index(documents: Iterable[tuple[IndexedDocument, Sequence[str]]]) -> I
     distinct: list[int] = []  # per doc: its number of postings
     entity_terms: dict[str, list[str]] = {}  # each subject entity is split once per build
     for doc, terms in documents:
-        if doc.doc_id in idx.docs:
-            raise DuplicateDocId(f"doc_id {doc.doc_id} appears twice")
-        idx.docs[doc.doc_id] = doc
+        if doc.doc_id != len(idx.docs):
+            raise ValueError(f"doc_id {doc.doc_id} out of order: expected {len(idx.docs)}")
+        idx.docs.append(doc)
         counts: dict[str, int] = {}
         for t in terms:
             counts[t] = counts.get(t, 0) + 1
@@ -138,24 +137,19 @@ def build_index(documents: Iterable[tuple[IndexedDocument, Sequence[str]]]) -> I
     idx.doc_count = len(idx.docs)
     # One vectorised pass: group the postings by term, then position, and compute each one's
     # contribution in the per-document formula's operation order, so every value is bit-identical.
-    arrived = np.fromiter(idx.docs, dtype=np.int64, count=idx.doc_count)
-    by_id = np.argsort(arrived)  # position -> arrival
-    idx.doc_ids = arrived[by_id]
-    rank = np.argsort(by_id)  # arrival -> position
-    idx.positions = np.repeat(rank, distinct)  # each posting's position, in arrival order until grouped
+    idx.positions = np.repeat(np.arange(idx.doc_count), distinct)  # each posting's doc id, arrival order until grouped
     # a doc has one posting per term, so the (term, position) keys are distinct and any sort gives one order
     order = np.argsort(np.array(post_term, dtype=np.intp) * idx.doc_count + idx.positions)
     idx.positions = idx.positions[order]
     tf = np.array(post_tf, dtype=np.int64)[order]
-    pairs = np.stack([idx.doc_ids[idx.positions], tf], axis=1)
+    pairs = np.stack([idx.positions, tf], axis=1)
     df = np.bincount(post_term, minlength=len(term_ids))
     for (term, t), end in zip(term_ids.items(), np.cumsum(df).tolist()):
         idx.rows[term] = rows = slice(end - int(df[t]), end)
         idx.postings[term] = pairs[rows]
     idf = np.array([math.log(1.0 + (idx.doc_count - n + 0.5) / (n + 0.5)) for n in df.tolist()])
     avg_length = sum(lengths) / idx.doc_count if idx.doc_count else 0.0
-    by_position = np.array(lengths, dtype=np.int64)[by_id]
-    norm = K1 * (1.0 - B + B * by_position / avg_length) if avg_length else np.zeros(idx.doc_count)
+    norm = K1 * (1.0 - B + B * np.array(lengths) / avg_length) if avg_length else np.zeros(idx.doc_count)
     idx.contributions = np.repeat(idf, df) * tf * (K1 + 1.0) / (tf + norm[idx.positions])
     idx.contributions[np.array(post_subject, dtype=bool)[order]] *= SUBJECT_BOOST
     return idx
@@ -174,9 +168,9 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
             positions = idx.positions[rows]
             scores[positions] += idx.contributions[rows]
             hit[positions] = True
-    matched = np.flatnonzero(hit)  # positions ascending, so doc ids ascending
+    matched = np.flatnonzero(hit)  # doc ids ascending
     top = matched[np.lexsort((matched, -scores[matched]))[:k]]
-    return [RetrievalResult(idx.docs[d], s) for d, s in zip(idx.doc_ids[top].tolist(), scores[top].tolist())]
+    return [RetrievalResult(idx.docs[d], s) for d, s in zip(top.tolist(), scores[top].tolist())]
 
 
 def load_passages(path: str) -> list[tuple[str, str]]:

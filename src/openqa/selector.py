@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .answers import AnswerCandidate
-from .errors import EmptyInput, GoldOutOfRange, NoCandidates, SequenceTooLong
+from .errors import BadExample, EmptyInput, NoCandidates, SequenceTooLong
 from .hyper import Hyper
 from .jsonl import read_json_lines, text_field, text_list
 from .text import CLS, SEP, Vocabulary, encode, tokenize
@@ -132,26 +132,27 @@ def load_selector_data(path: str) -> list[tuple[str, list[str], int]]:
 
 
 def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, vocab: Vocabulary) -> SelectorModel:
-    """SGD on cross entropy over the per-example candidate softmax."""
-    for idx, (_, cands, gold) in enumerate(dataset):
-        if len(cands) < 2 or not 0 <= gold < len(cands):
-            raise GoldOutOfRange(idx)
-
+    """Online SGD on cross entropy over the per-example candidate softmax."""
+    encoded = []
+    for idx, (question, cands, gold) in enumerate(dataset):
+        if not question or not all(cands):
+            raise BadExample(idx, "question and candidates must be non-empty")
+        if len(cands) < 2:
+            raise BadExample(idx, "at least two candidates required")
+        if not 0 <= gold < len(cands):
+            raise BadExample(idx, "gold index outside candidate list")
+        encoded.append(([build_sequence(question, a, vocab) for a in cands], gold))
     model = SelectorModel(init_selector(vocab.size, hyper), vocab)
-    losses: list[float] = []
-    for _ in range(hyper.epochs):
-        epoch_loss = 0.0
-        for question, cands, gold in dataset:
-            seqs = [build_sequence(question, a, vocab) for a in cands]
-            forwards = [_forward(model, ids) for ids in seqs]
-            scores = np.array([f[0] for f in forwards])
-            loss, d_scores = nn.softmax_cross_entropy(scores, gold)
-            epoch_loss += loss
-            grads: nn.Grads = {}
-            for (_, cache), ds in zip(forwards, d_scores):
-                if ds != 0.0:
-                    nn.accumulate(grads, _backward(model, cache, float(ds)))
-            nn.sgd_step(model.params, grads, hyper.lr)
-        losses.append(epoch_loss)
-    model.params.arch["epoch_losses"] = losses
+
+    def step(example):
+        seqs, gold = example
+        forwards = [_forward(model, ids) for ids in seqs]
+        loss, d_scores = nn.softmax_cross_entropy(np.array([score for score, _ in forwards]), gold)
+        grads: nn.Grads = {}
+        for (_, cache), ds in zip(forwards, d_scores):
+            if ds != 0.0:
+                nn.accumulate(grads, _backward(model, cache, float(ds)))
+        return loss, grads
+
+    nn.fit(model.params, encoded, step, hyper.epochs, hyper.lr)
     return model

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from openqa import nn
-from openqa.ld_solver import _score_with_cache
+from openqa.ld_solver import RelationScore, _encode_side, _relation_tokens
 from openqa.reader import ReaderModel, _forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
 from openqa.text import EntityDictionary, Vocabulary, encode, tokenize
@@ -20,10 +20,10 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
     """BM25 (k1=1.2, b=0.75) with a 2x boost for subject-field term hits, for
     one document, with lengths, document frequencies and subject terms taken
     from the indexed documents' text by `tokenize`."""
-    if doc_id not in idx.docs:
+    if not 0 <= doc_id < len(idx.docs):
         raise KeyError(f"doc_id {doc_id} not in index")
-    terms = {d: tokenize(doc.value_field).tokens for d, doc in idx.docs.items()}
-    avg_length = sum(len(t) for t in terms.values()) / len(terms)
+    terms = [tokenize(doc.value_field).tokens for doc in idx.docs]
+    avg_length = sum(len(t) for t in terms) / len(terms)
     norm = K1 * (1.0 - B + B * len(terms[doc_id]) / avg_length) if avg_length else 0.0
     subject = {t for entity in idx.docs[doc_id].subject_field for t in tokenize(entity).tokens}
     score = 0.0
@@ -31,7 +31,7 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
         tf = terms[doc_id].count(term)
         if tf == 0:
             continue
-        df = sum(term in t for t in terms.values())
+        df = sum(term in t for t in terms)
         contribution = math.log(1.0 + (len(terms) - df + 0.5) / (df + 0.5)) * tf * (K1 + 1.0) / (tf + norm)
         if term in subject:
             contribution *= SUBJECT_BOOST
@@ -66,8 +66,17 @@ def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str])
     return start, end
 
 
+def score_from_scratch(scorer: nn.ModelParameters, vocab: Vocabulary, pattern: list[str],
+                       relation: str) -> RelationScore:
+    """How well `relation` fits the question pattern, with both sides encoded
+    from their tokens: the cosines of their CNN and of their BiGRU vectors."""
+    p_cnn, p_gru, _ = _encode_side(scorer, encode(vocab, pattern))
+    r_cnn, r_gru, _ = _encode_side(scorer, encode(vocab, _relation_tokens(relation)))
+    return RelationScore(relation, nn.cosine(p_cnn, r_cnn), nn.cosine(p_gru, r_gru))
+
+
 def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str],
                     candidates: list[str]) -> str:
     """The candidate relation with the best combined score; ties go to the smallest string."""
     return min(candidates,
-               key=lambda rel: (-_score_with_cache(scorer, vocab, question_pattern, rel)[0].combined, rel))
+               key=lambda rel: (-score_from_scratch(scorer, vocab, question_pattern, rel).combined, rel))

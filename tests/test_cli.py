@@ -163,17 +163,46 @@ class TestIndex:
         assert "indexed 42 documents" in capsys.readouterr().out  # 30 triples + 12 passages
 
 
+TRAIN_TARGETS = ["tagger", "scorer", "reader", "selector"]
+
+
 class TestTrain:
     def test_trains_and_writes_model(self, fx, toy, tmp_path, capsys):
-        out_path = str(tmp_path / "tagger.json")
-        assert main(["--config", toy["config"], "train", "tagger",
-                     os.path.join(fx, "tagger.jsonl"),
-                     "--epochs", "2", "--out", out_path]) == 0
-        assert os.path.exists(out_path)
-        assert "trained tagger" in capsys.readouterr().out
-        config = toy["write_config"](str(tmp_path / "config.json"), {"tagger_model": out_path})
-        assert System(SystemConfig.load(config)).tagger is not None
+        for target in TRAIN_TARGETS:
+            data = os.path.join(toy["dir"] if target == "selector" else fx, f"{target}.jsonl")
+            out_path = str(tmp_path / f"{target}.npz")
+            assert main(["--config", toy["config"], "train", target, data, "--epochs", "2", "--out", out_path]) == 0
+            assert capsys.readouterr().out.startswith(f"trained {target}: epochs=2 loss ")
+            assert len(nn.ModelParameters.load(out_path).arch["epoch_losses"]) == 2
+            config = toy["write_config"](str(tmp_path / "config.json"), {f"{target}_model": out_path})
+            assert getattr(System(SystemConfig.load(config)), target) is not None
 
+    @pytest.mark.parametrize("target", TRAIN_TARGETS)
+    def test_empty_file_is_one_error_line(self, toy, tmp_path, capsys, target):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out_path = tmp_path / "model.npz"
+        assert main(["--config", toy["config"], "train", target, str(empty), "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == "error: no training examples\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("target,row,reason", [
+        ("tagger", {"question": "?", "tags": []}, "question has no tokens"),
+        ("reader", {"question": "?", "passage": "the sky is blue", "answer_start_token": 3, "answer_end_token": 3},
+         "question has no tokens"),
+        ("scorer", {"pattern": [], "gold": "author", "negatives": ["capital"]}, "pattern is empty"),
+        ("scorer", {"pattern": ["who", "wrote", "<e>"], "gold": "author", "negatives": ["_"]},
+         "relation '_' has no tokens"),
+        ("selector", {"question": "who wrote hamlet", "candidates": ["shakespeare", ""], "gold": 0},
+         "question and candidates must be non-empty"),
+    ])
+    def test_bad_example_is_one_error_line(self, toy, tmp_path, capsys, target, row, reason):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        out_path = tmp_path / "model.npz"
+        assert main(["--config", toy["config"], "train", target, str(bad), "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == f"error: example 0: {reason}\n"
+        assert not out_path.exists()
 
     def test_bad_epochs_is_one_error_line(self, fx, toy, tmp_path, capsys):
         out_path = str(tmp_path / "tagger.json")

@@ -8,18 +8,18 @@ import pytest
 
 from openqa import ld_solver, nn
 from openqa.hyper import Hyper
-from openqa.errors import EmptyRelation, MalformedLine
+from openqa.errors import BadExample, MalformedLine, ShapeMismatch
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
 from openqa.ld_solver import (
     MAX_LINK_DISTANCE, PLACEHOLDER, TAGS,
     EntityCandidate, RelationScore, TagSequence,
     encode_relations, extract_mention, init_relation_scorer,
     link_entity, load_scorer_data, load_tagger_data,
-    repair_bio, score_relation, solve_ld, tag_entities,
+    repair_bio, score_relation, solve_ld, tag_entities, train_relation_scorer,
 )
 from openqa.text import EntityDictionary, normalize, tokenize
 
-from oracles import detect_relation
+from oracles import detect_relation, score_from_scratch
 
 
 class TestBio:
@@ -39,6 +39,10 @@ class TestBio:
 
     def test_extract_mention_all_outside(self):
         assert extract_mention(TagSequence(("O", "O")), ["a", "b"]) == ""
+
+    def test_extract_mention_misaligned_names_both_lengths(self):
+        with pytest.raises(ShapeMismatch, match=r"^2 tags for 3 tokens$"):
+            extract_mention(TagSequence(("O", "B")), ["a", "b", "c"])
 
 
 def _scan(mention, dictionary, max_distance, levenshtein):
@@ -176,8 +180,9 @@ class TestSolve:
         out = solve_ld("who wrote hamlet", kb, build_entity_dictionary(kb), tagger, scorer, vocab, table)
         assert [c.answer for c in out] == ["shakespeare"]
         assert table.keys() == {"author"}
-        with pytest.raises(EmptyRelation):
-            ld_solver._score_with_cache(scorer, vocab, ["who", "wrote", PLACEHOLDER], "_")
+        with pytest.raises(BadExample, match=r"^example 1: relation '_' has no tokens$"):
+            train_relation_scorer([(["who", "wrote", PLACEHOLDER], "author", ["capital"]),
+                                   (["who", "wrote", PLACEHOLDER], "author", ["_"])], Hyper(d=4, h=4, epochs=1), vocab)
 
     def test_each_relation_scored_once(self, world, vocab, monkeypatch):
         kb, d, tagger, scorer = world
@@ -191,7 +196,7 @@ class TestSolve:
         out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
         assert sorted(calls) == sorted(kb.predicates_of("hamlet"))
         # exact link (distance 0): confidence is the winner's combined score mapped to [0, 1]
-        combined = ld_solver._score_with_cache(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author")[0].combined
+        combined = score_from_scratch(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author").combined
         assert out[0].confidence == (combined + 1.0) / 2.0
 
 
@@ -233,7 +238,7 @@ class TestData:
 class TestRelationTable:
     def test_table_scores_equal_scoring_from_scratch(self, vocab):
         """Scores from the pattern's vectors and `encode_relations`' table are
-        `_score_with_cache`'s combined scores to the bit, on seeded random
+        `score_from_scratch`'s combined scores to the bit, on seeded random
         scorers, patterns and relations (some without tokens, some out of
         vocabulary)."""
         rng = random.Random(31)
@@ -248,6 +253,6 @@ class TestRelationTable:
                 rng.shuffle(pattern)
                 p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
                 for rel in table:
-                    want = ld_solver._score_with_cache(scorer, vocab, pattern, rel)[0]
+                    want = score_from_scratch(scorer, vocab, pattern, rel)
                     got = score_relation(rel, p_vectors, table[rel])
                     assert got == want and got.combined == want.combined

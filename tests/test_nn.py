@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from openqa import nn
-from openqa.errors import EvenWidth, IndexOutOfRange
+from openqa.errors import EmptyDataset, EvenWidth, IndexOutOfRange
 from openqa.nn import layers
 
 RNG = np.random.default_rng(0)
@@ -200,6 +200,22 @@ class TestParameters:
         grads = {"w": np.array([1.0, -2.0])}
         nn.sgd_step(params, grads, lr=0.5)
         assert np.allclose(params["w"], [-0.5, 1.0])
+
+    def test_fit_steps_once_per_example_in_order(self):
+        params = nn.ModelParameters(rng_seed=0)
+        params.add_zeros("w", (1,))
+        seen = []
+
+        def step(example):
+            seen.append((example, float(params["w"][0])))  # the weight each step sees
+            return float(example), {"w": np.array([1.0])}
+
+        assert nn.fit(params, [1, 2, 3], step, epochs=2, lr=0.5) is params
+        assert seen == [(1, 0.0), (2, -0.5), (3, -1.0), (1, -1.5), (2, -2.0), (3, -2.5)]
+        assert params["w"].tolist() == [-3.0]
+        assert params.arch["epoch_losses"] == [6.0, 6.0]
+        with pytest.raises(EmptyDataset):
+            nn.fit(params, [], step, epochs=2, lr=0.5)
 
     def test_grad_check_flags_wrong_gradient(self):
         params = nn.ModelParameters(rng_seed=0)

@@ -276,7 +276,7 @@ class TestBuildCorpus:
         pattern = CountingPattern(text._TOKEN_RE)
         monkeypatch.setattr(text, "_TOKEN_RE", pattern)
         idx = pipeline.build_corpus(kb, dictionary, passages_path)
-        entities = {entity for doc in idx.docs.values() for entity in doc.subject_field}
+        entities = {entity for doc in idx.docs for entity in doc.subject_field}
         assert idx.doc_count == len(kb.triples) + len(passages) and passages and entities
         assert pattern.runs == idx.doc_count + len(entities)
 

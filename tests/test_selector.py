@@ -120,8 +120,8 @@ class TestTrainer:
             assert select(model, question, candidates(*answers)).chosen == gold
 
     def test_rejects_out_of_range_gold(self, vocab):
-        from openqa.errors import GoldOutOfRange
-        with pytest.raises(GoldOutOfRange):
+        from openqa.errors import BadExample
+        with pytest.raises(BadExample, match=r"^example 0: gold index outside candidate list$"):
             train_selector([("q", ["a", "b"], 2)],
                            Hyper(d=8, h=8, epochs=1), vocab)
 
