@@ -64,5 +64,9 @@ class EmptyDataset(OpenQAError):
     pass
 
 
+class Diverged(OpenQAError):
+    """A training epoch's loss is not finite."""
+
+
 class ConfigError(OpenQAError):
     """Invalid or incomplete system configuration."""

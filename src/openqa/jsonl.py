@@ -43,6 +43,15 @@ def text_field(obj: dict, key: str) -> str:
     return value
 
 
+def int_field(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer (not a bool, a float or a string);
+    anything else is a TypeError naming the field."""
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"field {key!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def text_list(obj: dict, key: str) -> list[str]:
     """obj[key], which must be a JSON array of strings; anything else is a TypeError naming the field."""
     value = obj[key]

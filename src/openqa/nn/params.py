@@ -11,13 +11,14 @@ parameter, in order, and a META entry. Only this module knows the format.
 from __future__ import annotations
 
 import json
+import math
 import tokenize
 import zipfile
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import EmptyDataset, ShapeMismatch
+from ..errors import Diverged, EmptyDataset, ShapeMismatch
 
 Grads = dict[str, np.ndarray]
 META = "__meta__"  # the archive entry that holds rng_seed and arch as a JSON string
@@ -75,7 +76,8 @@ class ModelParameters:
 
     @classmethod
     def load(cls, path: str) -> "ModelParameters":
-        """The model `save` wrote to `path`; ValueError for any other file."""
+        """The model `save` wrote to `path`; ValueError for any other file,
+        and for one whose weights are not all finite."""
         with open(path, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":  # np.load would return a bare .npy as one array
                 raise ValueError("not an .npz archive")
@@ -94,6 +96,9 @@ class ModelParameters:
         other = [name for name, arr in arrays.items() if getattr(arr, "dtype", None) != np.float64]
         if other:
             raise ValueError(f"arrays that are not float64: {', '.join(other)}")
+        non_finite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+        if non_finite:
+            raise ValueError(f"arrays with non-finite values: {', '.join(non_finite)}")
         out = cls(doc["rng_seed"], doc["arch"])
         out.entries.update(arrays)
         return out
@@ -126,7 +131,8 @@ def fit(params: ModelParameters, examples: Sequence, step: Callable[..., tuple[f
         epochs: int, lr: float) -> ModelParameters:
     """Online SGD: `epochs` passes over `examples` in order, one `sgd_step` per
     example with the gradient `step(example)` returns under the weights as they
-    are then. Each epoch's summed loss goes to arch["epoch_losses"]."""
+    are then. Each epoch's summed loss goes to arch["epoch_losses"]; one that
+    is not finite raises Diverged, since the weights are then past use."""
     if not examples:
         raise EmptyDataset("no training examples")
     losses: list[float] = []
@@ -136,6 +142,8 @@ def fit(params: ModelParameters, examples: Sequence, step: Callable[..., tuple[f
             loss, grads = step(example)
             total += loss
             sgd_step(params, grads, lr)
+        if not math.isfinite(total):
+            raise Diverged(f"epoch {len(losses) + 1} loss is {total}: training diverged")
         losses.append(total)
     params.arch["epoch_losses"] = losses
     return params

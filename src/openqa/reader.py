@@ -16,7 +16,7 @@ from . import nn
 from .answers import SOLVER_RR, AnswerCandidate
 from .errors import BadExample
 from .hyper import Hyper
-from .jsonl import read_json_lines, text_field
+from .jsonl import int_field, read_json_lines, text_field
 from .retrieval import KIND_PASSAGE, RetrievalResult
 from .text import Vocabulary, encode, tokenize
 
@@ -106,42 +106,22 @@ def _question_tokens(question: str) -> list[str]:
     return list(tokenize(question).tokens) or ["<unk>"]
 
 
-def enumerate_spans(
-    start_logits: np.ndarray,
-    end_logits: np.ndarray,
-    max_span_len: int,
-    doc_id: int,
-    tokens: list[str],
-) -> list[SpanPrediction]:
-    """All spans up to max_span_len, best raw score first."""
-    n = len(tokens)
-    spans = []
-    for i in range(n):
-        for j in range(i, min(i + max_span_len, n)):
-            spans.append(SpanPrediction(
-                doc_id, i, j,
-                float(start_logits[i] + end_logits[j]),
-                " ".join(tokens[i : j + 1]),
-            ))
-    spans.sort(key=lambda s: (-s.raw_score, s.start, s.end))
-    return spans
-
-
 def best_spans(
     start_logits: np.ndarray,
     end_logits: np.ndarray,
     max_span_len: int,
     passages: list[tuple[int, Sequence[str]]],
 ) -> list[SpanPrediction]:
-    """`enumerate_spans(...)[0]` for every row of a padded batch, without
-    enumerating: one banded argmax over the [P, L] logits.
+    """The best span of at most max_span_len tokens for every row of a padded
+    batch, by raw score start + end, without enumerating the spans: one banded
+    argmax over the [P, L] logits.
 
     Row p holds passage p, (doc_id, tokens); its logits past len(tokens)
     are finite padding. Row p, position i, column w of the band holds
     start[p, i] + end[p, i + w] for w < max_span_len, and -inf where the
     end lies past the passage, as it does for every start past it. Each
-    row's row-major argmax takes the first maximum, that is the smallest
-    start and then the smallest end, which is `enumerate_spans`' tie-break.
+    row's row-major argmax takes the first maximum, so ties go to the
+    smallest start and then the smallest end.
     """
     P, L = start_logits.shape
     past = np.arange(L) >= np.array([len(tokens) for _, tokens in passages])[:, None]
@@ -192,7 +172,7 @@ def read(
 def load_reader_data(path: str) -> list[tuple[str, str, int, int]]:
     """JSON Lines: question, passage, answer_start_token, answer_end_token."""
     return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_field(obj, "passage"),
-                                              int(obj["answer_start_token"]), int(obj["answer_end_token"])))
+                                              int_field(obj, "answer_start_token"), int_field(obj, "answer_end_token")))
 
 
 def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: Vocabulary) -> ReaderModel:

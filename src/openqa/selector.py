@@ -15,7 +15,7 @@ from . import nn
 from .answers import AnswerCandidate
 from .errors import BadExample, EmptyInput, NoCandidates, SequenceTooLong
 from .hyper import Hyper
-from .jsonl import read_json_lines, text_field, text_list
+from .jsonl import int_field, read_json_lines, text_field, text_list
 from .text import CLS, SEP, Vocabulary, encode, tokenize
 
 MAX_LEN = 64
@@ -128,7 +128,7 @@ def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate
 def load_selector_data(path: str) -> list[tuple[str, list[str], int]]:
     """JSON Lines: {"question": str, "candidates": [str], "gold": int}."""
     return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_list(obj, "candidates"),
-                                              int(obj["gold"])))
+                                              int_field(obj, "gold")))
 
 
 def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, vocab: Vocabulary) -> SelectorModel:

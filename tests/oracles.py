@@ -11,7 +11,7 @@ import numpy as np
 
 from openqa import nn
 from openqa.ld_solver import RelationScore, _encode_side, _relation_tokens
-from openqa.reader import ReaderModel, _forward, _question_tokens
+from openqa.reader import ReaderModel, SpanPrediction, _forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
 from openqa.text import EntityDictionary, Vocabulary, encode, tokenize
 
@@ -80,3 +80,25 @@ def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_patt
     """The candidate relation with the best combined score; ties go to the smallest string."""
     return min(candidates,
                key=lambda rel: (-score_from_scratch(scorer, vocab, question_pattern, rel).combined, rel))
+
+
+def enumerate_spans(
+    start_logits: np.ndarray,
+    end_logits: np.ndarray,
+    max_span_len: int,
+    doc_id: int,
+    tokens: list[str],
+) -> list[SpanPrediction]:
+    """All spans up to max_span_len, best raw score first, ties by start then end:
+    the oracle for `reader.best_spans`."""
+    n = len(tokens)
+    spans = []
+    for i in range(n):
+        for j in range(i, min(i + max_span_len, n)):
+            spans.append(SpanPrediction(
+                doc_id, i, j,
+                float(start_logits[i] + end_logits[j]),
+                " ".join(tokens[i : j + 1]),
+            ))
+    spans.sort(key=lambda s: (-s.raw_score, s.start, s.end))
+    return spans

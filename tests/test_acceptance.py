@@ -27,7 +27,7 @@ from openqa.ld_solver import (
     train_relation_scorer, train_tagger,
 )
 from openqa.pipeline import System, SystemConfig, ask, evaluate, split_dataset
-from openqa.reader import MAX_SPAN_LEN, enumerate_spans, load_reader_data, train_reader
+from openqa.reader import MAX_SPAN_LEN, load_reader_data, train_reader
 from openqa.retrieval import IndexedDocument, KIND_PASSAGE, build_index, search
 from openqa.selector import (
     SelectorModel, build_sequence, init_selector, score_sequence, select, train_selector,
@@ -36,7 +36,7 @@ from openqa.service import make_server
 from openqa.text import Vocabulary, levenshtein, split_words, tokenize
 
 from conftest import FIXTURES
-from oracles import detect_relation, predict_logits
+from oracles import detect_relation, enumerate_spans, predict_logits
 
 
 def report(capsys, n: int, ok: bool, detail: str):

@@ -83,7 +83,7 @@ class TestAsk:
 
     @pytest.mark.parametrize("damage", ["truncated", "json-layout", "empty", "bare-npy", "unclosed-npy-header",
                                         "no-meta", "meta-is-a-list", "int32-array", "object-array",
-                                        "missing-array", "per-gate-layout",
+                                        "missing-array", "per-gate-layout", "non-finite-weights",
                                         "arch-lacks-heads", "arch-heads-do-not-divide-d"])
     def test_bad_model_file_is_one_error_line(self, toy, tmp_path, capsys, damage):
         slot = "selector" if damage.startswith("arch-") else "reader"
@@ -126,6 +126,8 @@ class TestAsk:
                 params.entries["p.b"] = params.entries["p.b"].astype(object)
             elif damage == "missing-array":
                 del params.entries["p.b"]
+            elif damage == "non-finite-weights":  # one NaN would make every rr answer an error
+                params.entries["W_s"][0, 0] = np.nan
             elif damage == "arch-lacks-heads":
                 del params.arch["heads"]
             elif damage == "arch-heads-do-not-divide-d":
@@ -138,6 +140,8 @@ class TestAsk:
             assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {slot}_model {model}: ") and err.count("\n") == 1
+            if damage == "non-finite-weights":
+                assert err.endswith(": arrays with non-finite values: W_s\n")
             assert "allow_pickle" not in err
         arch_errors = {"arch-lacks-heads": "arch lacks heads",
                        "arch-heads-do-not-divide-d": "invalid arch: model dim 16 not divisible by 3 heads"}
@@ -212,6 +216,15 @@ class TestTrain:
         assert capsys.readouterr().err == "error: epochs must be an integer >= 1, got -1\n"
         assert not os.path.exists(out_path)
 
+    def test_diverged_training_is_one_error_line(self, fx, toy, tmp_path, capsys):
+        out_path = tmp_path / "reader.npz"
+        with np.errstate(all="ignore"):
+            assert main(["--config", toy["config"], "train", "reader", os.path.join(fx, "reader.jsonl"),
+                         "--epochs", "3", "--lr", "1e300", "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch ") and err.endswith(": training diverged\n") and err.count("\n") == 1
+        assert not out_path.exists()
+
 
 class TestServe:
     def test_bad_addr_is_one_error_line_before_the_build(self, toy, capsys, monkeypatch):
@@ -256,6 +269,25 @@ class TestInputFiles:
         assert main(["--config", toy["config"], "train", model, "--out", str(tmp_path / "m.npz"), str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: malformed line 1: field ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model,key,value", [
+        ("selector", "gold", 1.9),
+        ("selector", "gold", True),
+        ("selector", "gold", "1"),
+        ("reader", "answer_start_token", "3"),
+        ("reader", "answer_end_token", 3.0),
+    ])
+    def test_integer_field_is_not_coerced(self, toy, tmp_path, capsys, model, key, value):
+        row = {"selector": {"question": "who wrote hamlet", "candidates": ["shakespeare", "stratford"], "gold": 1},
+               "reader": {"question": "what color is the sky", "passage": "the sky is blue",
+                          "answer_start_token": 3, "answer_end_token": 3}}[model]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({**row, key: value}) + "\n")
+        out_path = tmp_path / "m.npz"
+        assert main(["--config", toy["config"], "train", model, "--out", str(out_path), str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed line 1: field {key!r} must be an integer, got {json.dumps(value)}\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["load-kb", "eval"])
     def test_missing_file_is_one_error_line(self, toy, tmp_path, capsys, command):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from openqa import nn
-from openqa.errors import EmptyDataset, EvenWidth, IndexOutOfRange
+from openqa.errors import Diverged, EmptyDataset, EvenWidth, IndexOutOfRange
 from openqa.nn import layers
 
 RNG = np.random.default_rng(0)
@@ -216,6 +216,27 @@ class TestParameters:
         assert params.arch["epoch_losses"] == [6.0, 6.0]
         with pytest.raises(EmptyDataset):
             nn.fit(params, [], step, epochs=2, lr=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_refuses_a_non_finite_epoch_loss(self, bad):
+        params = nn.ModelParameters(rng_seed=0)
+        params.add_zeros("w", (1,))
+        losses = iter([1.0, 2.0, bad, 3.0])
+        with pytest.raises(Diverged, match=f"epoch 2 loss is {bad}: training diverged"):
+            nn.fit(params, [0, 1], lambda example: (next(losses), {"w": np.array([1.0])}), epochs=3, lr=0.5)
+        assert "epoch_losses" not in params.arch
+
+    def test_load_refuses_non_finite_weights(self, tmp_path):
+        params = nn.ModelParameters(rng_seed=0, arch={"kind": "demo"})
+        params.add("W", (3, 2))
+        params.add("b", (2,))
+        params.add("c", (2,))
+        params["W"][1, 1] = np.inf
+        params["c"][0] = np.nan
+        path = str(tmp_path / "model.npz")
+        params.save(path)
+        with pytest.raises(ValueError, match="^arrays with non-finite values: W, c$"):
+            nn.ModelParameters.load(path)
 
     def test_grad_check_flags_wrong_gradient(self):
         params = nn.ModelParameters(rng_seed=0)

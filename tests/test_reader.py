@@ -13,14 +13,14 @@ from openqa.hyper import Hyper
 from openqa.kb import Triple
 from openqa.reader import (
     MAX_SPAN_LEN, TOP_K_PASSAGES,
-    ReaderModel, best_spans, enumerate_spans, init_reader, load_reader_data, read,
+    ReaderModel, best_spans, init_reader, load_reader_data, read,
 )
 from openqa.retrieval import (
     IndexedDocument, KIND_PASSAGE, RetrievalResult, splice_triple,
 )
 from openqa.text import Vocabulary, tokenize
 
-from oracles import predict_logits
+from oracles import enumerate_spans, predict_logits
 
 
 def passage_result(doc_id: int, text: str, score: float = 1.0) -> RetrievalResult:

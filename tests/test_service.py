@@ -2,6 +2,11 @@
 
 import http.client
 import json
+import logging
+import os
+import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.parse
@@ -22,6 +27,39 @@ def server(toy):
     srv.shutdown()
     srv.server_close()
     thread.join(timeout=10)
+
+
+@pytest.fixture
+def start_server(toy):
+    """Start a server on a free port after the test's monkeypatching; stopped at teardown."""
+    started = []
+
+    def start():
+        srv = make_server(toy["system"], "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        started.append((srv, thread))
+        return srv.server_address[1]
+
+    yield start
+    for srv, thread in started:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def raw_exchange(port: int, request: bytes, close_write: bool = False) -> tuple[str, bytes]:
+    """Send `request` bytes as they are; (status line, body) of the reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0].decode("latin-1"), body
 
 
 def post_ask(base: str, body: bytes, content_type="application/json"):
@@ -96,13 +134,10 @@ class TestAsk:
         finally:
             conn.close()
 
-    def test_short_body_is_408(self, toy, monkeypatch):
+    def test_short_body_is_408(self, start_server, monkeypatch):
         # Content-Length promises more bytes than the client ever sends
         monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
-        srv = make_server(toy["system"], "127.0.0.1", 0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        conn = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=10)
+        conn = http.client.HTTPConnection("127.0.0.1", start_server(), timeout=10)
         try:
             conn.putrequest("POST", "/ask")
             conn.putheader("Content-Type", "application/json")
@@ -114,10 +149,6 @@ class TestAsk:
             assert "error" in json.load(resp)
         finally:
             conn.close()
-            srv.shutdown()
-            srv.server_close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -137,3 +168,84 @@ class TestAsk:
         for t in threads:
             t.join()
         assert answers == ["herbert"] * 6
+
+
+def header_lines(n: int) -> bytes:
+    return b"".join(b"X-%d: y\r\n" % i for i in range(n))
+
+
+class TestFrontEnd:
+    """Each malformed request gets a status line and a JSON error body."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"\r\n", 400),
+        (b"GET /health\r\n\r\n", 400),
+        (b"GET /health HTTP/1.0 extra\r\n\r\n", 400),
+        (b"GET /health HTTP/x\r\n\r\n", 400),
+        (b"GET /health HTTP/1.0\r\nno colon\r\n\r\n", 400),
+        (b"GET /health HTTP/1.0\r\n folded: value\r\n\r\n", 400),
+        (b"PUT /ask HTTP/1.0\r\n\r\n", 501),
+        (b"HEAD /health HTTP/1.0\r\n\r\n", 501),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n", 414),
+        (b"GET /health HTTP/1.0\r\nX: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"GET /health HTTP/1.0\r\n" + header_lines(101) + b"\r\n", 431),
+        (b"GET /health HTTP/9.9\r\n\r\n", 505),
+        (b"GET /health HTTP/0.9\r\n\r\n", 505),
+    ], ids=["garbage", "blank-line", "no-version", "four-words", "bad-version", "header-without-colon",
+            "folded-header", "put", "head", "long-request-line", "long-header-line", "101-headers",
+            "http-9.9", "http-0.9"])
+    def test_malformed_request_gets_status_and_json_error(self, server, request_bytes, status):
+        status_line, body = raw_exchange(urllib.parse.urlsplit(server).port, request_bytes)
+        assert status_line.startswith(f"HTTP/1.0 {status} ")
+        assert set(json.loads(body)) == {"error"}
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /health HTTP/1.0\r\n" + header_lines(100) + b"\r\n", 200),
+        (b"GET /health HTTP/1.1\r\nhost: x\r\n\r\n", 200),
+        (b"GET /health HTTP/1.0\n\n", 200),
+    ], ids=["100-headers", "http-1.1", "bare-newlines"])
+    def test_well_formed_edge_cases_are_served(self, server, request_bytes, status):
+        status_line, body = raw_exchange(urllib.parse.urlsplit(server).port, request_bytes)
+        assert status_line.startswith(f"HTTP/1.0 {status} ")
+        assert json.loads(body) == {"status": "ok"}
+
+    def test_body_shorter_than_content_length_is_400(self, server):
+        request = b"POST /ask HTTP/1.0\r\nContent-Length: 100\r\n\r\n" + b'{"question": "x"}'
+        status_line, body = raw_exchange(urllib.parse.urlsplit(server).port, request, close_write=True)
+        assert status_line == "HTTP/1.0 400 Bad Request"
+        assert json.loads(body) == {"error": "body ended after 17 of 100 bytes"}
+
+    @pytest.mark.parametrize("partial", [b"GET /hea", b"GET /health HTTP/1.0\r\nX: y\r\n"],
+                             ids=["request-line", "headers"])
+    def test_stalled_request_is_408(self, start_server, monkeypatch, partial):
+        monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
+        status_line, body = raw_exchange(start_server(), partial)
+        assert status_line == "HTTP/1.0 408 Request Timeout"
+        assert json.loads(body) == {"error": "request not received within 0.2 s"}
+
+    def test_failing_ask_is_500_with_one_error_line(self, server, monkeypatch, caplog, capfd):
+        def failing_ask(system, question):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "ask", failing_ask)
+        with caplog.at_level(logging.WARNING, logger="openqa"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post_ask(server, json.dumps({"question": "who wrote hamlet"}).encode())
+            with err.value as resp:
+                assert resp.code == 500
+                assert json.load(resp) == {"error": "internal error"}
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == ["ask failed on 'who wrote hamlet': RuntimeError: boom"]
+        assert errors[0].exc_info is None
+        assert capfd.readouterr().err == ""
+
+    def test_cli_import_loads_no_http_client_stack(self):
+        # http.server pulls in http.client, ssl, email and html; the service needs none of them
+        src = os.path.dirname(os.path.dirname(service.__file__))
+        code = ("import sys, openqa.cli; "
+                "print(sorted(m for m in ('ssl', 'http.client', 'http.server', 'email', 'html') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
