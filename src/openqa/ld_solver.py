@@ -103,7 +103,7 @@ def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, question: str) -
     if len(tokens) == 0:
         raise EmptyQuestion("question has no tokens")
     logits, _ = _tagger_logits(tagger, encode(vocab, tokens.tokens))
-    raw = [TAGS[int(np.argmax(row))] for row in logits]
+    raw = [TAGS[i] for i in logits.argmax(axis=1)]
     return TagSequence(tuple(repair_bio(raw)))
 
 

@@ -355,7 +355,10 @@ def layer_norm_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# transformer encoder layer (post-norm, ReLU feed-forward)
+# transformer encoder layer (post-norm, ReLU feed-forward), over one sequence
+# [n, d] or C sequences zero-padded to [C, n, d] under a key mask [C, n]: all
+# heads of all sequences attend in one batched matmul, masked keys score -inf,
+# and padded positions' outputs are zeroed and their gradients dropped
 # ---------------------------------------------------------------------------
 
 def init_transformer_layer(params: ModelParameters, prefix: str, d: int, heads: int) -> None:
@@ -378,77 +381,66 @@ def init_transformer_layer(params: ModelParameters, prefix: str, d: int, heads: 
         params.add_zeros(f"{prefix}{name}", (d,))
 
 
-def _mha_forward(params, prefix: str, x: np.ndarray, heads: int) -> tuple[np.ndarray, dict]:
+def _split_heads(rows: np.ndarray, C: int, heads: int) -> np.ndarray:
+    """Rows [C*n, d] -> [C, heads, n, d/heads] (a view)."""
+    return rows.reshape(C, -1, heads, rows.shape[1] // heads).swapaxes(1, 2)
+
+
+def _mha_forward(params, prefix: str, x: np.ndarray, mask: np.ndarray, heads: int) -> tuple[np.ndarray, dict]:
+    """Self-attention over rows x [C*n, d] of C sequences; mask [C, n] marks the real keys."""
     g = lambda n: params[prefix + n]
-    n, d = x.shape
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-    Q = x @ g("Wq").T + g("bq")
-    K = x @ g("Wk").T
-    V = x @ g("Wv").T + g("bv")
-    Qh = Q.reshape(n, heads, dh)
-    Kh = K.reshape(n, heads, dh)
-    Vh = V.reshape(n, heads, dh)
-    A = np.empty((heads, n, n), dtype=np.float64)
-    Oh = np.empty((n, heads, dh), dtype=np.float64)
-    for h in range(heads):
-        scores = Qh[:, h] @ Kh[:, h].T * scale
-        A[h] = softmax(scores, axis=-1)
-        Oh[:, h] = A[h] @ Vh[:, h]
-    O = Oh.reshape(n, d)
+    C = mask.shape[0]
+    scale = 1.0 / np.sqrt(x.shape[1] // heads)
+    Q = _split_heads(x @ g("Wq").T + g("bq"), C, heads)
+    K = _split_heads(x @ g("Wk").T, C, heads)
+    V = _split_heads(x @ g("Wv").T + g("bv"), C, heads)
+    A = softmax(np.where(mask[:, None, None, :], Q @ K.swapaxes(2, 3) * scale, -np.inf), axis=-1)
+    O = (A @ V).swapaxes(1, 2).reshape(x.shape)
     out = O @ g("Wo").T + g("bo")
-    cache = {"x": x, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "O": O,
-             "heads": heads, "dh": dh, "scale": scale}
-    return out, cache
+    return out, {"x": x, "Q": Q, "K": K, "V": V, "A": A, "O": O, "scale": scale}
 
 
 def _mha_backward(params, prefix: str, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
     g = lambda name: params[prefix + name]
-    x, Qh, Kh, Vh, A, O = cache["x"], cache["Qh"], cache["Kh"], cache["Vh"], cache["A"], cache["O"]
-    heads, dh, scale = cache["heads"], cache["dh"], cache["scale"]
-    n, d = x.shape
-
+    x, Q, K, V, A, scale = cache["x"], cache["Q"], cache["K"], cache["V"], cache["A"], cache["scale"]
+    C, heads = A.shape[:2]
     grads: Grads = {
-        prefix + "Wo": grad_out.T @ O,
+        prefix + "Wo": grad_out.T @ cache["O"],
         prefix + "bo": grad_out.sum(axis=0),
     }
-    dO = (grad_out @ g("Wo")).reshape(n, heads, dh)
-    dQ = np.empty_like(Qh)
-    dK = np.empty_like(Kh)
-    dV = np.empty_like(Vh)
-    for h in range(heads):
-        dA = dO[:, h] @ Vh[:, h].T
-        dV[:, h] = A[h].T @ dO[:, h]
-        dS = softmax_backward(A[h], dA, axis=-1)
-        dQ[:, h] = dS @ Kh[:, h] * scale
-        dK[:, h] = dS.T @ Qh[:, h] * scale
-    dQ2, dK2, dV2 = dQ.reshape(n, d), dK.reshape(n, d), dV.reshape(n, d)
-
-    dx = np.zeros_like(x)
-    for name, dmat in (("Wq", dQ2), ("Wk", dK2), ("Wv", dV2)):
+    dO = _split_heads(grad_out @ g("Wo"), C, heads)
+    dS = softmax_backward(A, dO @ V.swapaxes(2, 3), axis=-1)
+    per_head = {"Wq": dS @ K * scale, "Wk": dS.swapaxes(2, 3) @ Q * scale, "Wv": A.swapaxes(2, 3) @ dO}
+    dx = 0.0
+    for name, dmat in per_head.items():
+        dmat = dmat.swapaxes(1, 2).reshape(x.shape)
         grads[prefix + name] = dmat.T @ x
         if name != "Wk":
             grads[prefix + "b" + name[1]] = dmat.sum(axis=0)
-        dx += dmat @ g(name)
+        dx = dx + dmat @ g(name)
     return grads, dx
 
 
-def transformer_encoder_layer(params, prefix: str, x: np.ndarray, heads: int) -> tuple[np.ndarray, dict]:
-    """Self-attention + residual + layer norm, then FFN + residual + layer norm."""
+def transformer_encoder_layer(params, prefix: str, x: np.ndarray, heads: int,
+                              mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Self-attention + residual + layer norm, then FFN + residual + layer norm, over x [n, d]
+    or [C, n, d]; mask (default all True) has x's leading shape, True at real positions."""
     g = lambda n: params[prefix + n]
-    if x.ndim != 2 or x.shape[1] % heads != 0:
-        raise ShapeMismatch(f"transformer layer: x{x.shape} with {heads} heads")
-    a, mha_cache = _mha_forward(params, prefix, x, heads)
-    r1 = x + a
+    if x.ndim not in (2, 3) or x.shape[-1] % heads != 0 or (mask is not None and mask.shape != x.shape[:-1]):
+        raise ShapeMismatch(f"transformer layer: x{x.shape} with {heads} heads, mask {getattr(mask, 'shape', None)}")
+    mask = np.ones(x.shape[:-1], dtype=bool) if mask is None else mask
+    rows = x.reshape(-1, x.shape[-1])
+    a, mha_cache = _mha_forward(params, prefix, rows, mask.reshape(-1, x.shape[-2]), heads)
+    r1 = rows + a
     n1, ln1_cache = layer_norm(r1, g("ln1_g"), g("ln1_b"))
     pre = n1 @ g("W1").T + g("b1")
     hidden = np.maximum(pre, 0.0)
     f = hidden @ g("W2").T + g("b2")
     r2 = n1 + f
     y, ln2_cache = layer_norm(r2, g("ln2_g"), g("ln2_b"))
-    cache = {"mha": mha_cache, "ln1": ln1_cache, "ln2": ln2_cache,
-             "n1": n1, "pre": pre, "hidden": hidden, "prefix": prefix}
-    return y, cache
+    cache = {"mha": mha_cache, "ln1": ln1_cache, "ln2": ln2_cache, "n1": n1, "pre": pre,
+             "hidden": hidden, "prefix": prefix, "keep": mask[..., None]}
+    return y.reshape(x.shape) * cache["keep"], cache
 
 
 def transformer_encoder_layer_backward(params, cache: dict, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
@@ -456,7 +448,7 @@ def transformer_encoder_layer_backward(params, cache: dict, grad_out: np.ndarray
     g = lambda n: params[prefix + n]
     n1, pre, hidden = cache["n1"], cache["pre"], cache["hidden"]
 
-    dr2, dg2, db2 = layer_norm_backward(grad_out, cache["ln2"])
+    dr2, dg2, db2 = layer_norm_backward((grad_out * cache["keep"]).reshape(n1.shape), cache["ln2"])
     grads: Grads = {prefix + "ln2_g": dg2, prefix + "ln2_b": db2}
 
     df = dr2
@@ -475,4 +467,4 @@ def transformer_encoder_layer_backward(params, cache: dict, grad_out: np.ndarray
 
     mha_grads, dx = _mha_backward(params, prefix, cache["mha"], dr1)
     accumulate(grads, mha_grads)
-    return grads, dx + dr1
+    return grads, (dx + dr1).reshape(grad_out.shape)

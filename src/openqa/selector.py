@@ -1,8 +1,9 @@
 """Transformer answer-selection head.
 
-Each candidate answer is spliced with the question into one sequence,
-encoded by a transformer layer, scored from the leading position by a
-linear head, and the scores are softmaxed across candidates.
+Each candidate answer is spliced with the question into one sequence; all
+of a question's sequences are encoded by the transformer stack in one pass,
+as a zero-padded batch under a key mask, each is scored from its leading
+position by a linear head, and the scores are softmaxed across candidates.
 """
 
 from __future__ import annotations
@@ -75,51 +76,53 @@ def build_sequence(question: str, answer: str, vocab: Vocabulary) -> list[int]:
     return [CLS] + q_ids + [SEP] + a_ids + [SEP]
 
 
-def _forward(model: SelectorModel, ids: list[int]):
+def _forward(model: SelectorModel, seqs: list[list[int]]):
+    """Scores of the sequences, encoded together as one zero-padded, key-masked batch."""
     params = model.params
-    x = nn.embedding_lookup(params["emb"], ids) + params["pos"][: len(ids)]
+    lengths = np.array([len(ids) for ids in seqs])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = [i for seq in seqs for i in seq]
+    x = np.zeros(mask.shape + (params["emb"].shape[1],))
+    x[mask] = nn.embedding_lookup(params["emb"], ids) + params["pos"][np.nonzero(mask)[1]]
     caches = []
     for layer in range(model.layers):
-        x, cache = nn.transformer_encoder_layer(params, f"enc{layer}.", x, model.heads)
+        x, cache = nn.transformer_encoder_layer(params, f"enc{layer}.", x, model.heads, mask)
         caches.append(cache)
-    score = float((params["head_W"] @ x[0] + params["head_b"])[0])
-    return score, {"ids": ids, "caches": caches, "top": x}
+    # one [1, d] @ [d, 1] product per sequence: a single matrix-vector product
+    # over the batch rounds by row position, and equal sequences must tie
+    scores = (params["head_W"] @ x[:, 0, :, None] + params["head_b"])[:, 0, 0]
+    return scores, {"ids": ids, "mask": mask, "caches": caches, "top": x}
 
 
-def _backward(model: SelectorModel, cache, d_score: float) -> nn.Grads:
+def _backward(model: SelectorModel, cache, d_scores: np.ndarray) -> nn.Grads:
     params = model.params
-    ids, top = cache["ids"], cache["top"]
+    top = cache["top"]
     grads: nn.Grads = {
-        "head_W": (d_score * top[0]).reshape(1, -1),
-        "head_b": np.array([d_score]),
+        "head_W": (d_scores @ top[:, 0]).reshape(1, -1),
+        "head_b": np.array([d_scores.sum()]),
     }
     dx = np.zeros_like(top)
-    dx[0] = d_score * params["head_W"][0]
+    dx[:, 0] = np.outer(d_scores, params["head_W"][0])
     for layer_cache in reversed(cache["caches"]):
         layer_grads, dx = nn.transformer_encoder_layer_backward(params, layer_cache, dx)
         nn.accumulate(grads, layer_grads)
-    grads["emb"] = nn.embedding_backward(dx, ids, params["emb"].shape[0])
-    dpos = np.zeros_like(params["pos"])
-    dpos[: len(ids)] = dx
-    grads["pos"] = dpos
+    grads["emb"] = nn.embedding_backward(dx[cache["mask"]], cache["ids"], params["emb"].shape[0])
+    grads["pos"] = np.pad(dx.sum(axis=0), ((0, params["pos"].shape[0] - dx.shape[1]), (0, 0)))
     return grads
 
 
 def score_sequence(model: SelectorModel, ids: list[int]) -> float:
     if not 1 <= len(ids) <= MAX_LEN:
         raise SequenceTooLong(f"sequence length {len(ids)} outside [1, {MAX_LEN}]")
-    score, _ = _forward(model, ids)
-    return score
+    scores, _ = _forward(model, [ids])
+    return float(scores[0])
 
 
 def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate]) -> SelectionResult:
-    """Softmax over per-candidate sequence scores; argmax wins (lowest index on ties)."""
+    """Softmax over the candidates' sequence scores; argmax wins (lowest index on ties)."""
     if not candidates:
         raise NoCandidates("selector needs at least one candidate")
-    scores = np.array([
-        score_sequence(model, build_sequence(question, c.answer, model.vocab))
-        for c in candidates
-    ])
+    scores, _ = _forward(model, [build_sequence(question, c.answer, model.vocab) for c in candidates])
     probs = nn.softmax(scores)
     chosen = int(np.argmax(probs))
     return SelectionResult(tuple(float(p) for p in probs), chosen, candidates[chosen])
@@ -146,13 +149,9 @@ def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, voca
 
     def step(example):
         seqs, gold = example
-        forwards = [_forward(model, ids) for ids in seqs]
-        loss, d_scores = nn.softmax_cross_entropy(np.array([score for score, _ in forwards]), gold)
-        grads: nn.Grads = {}
-        for (_, cache), ds in zip(forwards, d_scores):
-            if ds != 0.0:
-                nn.accumulate(grads, _backward(model, cache, float(ds)))
-        return loss, grads
+        scores, cache = _forward(model, seqs)
+        loss, d_scores = nn.softmax_cross_entropy(scores, gold)
+        return loss, _backward(model, cache, d_scores)
 
     nn.fit(model.params, encoded, step, hyper.epochs, hyper.lr)
     return model

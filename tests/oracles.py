@@ -102,3 +102,51 @@ def enumerate_spans(
             ))
     spans.sort(key=lambda s: (-s.raw_score, s.start, s.end))
     return spans
+
+
+def mha_forward(params, prefix: str, x: np.ndarray, heads: int) -> tuple[np.ndarray, dict]:
+    """Multi-head self-attention over one sequence x [n, d], one head at a
+    time: the oracle for the batched heads of `nn.transformer_encoder_layer`."""
+    g = lambda n: params[prefix + n]
+    n, d = x.shape
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    Qh = (x @ g("Wq").T + g("bq")).reshape(n, heads, dh)
+    Kh = (x @ g("Wk").T).reshape(n, heads, dh)
+    Vh = (x @ g("Wv").T + g("bv")).reshape(n, heads, dh)
+    A = np.empty((heads, n, n), dtype=np.float64)
+    Oh = np.empty((n, heads, dh), dtype=np.float64)
+    for h in range(heads):
+        scores = Qh[:, h] @ Kh[:, h].T * scale
+        A[h] = nn.softmax(scores, axis=-1)
+        Oh[:, h] = A[h] @ Vh[:, h]
+    O = Oh.reshape(n, d)
+    out = O @ g("Wo").T + g("bo")
+    cache = {"x": x, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "O": O, "heads": heads, "dh": dh, "scale": scale}
+    return out, cache
+
+
+def mha_backward(params, prefix: str, cache: dict, grad_out: np.ndarray) -> tuple[nn.Grads, np.ndarray]:
+    """The gradients of `mha_forward`, one head at a time."""
+    g = lambda name: params[prefix + name]
+    x, Qh, Kh, Vh, A, O = cache["x"], cache["Qh"], cache["Kh"], cache["Vh"], cache["A"], cache["O"]
+    heads, dh, scale = cache["heads"], cache["dh"], cache["scale"]
+    n, d = x.shape
+    grads = {prefix + "Wo": grad_out.T @ O, prefix + "bo": grad_out.sum(axis=0)}
+    dO = (grad_out @ g("Wo")).reshape(n, heads, dh)
+    dQ = np.empty_like(Qh)
+    dK = np.empty_like(Kh)
+    dV = np.empty_like(Vh)
+    for h in range(heads):
+        dA = dO[:, h] @ Vh[:, h].T
+        dV[:, h] = A[h].T @ dO[:, h]
+        dS = nn.softmax_backward(A[h], dA, axis=-1)
+        dQ[:, h] = dS @ Kh[:, h] * scale
+        dK[:, h] = dS.T @ Qh[:, h] * scale
+    dx = np.zeros_like(x)
+    for name, dmat in (("Wq", dQ.reshape(n, d)), ("Wk", dK.reshape(n, d)), ("Wv", dV.reshape(n, d))):
+        grads[prefix + name] = dmat.T @ x
+        if name != "Wk":
+            grads[prefix + "b" + name[1]] = dmat.sum(axis=0)
+        dx += dmat @ g(name)
+    return grads, dx

@@ -318,8 +318,8 @@ def test_criterion_04_gradient_checks(capsys):
 
     def selector_loss(p_):
         m = SelectorModel(p_, vocab)
-        score, cache = sel_forward(m, sel_ids)
-        return score, sel_backward(m, cache, 1.0)
+        scores, cache = sel_forward(m, [sel_ids])
+        return float(scores[0]), sel_backward(m, cache, np.ones(1))
 
     _check("selector head", selector_loss, p, worst)
 

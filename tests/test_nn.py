@@ -2,7 +2,8 @@
 
 The exhaustive per-layer gradient sweep lives in test_acceptance.py;
 here we pin analytic behaviors and a few representative backward passes,
-and test the batched recurrences against a per-step oracle.
+and test the batched recurrences against a per-step oracle and the batched
+attention heads against a per-head one.
 """
 
 import os
@@ -13,6 +14,8 @@ import pytest
 from openqa import nn
 from openqa.errors import Diverged, EmptyDataset, EvenWidth, IndexOutOfRange
 from openqa.nn import layers
+
+import oracles
 
 RNG = np.random.default_rng(0)
 
@@ -506,3 +509,65 @@ class TestRecurrenceOracle:
             return float((states * R).sum()), nn.bidirectional_backward(p_, cache, R)[0]
 
         assert nn.grad_check(loss_fn, p) < 1e-6
+
+
+def _transformer(rng, d, heads):
+    """A layer with random biases and layer-norm gains, so none is trivially 0 or 1."""
+    p = nn.ModelParameters(rng_seed=int(rng.integers(1 << 16)))
+    nn.init_transformer_layer(p, "t.", d=d, heads=heads)
+    for name, arr in p.entries.items():
+        if arr.ndim == 1:
+            arr += rng.normal(scale=0.5, size=arr.shape)
+    return p
+
+
+class TestTransformerOracle:
+    @pytest.mark.parametrize("d,heads", [(d, h) for d in (6, 16, 32) for h in (1, 2, 4) if d % h == 0])
+    def test_batched_heads_equal_per_head_oracle_bit_for_bit(self, d, heads):
+        rng = np.random.default_rng(60 + d + heads)
+        p = _transformer(rng, d, heads)
+        for n in range(1, 41):
+            x, R = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            out, cache = layers._mha_forward(p, "t.", x, np.ones((1, n), dtype=bool), heads)
+            grads, dx = layers._mha_backward(p, "t.", cache, R)
+            want_out, want_cache = oracles.mha_forward(p, "t.", x, heads)
+            want_grads, want_dx = oracles.mha_backward(p, "t.", want_cache, R)
+            assert np.array_equal(out, want_out) and np.array_equal(dx, want_dx)
+            assert set(grads) == set(want_grads)
+            for name, want in want_grads.items():
+                assert np.array_equal(grads[name], want)
+
+    @pytest.mark.parametrize("d,heads", [(6, 2), (16, 4), (32, 2)])
+    def test_padded_batch_rows_equal_each_sequence_alone(self, d, heads):
+        rng = np.random.default_rng(70 + d)
+        p = _transformer(rng, d, heads)
+        for _ in range(5):
+            lengths = rng.integers(1, 41, size=rng.integers(1, 6))
+            mask = np.arange(lengths.max()) < lengths[:, None]
+            # noise in the padded rows, of x and of the upstream gradient: the mask must hide both
+            x, R = rng.normal(size=mask.shape + (d,)), rng.normal(size=mask.shape + (d,))
+            y, cache = nn.transformer_encoder_layer(p, "t.", x, heads, mask)
+            grads, dx = nn.transformer_encoder_layer_backward(p, cache, R)
+            want_grads = {}
+            for c, n in enumerate(lengths):
+                want_y, one = nn.transformer_encoder_layer(p, "t.", x[c, :n], heads)
+                g, want_dx = nn.transformer_encoder_layer_backward(p, one, R[c, :n])
+                nn.accumulate(want_grads, g)
+                assert np.abs(y[c, :n] - want_y).max() < 1e-12
+                assert np.abs(dx[c, :n] - want_dx).max() < 1e-12
+                assert not y[c, n:].any() and not dx[c, n:].any()
+            assert set(grads) == set(want_grads)
+            for name, want in want_grads.items():
+                assert np.abs(grads[name] - want).max() < 1e-12
+
+    def test_grad_check_padded_batch(self):
+        rng = np.random.default_rng(80)
+        p = _transformer(rng, 6, 2)
+        mask = np.arange(4) < np.array([3, 1, 4])[:, None]
+        x, R = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6))
+
+        def loss_fn(p_):
+            y, cache = nn.transformer_encoder_layer(p_, "t.", x, 2, mask)
+            return float((y * R).sum()), nn.transformer_encoder_layer_backward(p_, cache, R)[0]
+
+        assert nn.grad_check(loss_fn, p) < 1e-4

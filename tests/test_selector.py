@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from openqa import nn
+from openqa import nn, selector
 from openqa.answers import AnswerCandidate
 from openqa.errors import MalformedLine, NoCandidates
 from openqa.hyper import Hyper
@@ -92,6 +92,37 @@ class TestSelect:
         probs /= probs.sum()
         result = select(untrained, "who wrote hamlet", candidates(*answers))
         assert result.probabilities == pytest.approx(tuple(probs))
+
+
+    def test_equal_candidates_tie_exactly(self, untrained):
+        # in one padded batch an equal sequence must score the same bits wherever it sits
+        result = select(untrained, "who wrote hamlet", candidates("b", "a", "a", "c", "a", "b", "a"))
+        p = result.probabilities
+        assert p[1] == p[2] == p[4] == p[6] and p[0] == p[5]
+        assert result.chosen == p.index(max(p))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_select_runs_each_layer_once(self, monkeypatch, vocab, k):
+        model = SelectorModel(init_selector(vocab.size, Hyper(d=8, h=8, heads=2, layers=2, seed=3)), vocab)
+        calls = []
+        layer = nn.transformer_encoder_layer
+        monkeypatch.setattr(nn, "transformer_encoder_layer", lambda *args: calls.append(1) or layer(*args))
+        select(model, "who wrote hamlet", candidates(*"abcd"[:k]))
+        assert len(calls) == model.layers
+
+    def test_train_step_is_one_forward_and_one_backward(self, monkeypatch, vocab):
+        calls = {"_forward": 0, "_backward": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(selector, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(selector, name, counted)
+        data = [("who wrote hamlet", ["shakespeare", "stratford", "blue"], 0),
+                ("what color is the sky", ["pride", "blue"], 1)]
+        train_selector(data, Hyper(d=8, h=8, heads=2, layers=1, epochs=2, seed=7), vocab)
+        assert calls == {"_forward": 4, "_backward": 4}
 
 
 class TestTrained:
