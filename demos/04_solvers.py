@@ -17,7 +17,7 @@ from openqa.pipeline import build_corpus
 from openqa.reader import load_reader_data, read, train_reader
 from openqa.retrieval import search
 from openqa.sp_solver import load_templates, solve_sp
-from openqa.text import Vocabulary
+from openqa.text import Vocabulary, tokenize
 
 TOYWORLD = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures", "toyworld")
 
@@ -38,7 +38,7 @@ hyper.epochs = 30
 scorer = train_relation_scorer(load_scorer_data(os.path.join(TOYWORLD, "scorer.jsonl")), hyper, vocab)
 relation_table = encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
 for q in ("who wrote hamlet", "who wrote hamlit"):  # note the typo
-    tags = tag_entities(tagger, vocab, q)
+    tags = tag_entities(tagger, vocab, tokenize(q).tokens)
     print(f"  {q!r} tags {list(tags.tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab, relation_table)[0])
 
 print("\n-- rr: retrieve and read --")

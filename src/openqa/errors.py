@@ -56,10 +56,6 @@ class EmptyInput(OpenQAError):
     pass
 
 
-class SequenceTooLong(OpenQAError):
-    pass
-
-
 class EmptyDataset(OpenQAError):
     pass
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .answers import SOLVER_LD, AnswerCandidate
-from .errors import BadExample, EmptyQuestion, ShapeMismatch
+from .errors import BadExample, ShapeMismatch
 from .hyper import Hyper
 from .jsonl import read_json_lines, text_field, text_list
 from .kb import KnowledgeBase
@@ -98,11 +98,9 @@ def repair_bio(tags: list[str]) -> list[str]:
     return out
 
 
-def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, question: str) -> TagSequence:
-    tokens = tokenize(question)
-    if len(tokens) == 0:
-        raise EmptyQuestion("question has no tokens")
-    logits, _ = _tagger_logits(tagger, encode(vocab, tokens.tokens))
+def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, tokens: Sequence[str]) -> TagSequence:
+    """BIO tags of a question's tokens (at least one), as `tokenize` gives them."""
+    logits, _ = _tagger_logits(tagger, encode(vocab, tokens))
     raw = [TAGS[i] for i in logits.argmax(axis=1)]
     return TagSequence(tuple(repair_bio(raw)))
 
@@ -265,7 +263,7 @@ def solve_ld(
     tokens = tokenize(question)
     if len(tokens) == 0:
         return []
-    tags = tag_entities(tagger, vocab, question)
+    tags = tag_entities(tagger, vocab, tokens.tokens)
     mention = extract_mention(tags, tokens.tokens)
 
     if mention:

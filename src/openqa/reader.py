@@ -1,13 +1,16 @@
 """Extractive span reader over retrieved passages.
 
-Each passage is scored independently; span scores stay in raw log space
-so they are comparable across passages, and the global answer is the
-argmax over every passage's best span.
+One forward, `_forward`, serves answering and training: it encodes the
+question once and a list of passages as one padded batch (training passes
+one passage). Each passage is scored independently; span scores stay in
+raw log space so they are comparable across passages, and the global
+answer is the argmax over every passage's best span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -60,27 +63,30 @@ def _encode_question(params: nn.ModelParameters, q_ids: list[int]):
     return v_s, v_e, {"q_ids": q_ids, "q_bi": q_bi, "q_att": q_att, "q_vec": q_vec, "v_s": v_s, "v_e": v_e}
 
 
-def _encode_passage(params: nn.ModelParameters, p_ids: list[int]):
-    p_emb = nn.embedding_lookup(params["emb"], p_ids)
-    return nn.bidirectional_encode("gru", params, "p.", p_emb)
-
-
-def _forward(params: nn.ModelParameters, q_ids: list[int], p_ids: list[int]):
+def _forward(params: nn.ModelParameters, q_ids: list[int], passages: list[list[int]]):
+    """Start and end logits [P, L] of the passages' ids: the question is encoded
+    once, the passages together as one zero-padded batch (one embedding lookup
+    over all their ids), and each logit is a position's state dotted with v_s
+    or v_e. Positions past a passage's length hold finite padding."""
     v_s, v_e, cache = _encode_question(params, q_ids)
-    p_states, p_bi = _encode_passage(params, p_ids)
-    start_logits = p_states @ v_s
-    end_logits = p_states @ v_e
+    p_ids = [i for ids in passages for i in ids]
+    embedded = nn.embedding_lookup(params["emb"], p_ids)
+    xs = [embedded[end - len(ids) : end] for ids, end in zip(passages, accumulate(map(len, passages)))]
+    p_states, p_bi = nn.bidirectional_encode_batch("gru", params, "p.", xs)
     cache.update({"p_ids": p_ids, "p_bi": p_bi, "p_states": p_states})
-    return start_logits, end_logits, cache
+    return p_states @ v_s, p_states @ v_e, cache
 
 
 def _backward(params: nn.ModelParameters, cache, d_start: np.ndarray, d_end: np.ndarray) -> nn.Grads:
+    """Gradients from upstream [P, L] grads on `_forward`'s logits; padded
+    positions' grads are dropped, and only real positions reach the embeddings."""
     p_states, q_vec = cache["p_states"], cache["q_vec"]
     v_s, v_e = cache["v_s"], cache["v_e"]
 
-    dH = np.outer(d_start, v_s) + np.outer(d_end, v_e)
-    dv_s = p_states.T @ d_start
-    dv_e = p_states.T @ d_end
+    dH = d_start[..., None] * v_s + d_end[..., None] * v_e
+    states = p_states.reshape(-1, p_states.shape[-1])
+    dv_s = states.T @ d_start.reshape(-1)
+    dv_e = states.T @ d_end.reshape(-1)
     grads: nn.Grads = {
         "W_s": np.outer(dv_s, q_vec),
         "W_e": np.outer(dv_e, q_vec),
@@ -96,7 +102,7 @@ def _backward(params: nn.ModelParameters, cache, d_start: np.ndarray, d_end: np.
     nn.accumulate(grads, q_bi_grads)
 
     vocab_size = params["emb"].shape[0]
-    demb = nn.embedding_backward(dp_emb, cache["p_ids"], vocab_size)
+    demb = nn.embedding_backward(dp_emb[cache["p_bi"]["mask"].T], cache["p_ids"], vocab_size)
     demb += nn.embedding_backward(dq_emb, cache["q_ids"], vocab_size)
     nn.accumulate(grads, {"emb": demb})
     return grads
@@ -143,22 +149,19 @@ def read(
 ) -> list[AnswerCandidate]:
     """Best span per passage; confidences are a softmax over raw scores.
 
-    The question is encoded once and shared by every passage. The passages'
-    embeddings come from one lookup, the passages are encoded together as
-    one padded batch, and one banded argmax over the batch's logits takes
-    every passage's best span (`best_spans`)."""
+    The passages are those of the first TOP_K_PASSAGES passage-kind results
+    that have a token. One `_forward` encodes the question once and the
+    passages as one padded batch, and one banded argmax over its logits
+    takes every passage's best span (`best_spans`)."""
     docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:TOP_K_PASSAGES]
     passages = [(doc.doc_id, tokenize(doc.value_field).tokens) for doc in docs]
     passages = [(doc_id, tokens) for doc_id, tokens in passages if tokens]
     if not passages:
         return []
-    params = model.params
-    v_s, v_e = _encode_question(params, encode(model.vocab, _question_tokens(question)))[:2]
-    embedded = nn.embedding_lookup(params["emb"], encode(model.vocab, [t for _, tokens in passages for t in tokens]))
-    offsets = np.cumsum([len(tokens) for _, tokens in passages[:-1]], dtype=np.intp)
-    # [0]: the batch's encoder cache is dropped at once
-    p_states = nn.bidirectional_encode_batch("gru", params, "p.", np.split(embedded, offsets))[0]
-    spans = best_spans(p_states @ v_s, p_states @ v_e, MAX_SPAN_LEN, passages)
+    q_ids = encode(model.vocab, _question_tokens(question))
+    # [:2]: the encoder caches are dropped at once
+    start, end = _forward(model.params, q_ids, [encode(model.vocab, tokens) for _, tokens in passages])[:2]
+    spans = best_spans(start, end, MAX_SPAN_LEN, passages)
     confidences = nn.softmax(np.array([s.raw_score for s in spans]))
     candidates = [
         AnswerCandidate(span.text, float(conf), SOLVER_RR,
@@ -190,9 +193,9 @@ def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: 
 
     def step(example):
         q_ids, p_ids, gs, ge = example
-        start, end, cache = _forward(params, q_ids, p_ids)
-        loss_s, d_start = nn.softmax_cross_entropy(start, gs)
-        loss_e, d_end = nn.softmax_cross_entropy(end, ge)
-        return loss_s + loss_e, _backward(params, cache, d_start, d_end)
+        start, end, cache = _forward(params, q_ids, [p_ids])
+        loss_s, d_start = nn.softmax_cross_entropy(start[0], gs)
+        loss_e, d_end = nn.softmax_cross_entropy(end[0], ge)
+        return loss_s + loss_e, _backward(params, cache, d_start[None], d_end[None])
 
     return ReaderModel(nn.fit(params, encoded, step, hyper.epochs, hyper.lr), vocab)

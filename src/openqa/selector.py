@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .answers import AnswerCandidate
-from .errors import BadExample, EmptyInput, NoCandidates, SequenceTooLong
+from .errors import BadExample, EmptyInput, NoCandidates
 from .hyper import Hyper
 from .jsonl import int_field, read_json_lines, text_field, text_list
 from .text import CLS, SEP, Vocabulary, encode, tokenize
@@ -109,13 +109,6 @@ def _backward(model: SelectorModel, cache, d_scores: np.ndarray) -> nn.Grads:
     grads["emb"] = nn.embedding_backward(dx[cache["mask"]], cache["ids"], params["emb"].shape[0])
     grads["pos"] = np.pad(dx.sum(axis=0), ((0, params["pos"].shape[0] - dx.shape[1]), (0, 0)))
     return grads
-
-
-def score_sequence(model: SelectorModel, ids: list[int]) -> float:
-    if not 1 <= len(ids) <= MAX_LEN:
-        raise SequenceTooLong(f"sequence length {len(ids)} outside [1, {MAX_LEN}]")
-    scores, _ = _forward(model, [ids])
-    return float(scores[0])
 
 
 def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate]) -> SelectionResult:

@@ -9,6 +9,7 @@ values; their SPARQL text is only the answers' provenance.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,6 +33,12 @@ class QuestionTemplate:
     regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, kind, types in (("pattern", "a string", str), ("predicate", "a string", str),
+                                  ("subject_group", "an integer", (int, type(None))),
+                                  ("confidence", "a number", (int, float))):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise TypeError(f"field {name!r} must be {kind}, got {json.dumps(value, default=repr)}")
         compiled = re.compile(self.pattern)
         if self.subject_group is not None:
             if self.subject_group < 1 or compiled.groups < self.subject_group:

@@ -119,11 +119,6 @@ def edit_distances(a: str, codes: np.ndarray, lengths: np.ndarray) -> np.ndarray
     return prev[lengths, np.arange(chars.shape[1])]
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimum single-character edits (insert/delete/substitute) a -> b."""
-    return int(edit_distances(a, code_matrix([b]), np.array([len(b)]))[0])
-
-
 @dataclass(frozen=True)
 class EntityDictionary:
     """Dictionary key (see dictionary_key) -> canonical entity string.

@@ -11,8 +11,9 @@ import numpy as np
 
 from openqa import nn
 from openqa.ld_solver import RelationScore, _encode_side, _relation_tokens
-from openqa.reader import ReaderModel, SpanPrediction, _forward, _question_tokens
+from openqa.reader import ReaderModel, SpanPrediction, _forward as reader_forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
+from openqa.selector import SelectorModel, _forward as selector_forward
 from openqa.text import EntityDictionary, Vocabulary, encode, tokenize
 
 
@@ -61,9 +62,15 @@ def merge_entries(text: str, dictionary: EntityDictionary) -> tuple[str, ...]:
 
 def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Raw, per-position start/end scores of one passage (no per-passage normalization)."""
-    start, end, _ = _forward(model.params, encode(model.vocab, _question_tokens(question)),
-                             encode(model.vocab, passage_tokens))
-    return start, end
+    start, end, _ = reader_forward(model.params, encode(model.vocab, _question_tokens(question)),
+                                   [encode(model.vocab, passage_tokens)])
+    return start[0], end[0]
+
+
+def score_sequence(model: SelectorModel, ids: list[int]) -> float:
+    """The selector's score of one sequence, encoded alone: a batch of one."""
+    scores, _ = selector_forward(model, [ids])
+    return float(scores[0])
 
 
 def score_from_scratch(scorer: nn.ModelParameters, vocab: Vocabulary, pattern: list[str],

@@ -30,13 +30,13 @@ from openqa.pipeline import System, SystemConfig, ask, evaluate, split_dataset
 from openqa.reader import MAX_SPAN_LEN, load_reader_data, train_reader
 from openqa.retrieval import IndexedDocument, KIND_PASSAGE, build_index, search
 from openqa.selector import (
-    SelectorModel, build_sequence, init_selector, score_sequence, select, train_selector,
+    SelectorModel, build_sequence, init_selector, select, train_selector,
 )
 from openqa.service import make_server
-from openqa.text import Vocabulary, levenshtein, split_words, tokenize
+from openqa.text import Vocabulary, code_matrix, edit_distances, split_words, tokenize
 
 from conftest import FIXTURES
-from oracles import detect_relation, enumerate_spans, predict_logits
+from oracles import detect_relation, enumerate_spans, predict_logits, score_sequence
 
 
 def report(capsys, n: int, ok: bool, detail: str):
@@ -150,11 +150,15 @@ def _oracle_levenshtein(a: str, b: str) -> int:
 def test_criterion_02_levenshtein_oracle(capsys):
     rng = random.Random(202)
     alphabet = "abcdef"
+
+    def word():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+
     started = time.perf_counter()
-    for _ in range(500):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        assert levenshtein(a, b) == _oracle_levenshtein(a, b), (a, b)
+    for _ in range(50):  # 50 strings, each against 10 random strings in one code matrix: 500 pairs
+        a, bs = word(), [word() for _ in range(10)]
+        got = edit_distances(a, code_matrix(bs), np.array([len(b) for b in bs]))
+        assert got.tolist() == [_oracle_levenshtein(a, b) for b in bs], (a, bs)
     elapsed = time.perf_counter() - started
     report(capsys, 2, elapsed < 2.0,
            f"500 random pairs match the full-matrix DP oracle in {elapsed:.2f}s (< 2s)")
@@ -331,9 +335,9 @@ def test_criterion_04_gradient_checks(capsys):
     Rs = rng.normal(size=3); Re = rng.normal(size=3)
 
     def reader_loss(p_):
-        s_logits, e_logits, cache = rd_forward(p_, q_ids, p_ids)
-        loss = float((s_logits * Rs).sum() + (e_logits * Re).sum())
-        return loss, rd_backward(p_, cache, Rs, Re)
+        s_logits, e_logits, cache = rd_forward(p_, q_ids, [p_ids])
+        loss = float((s_logits[0] * Rs).sum() + (e_logits[0] * Re).sum())
+        return loss, rd_backward(p_, cache, Rs[None], Re[None])
 
     _check("reader scorers", reader_loss, p, worst)
 
@@ -358,7 +362,7 @@ def test_criterion_05_overfit(capsys):
 
     tagger_data = load_tagger_data(os.path.join(FIXTURES, "tagger.jsonl"))
     tagger = train_tagger(tagger_data, hyper(120), vocab)
-    tagger_acc = sum(list(tag_entities(tagger, vocab, q).tags) == gold
+    tagger_acc = sum(list(tag_entities(tagger, vocab, tokenize(q).tokens).tags) == gold
                      for q, gold in tagger_data) / len(tagger_data)
 
     scorer_data = load_scorer_data(os.path.join(FIXTURES, "scorer.jsonl"))

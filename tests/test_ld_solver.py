@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from openqa import ld_solver, nn
+from openqa import ld_solver, nn, text
 from openqa.hyper import Hyper
 from openqa.errors import BadExample, MalformedLine, ShapeMismatch
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
@@ -114,7 +114,7 @@ class TestModels:
     def test_tagger_trains_to_perfect_tags(self, fx, vocab, toy):
         tagger = nn.ModelParameters.load(toy["models"]["tagger"])
         for question, gold in load_tagger_data(os.path.join(fx, "tagger.jsonl")):
-            assert list(tag_entities(tagger, vocab, question).tags) == gold
+            assert list(tag_entities(tagger, vocab, tokenize(question).tokens).tags) == gold
 
     def test_scorer_ranks_gold_first(self, fx, vocab, toy):
         scorer = nn.ModelParameters.load(toy["models"]["scorer"])
@@ -183,6 +183,24 @@ class TestSolve:
         with pytest.raises(BadExample, match=r"^example 1: relation '_' has no tokens$"):
             train_relation_scorer([(["who", "wrote", PLACEHOLDER], "author", ["capital"]),
                                    (["who", "wrote", PLACEHOLDER], "author", ["_"])], Hyper(d=4, h=4, epochs=1), vocab)
+
+    def test_question_is_split_into_words_once(self, world, vocab, monkeypatch):
+        """The tagger tags the tokens solve_ld has already taken from the question."""
+        class CountingPattern:
+            def __init__(self, pattern):
+                self.pattern, self.runs = pattern, 0
+
+            def findall(self, text):
+                self.runs += 1
+                return self.pattern.findall(text)
+
+        kb, d, tagger, scorer = world
+        table = _relation_table(scorer, vocab, kb)
+        pattern = CountingPattern(text._TOKEN_RE)
+        monkeypatch.setattr(text, "_TOKEN_RE", pattern)
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
+        assert out[0].provenance.startswith("mention='hamlet' ")
+        assert pattern.runs == 1
 
     def test_each_relation_scored_once(self, world, vocab, monkeypatch):
         kb, d, tagger, scorer = world

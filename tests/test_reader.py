@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import openqa.reader
 from openqa import nn
 from openqa.answers import SOLVER_RR, AnswerCandidate
 from openqa.errors import MalformedLine
@@ -13,7 +14,7 @@ from openqa.hyper import Hyper
 from openqa.kb import Triple
 from openqa.reader import (
     MAX_SPAN_LEN, TOP_K_PASSAGES,
-    ReaderModel, best_spans, init_reader, load_reader_data, read,
+    ReaderModel, _backward, _forward, best_spans, init_reader, load_reader_data, read, train_reader,
 )
 from openqa.retrieval import (
     IndexedDocument, KIND_PASSAGE, RetrievalResult, splice_triple,
@@ -155,6 +156,56 @@ class TestRead:
 
     def test_empty_results(self, reader):
         assert read(reader, "anything", []) == []
+
+
+class TestOneForward:
+    """Answering and training run the same `_forward`: a question's passages
+    as one padded batch, a training example as a batch of one."""
+
+    def _count(self, monkeypatch, calls):
+        def counted(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                calls.append((name, out[0].shape if name == "_forward" else None))
+                return out
+            return wrapper
+
+        for name in ("_forward", "_backward"):
+            monkeypatch.setattr(openqa.reader, name, counted(name, getattr(openqa.reader, name)))
+
+    def test_read_is_one_forward(self, monkeypatch, reader):
+        calls = []
+        self._count(monkeypatch, calls)
+        results = [passage_result(0, "the sky is blue during a clear day"),
+                   RetrievalResult(splice_triple(Triple("a", "p", "b"), 9), 2.0),
+                   passage_result(1, "a group of lions is called a pride"),
+                   passage_result(2, "honey never spoils")]
+        assert len(read(reader, "what color is the sky", results)) == 3
+        assert calls == [("_forward", (3, 8))]
+
+    def test_train_step_is_one_forward_and_one_backward(self, monkeypatch, vocab):
+        calls = []
+        self._count(monkeypatch, calls)
+        data = [("what color is the sky", "the sky is blue", 3, 3),
+                ("what food never spoils", "honey never spoils", 0, 0)]
+        train_reader(data, Hyper(d=4, h=4, epochs=2, seed=7), vocab)
+        assert calls == [("_forward", (1, 4)), ("_backward", None), ("_forward", (1, 3)), ("_backward", None)] * 2
+
+    def test_grad_check_padded_batch(self):
+        """Two passages of different lengths in one batch, random upstream
+        grads on the padding too: they must be dropped."""
+        rng = np.random.default_rng(23)
+        p = init_reader(9, Hyper(d=5, h=4, seed=9))
+        for name in ("q.b", "p.b"):
+            p[name][:] = rng.normal(size=p[name].shape)
+        q_ids, passages = [4, 5, 8], [[5, 6, 4, 7], [8, 5]]
+        Rs, Re = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+
+        def loss_fn(p_):
+            start, end, cache = _forward(p_, q_ids, passages)
+            return float((start * Rs).sum() + (end * Re).sum()), _backward(p_, cache, Rs, Re)
+
+        assert nn.grad_check(loss_fn, p) < 1e-4
 
 
 @pytest.mark.parametrize("field,value", [("question", 5), ("passage", ["a"]), ("passage", None)])

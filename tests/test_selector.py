@@ -13,9 +13,11 @@ from openqa.hyper import Hyper
 from openqa.selector import (
     CLS, MAX_LEN, SEP,
     SelectorModel, build_sequence, init_selector, load_selector_data,
-    score_sequence, select, train_selector,
+    select, train_selector,
 )
 from openqa.text import Vocabulary
+
+from oracles import score_sequence
 
 
 def candidates(*answers: str) -> list[AnswerCandidate]:

@@ -1,10 +1,12 @@
 """Rule-based semantic parsing solver."""
 
+import json
 import os
 
 import pytest
 
 from openqa import sp_solver
+from openqa.errors import MalformedLine
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples, serialize_sparql
 from openqa.retrieval import tag_passage
 from openqa.sp_solver import (
@@ -164,3 +166,21 @@ class TestTemplates:
         templates = load_templates(os.path.join(fx, "templates.jsonl"))
         assert len(templates) == 8
         assert all(t.pattern.startswith("^") for t in templates)
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("pattern", 5, "a string"),
+    ("predicate", 5, "a string"),
+    ("subject_group", True, "an integer"),
+    ("subject_group", 1.0, "an integer"),
+    ("confidence", True, "a number"),
+])
+def test_template_field_of_the_wrong_type_is_malformed(tmp_path, field, value, kind):
+    """Unchecked, a template of such a row never answers (predicate 5), reads
+    true as group 1, or fails on every question it matches (group 1.0)."""
+    path = tmp_path / "templates.jsonl"
+    row = {"pattern": "^who wrote (.+)$", "predicate": "author", "subject_group": 1, "confidence": 0.9, field: value}
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(MalformedLine) as info:
+        load_templates(str(path))
+    assert str(info.value) == f"{path}: malformed line 1: field {field!r} must be {kind}, got {json.dumps(value)}"
