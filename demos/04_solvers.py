@@ -39,7 +39,7 @@ scorer = train_relation_scorer(load_scorer_data(os.path.join(TOYWORLD, "scorer.j
 relation_table = encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
 for q in ("who wrote hamlet", "who wrote hamlit"):  # note the typo
     tags = tag_entities(tagger, vocab, tokenize(q).tokens)
-    print(f"  {q!r} tags {list(tags.tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab, relation_table)[0])
+    print(f"  {q!r} tags {list(tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab, relation_table)[0])
 
 print("\n-- rr: retrieve and read --")
 idx = build_corpus(kb, dictionary, os.path.join(TOYWORLD, "passages.jsonl"))

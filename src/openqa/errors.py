@@ -52,10 +52,6 @@ class BadExample(OpenQAError):
         super().__init__(f"example {index}: {reason}")
 
 
-class EmptyInput(OpenQAError):
-    pass
-
-
 class EmptyDataset(OpenQAError):
     pass
 

@@ -31,7 +31,9 @@ class Triple:
 
 
 class KnowledgeBase:
-    """Immutable triple collection with (s,p)->objects and (p,o)->subjects indices."""
+    """Immutable triple collection with (s,p)->objects and (p,o)->subjects
+    indices. Its `entities`, the names the entity dictionary is built from,
+    are its subjects."""
 
     def __init__(self, triples: list[Triple]):
         self.triples: list[Triple] = list(dict.fromkeys(triples))  # first occurrence of each, in order
@@ -47,9 +49,7 @@ class KnowledgeBase:
             objs.append(t.object)
             self.by_predicate_object.setdefault((t.predicate, t.object), []).append(t.subject)
 
-        subjects = {t.subject for t in self.triples}
-        self.entities: set[str] = set(subjects)
-        self.entities.update(t.object for t in self.triples if t.object in subjects)
+        self.entities: set[str] = {t.subject for t in self.triples}
 
     def predicates_of(self, subject: str) -> list[str]:
         """Outgoing predicates of a subject, in first-occurrence order."""

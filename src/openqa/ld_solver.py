@@ -21,7 +21,6 @@ from .errors import BadExample, ShapeMismatch
 from .hyper import Hyper
 from .jsonl import read_json_lines, text_field, text_list
 from .kb import KnowledgeBase
-from .sp_solver import recognize_subjects
 from .text import EntityDictionary, Vocabulary, edit_distances, encode, normalize, tokenize
 
 TAGS = ("B", "I", "O")  # index order doubles as the argmax tie-break
@@ -29,14 +28,6 @@ PLACEHOLDER = "<e>"
 CONV_WIDTH = 3
 HINGE_MARGIN = 0.2
 MAX_LINK_DISTANCE = 2
-
-
-@dataclass(frozen=True)
-class TagSequence:
-    tags: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.tags)
 
 
 @dataclass(frozen=True)
@@ -98,11 +89,11 @@ def repair_bio(tags: list[str]) -> list[str]:
     return out
 
 
-def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, tokens: Sequence[str]) -> TagSequence:
+def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, tokens: Sequence[str]) -> tuple[str, ...]:
     """BIO tags of a question's tokens (at least one), as `tokenize` gives them."""
     logits, _ = _tagger_logits(tagger, encode(vocab, tokens))
     raw = [TAGS[i] for i in logits.argmax(axis=1)]
-    return TagSequence(tuple(repair_bio(raw)))
+    return tuple(repair_bio(raw))
 
 
 def _best_run(tags) -> tuple[int, int] | None:
@@ -123,10 +114,10 @@ def _best_run(tags) -> tuple[int, int] | None:
     return best
 
 
-def extract_mention(tags: TagSequence, tokens: Sequence[str]) -> str:
-    if len(tags.tags) != len(tokens):
-        raise ShapeMismatch(f"{len(tags.tags)} tags for {len(tokens)} tokens")
-    run = _best_run(tags.tags)
+def extract_mention(tags: Sequence[str], tokens: Sequence[str]) -> str:
+    if len(tags) != len(tokens):
+        raise ShapeMismatch(f"{len(tags)} tags for {len(tokens)} tokens")
+    run = _best_run(tags)
     if run is None:
         return ""
     return " ".join(tokens[run[0] : run[1] + 1])
@@ -260,18 +251,20 @@ def solve_ld(
     is `encode_relations` of every KB predicate under `scorer` (`System` keeps
     one). The question pattern is encoded once, and `score_relation` is called
     once per relation."""
-    tokens = tokenize(question)
-    if len(tokens) == 0:
+    words = tokenize(question).tokens
+    if not words:
         return []
-    tags = tag_entities(tagger, vocab, tokens.tokens)
-    mention = extract_mention(tags, tokens.tokens)
+    mention = extract_mention(tag_entities(tagger, vocab, words), words)
 
     if mention:
         linked = link_entity(mention, dictionary)
     else:
-        # tagging found nothing: fall back to dictionary max-match
-        subjects = recognize_subjects(question, dictionary, [])
-        linked = [EntityCandidate(s.entity, 0, s.surface) for s in subjects if s.source == "dictionary"]
+        # tagging found nothing: the dictionary keys among the words, each
+        # entity with the first key found for it, entities in name order
+        first_key: dict[str, str] = {}
+        for key, entity in dictionary.find(words):
+            first_key.setdefault(entity, key)
+        linked = [EntityCandidate(entity, 0, first_key[entity]) for entity in sorted(first_key)]
     if not linked:
         return []
     entity_cand = linked[0]
@@ -282,7 +275,7 @@ def solve_ld(
         return []
 
     # the pattern keeps at least the placeholder, so it is never empty
-    pattern = _pattern_tokens(list(tokens.tokens), entity_cand.mention)
+    pattern = _pattern_tokens(list(words), entity_cand.mention)
     pattern_vectors = _encode_side(scorer, encode(vocab, pattern))[:2]
     scored = [(score_relation(rel, pattern_vectors, relation_table[rel]).combined, rel) for rel in relations]
     combined = max(s for s, _ in scored)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import EmptyPassage
 from .jsonl import read_json_lines, text_field
 from .kb import Triple
-from .text import EntityDictionary, merge_keys, split_words, tokenize
+from .text import EntityDictionary, split_words, tokenize
 
 K1 = 1.2
 B = 0.75
@@ -79,11 +79,10 @@ def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary,
     if not text:
         raise EmptyPassage(f"passage {passage_id!r} is empty")
     words = split_words(text)
-    entries = dictionary.entries
-    canonicals = (entries[t] for t in merge_keys(words, dictionary) if t in entries)
+    entities = (entity for _, entity in dictionary.find(words))
     doc = IndexedDocument(
         doc_id=doc_id,
-        subject_field=tuple(dict.fromkeys(canonicals)),  # distinct, in order of first mention
+        subject_field=tuple(dict.fromkeys(entities)),  # distinct, in order of first mention
         value_field=text,
         kind=KIND_PASSAGE,
         origin=f"passage:{passage_id}",

@@ -1,9 +1,11 @@
 """Transformer answer-selection head.
 
-Each candidate answer is spliced with the question into one sequence; all
-of a question's sequences are encoded by the transformer stack in one pass,
-as a zero-padded batch under a key mask, each is scored from its leading
-position by a linear head, and the scores are softmaxed across candidates.
+Each candidate answer is spliced with the question into one sequence of
+token ids; the question is tokenized once, however many candidates it
+has. All of a question's sequences are encoded by the transformer stack in
+one pass, as a zero-padded batch under a key mask, each is scored from its
+leading position by a linear head, and the scores are softmaxed across
+candidates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .answers import AnswerCandidate
-from .errors import BadExample, EmptyInput, NoCandidates
+from .errors import BadExample, NoCandidates
 from .hyper import Hyper
 from .jsonl import int_field, read_json_lines, text_field, text_list
 from .text import CLS, SEP, Vocabulary, encode, tokenize
@@ -57,15 +59,16 @@ def init_selector(vocab_size: int, hyper: Hyper, draw: bool = True) -> nn.ModelP
     return params
 
 
-def build_sequence(question: str, answer: str, vocab: Vocabulary) -> list[int]:
-    """[CLS] question [SEP] answer [SEP], truncated to 64 ids.
+def _token_ids(vocab: Vocabulary, text: str) -> list[int]:
+    return encode(vocab, tokenize(text).tokens)
+
+
+def build_sequence(q_ids: list[int], a_ids: list[int]) -> list[int]:
+    """[CLS] question [SEP] answer [SEP] from the question's and the answer's
+    token ids, truncated to 64 ids.
 
     Truncation drops question-tail tokens first, then answer-tail tokens.
     """
-    if not question or not answer:
-        raise EmptyInput("question and answer must be non-empty")
-    q_ids = encode(vocab, tokenize(question).tokens)
-    a_ids = encode(vocab, tokenize(answer).tokens)
     overflow = 3 + len(q_ids) + len(a_ids) - MAX_LEN
     if overflow > 0:
         cut = min(overflow, len(q_ids))
@@ -115,7 +118,8 @@ def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate
     """Softmax over the candidates' sequence scores; argmax wins (lowest index on ties)."""
     if not candidates:
         raise NoCandidates("selector needs at least one candidate")
-    scores, _ = _forward(model, [build_sequence(question, c.answer, model.vocab) for c in candidates])
+    q_ids = _token_ids(model.vocab, question)
+    scores, _ = _forward(model, [build_sequence(q_ids, _token_ids(model.vocab, c.answer)) for c in candidates])
     probs = nn.softmax(scores)
     chosen = int(np.argmax(probs))
     return SelectionResult(tuple(float(p) for p in probs), chosen, candidates[chosen])
@@ -137,7 +141,8 @@ def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, voca
             raise BadExample(idx, "at least two candidates required")
         if not 0 <= gold < len(cands):
             raise BadExample(idx, "gold index outside candidate list")
-        encoded.append(([build_sequence(question, a, vocab) for a in cands], gold))
+        q_ids = _token_ids(vocab, question)
+        encoded.append(([build_sequence(q_ids, _token_ids(vocab, a)) for a in cands], gold))
     model = SelectorModel(init_selector(vocab.size, hyper), vocab)
 
     def step(example):

@@ -1,10 +1,14 @@
 """Rule-based semantic-parsing solver.
 
-Recognizes candidate subjects (dictionary match, template capture) and
-candidate predicates (template match), cross-products them into
-object-unknown queries, executes each against the knowledge base and
-emits confidence-scored answers. Queries are built as `SparqlQuery`
-values; their SPARQL text is only the answers' provenance.
+One pass over the question finds its candidate subjects (dictionary keys
+among its words, template captures) and candidate predicates (matching
+templates): the question is split into words once, normalized once, and
+each template's regex is searched once, a match giving both the
+template's predicate and its capture. The subjects and predicates are
+cross-multiplied into object-unknown queries, each executed against the
+knowledge base, and the bindings become confidence-scored answers.
+Queries are built as `SparqlQuery` values; their SPARQL text is only the
+answers' provenance.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional
 from .answers import SOLVER_SP, AnswerCandidate
 from .jsonl import read_json_lines
 from .kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
-from .text import EntityDictionary, dictionary_key, normalize, tokenize
+from .text import EntityDictionary, dictionary_key, normalize, split_words
 
 DICTIONARY_CONFIDENCE = 1.0
 TEMPLATE_CAPTURE_CONFIDENCE = 0.8
@@ -39,7 +43,10 @@ class QuestionTemplate:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"field {name!r} must be {kind}, got {json.dumps(value, default=repr)}")
-        compiled = re.compile(self.pattern)
+        try:
+            compiled = re.compile(self.pattern)
+        except re.error as exc:
+            raise ValueError(f"field 'pattern' is not a valid regular expression: {exc}") from None
         if self.subject_group is not None:
             if self.subject_group < 1 or compiled.groups < self.subject_group:
                 raise ValueError(
@@ -60,100 +67,51 @@ def load_templates(path: str) -> list[QuestionTemplate]:
     ))
 
 
-@dataclass(frozen=True)
-class SubjectCandidate:
-    surface: str
-    entity: str
-    confidence: float
-    source: str  # "dictionary" | "template"
-
-
-@dataclass(frozen=True)
-class PredicateCandidate:
-    predicate: str
-    confidence: float
-
-
-def recognize_subjects(
-    question: str,
-    dictionary: EntityDictionary,
-    templates: list[QuestionTemplate],
-) -> list[SubjectCandidate]:
-    """Dictionary token matches (confidence 1.0) plus template captures (0.8)."""
-    found: dict[str, SubjectCandidate] = {}
-
-    def offer(cand: SubjectCandidate):
-        old = found.get(cand.entity)
-        if old is None or cand.confidence > old.confidence:
-            found[cand.entity] = cand
-
-    seq = tokenize(question, dictionary)
-    for token in seq.tokens:
-        entity = dictionary.entries.get(token)
-        if entity is not None:
-            offer(SubjectCandidate(token, entity, DICTIONARY_CONFIDENCE, "dictionary"))
-
-    norm_q = normalize(question)
-    for tpl in templates:
-        if tpl.subject_group is None:
-            continue
-        m = tpl.regex.search(norm_q)
-        if not m:
-            continue
-        surface = m.group(tpl.subject_group)
-        if surface is None:
-            continue
-        entity = dictionary.entries.get(dictionary_key(surface))
-        if entity is not None:
-            offer(SubjectCandidate(surface, entity, TEMPLATE_CAPTURE_CONFIDENCE, "template"))
-
-    return sorted(found.values(), key=lambda c: (-c.confidence, c.entity))
-
-
-def recognize_predicates(question: str, templates: list[QuestionTemplate]) -> list[PredicateCandidate]:
-    """Match the normalized question against each template in list order."""
-    norm_q = normalize(question)
-    found: dict[str, PredicateCandidate] = {}
-    for tpl in templates:
-        if not tpl.regex.search(norm_q):
-            continue
-        old = found.get(tpl.predicate)
-        if old is None or tpl.confidence > old.confidence:
-            found[tpl.predicate] = PredicateCandidate(tpl.predicate, tpl.confidence)
-    return sorted(found.values(), key=lambda c: (-c.confidence, c.predicate))
-
-
-def generate_queries(
-    subjects: list[SubjectCandidate],
-    predicates: list[PredicateCandidate],
-) -> list[tuple[SparqlQuery, float]]:
-    """Full cross product of object-unknown queries, subjects-major;
-    confidence multiplies."""
-    out: list[tuple[SparqlQuery, float]] = []
-    for s in subjects:
-        for p in predicates:
-            out.append((SparqlQuery("x", ObjectUnknown(s.entity, p.predicate)), s.confidence * p.confidence))
-    return out
-
-
 def solve_sp(
     question: str,
     kb: KnowledgeBase,
     dictionary: EntityDictionary,
     templates: list[QuestionTemplate],
 ) -> list[AnswerCandidate]:
-    subjects = recognize_subjects(question, dictionary, templates)
-    predicates = recognize_predicates(question, templates)
-    best: dict[str, AnswerCandidate] = {}
-    for query, combined in generate_queries(subjects, predicates):
-        bindings = execute_sparql(kb, query)
-        if not bindings:
+    """Answers of every (subject, predicate) query the question yields, in one
+    pass over the templates.
+
+    Subjects are the dictionary keys among the question's words (confidence
+    1.0) and the template captures that are keys (0.8), each entity at its
+    best; predicates are the matching templates' predicates, each at its
+    best confidence. Queries go subjects-major, each side in
+    (-confidence, name) order; a query's confidence is the product of its
+    sides' divided by its number of bindings, and an answer keeps the
+    first of its best."""
+    subjects = {entity: DICTIONARY_CONFIDENCE for _, entity in dictionary.find(split_words(question))}
+    predicates: dict[str, float] = {}
+    norm_q = normalize(question)
+    for tpl in templates:
+        m = tpl.regex.search(norm_q)
+        if not m:
             continue
-        query_text = serialize_sparql(query)
-        conf = combined / len(bindings)
-        for b in bindings:
-            cand = AnswerCandidate(b, conf, SOLVER_SP, provenance=query_text)
-            old = best.get(b)
-            if old is None or cand.confidence > old.confidence:
-                best[b] = cand
+        predicates[tpl.predicate] = max(predicates.get(tpl.predicate, 0.0), tpl.confidence)  # ties keep the first
+        if tpl.subject_group is None or (surface := m.group(tpl.subject_group)) is None:
+            continue
+        entity = dictionary.entries.get(dictionary_key(surface))
+        if entity is not None:
+            subjects.setdefault(entity, TEMPLATE_CAPTURE_CONFIDENCE)  # never above a dictionary match
+
+    def ranked(confidences: dict[str, float]) -> list[tuple[str, float]]:
+        return sorted(confidences.items(), key=lambda item: (-item[1], item[0]))
+
+    best: dict[str, AnswerCandidate] = {}
+    ranked_predicates = ranked(predicates)
+    for entity, s_conf in ranked(subjects):
+        for predicate, p_conf in ranked_predicates:
+            query = SparqlQuery("x", ObjectUnknown(entity, predicate))
+            bindings = execute_sparql(kb, query)
+            if not bindings:
+                continue
+            query_text = serialize_sparql(query)
+            conf = s_conf * p_conf / len(bindings)
+            for b in bindings:
+                old = best.get(b)
+                if old is None or conf > old.confidence:
+                    best[b] = AnswerCandidate(b, conf, SOLVER_SP, provenance=query_text)
     return sorted(best.values(), key=lambda c: (-c.confidence, c.answer))

@@ -3,10 +3,12 @@
 Every solver shares these primitives. `tokenize` is the one rule that
 turns text into terms: dictionary keys, BM25 terms and the neural
 solvers' token ids all come from it. It is two passes kept apart,
-`split_words` then `merge_keys`, so that the corpus build can feed one
-word pass per document to both the entity tagging and the index. The
-rule-based solver matches normalized text against templates, and entity
-linking runs on Levenshtein distance. The distance is one DP over a
+`split_words` then `merge_keys`, so that a caller that already holds a
+text's words merges them without splitting the text again:
+`EntityDictionary.find`, the one dictionary matcher, takes words, and the
+passage tagging, the rule-based solver and the neural solver's fallback
+all find entities with it. The rule-based solver matches normalized text
+against templates, and entity linking runs on Levenshtein distance. The distance is one DP over a
 matrix of UTF-32 code points, one column per dictionary key, so a mention
 is compared with a whole block of keys at once.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +147,11 @@ class EntityDictionary:
         object.__setattr__(self, "keys_by_length", keys)
         object.__setattr__(self, "key_lengths", np.array([len(k) for k in keys], dtype=np.intp))
         object.__setattr__(self, "key_codes", code_matrix(keys))
+
+    def find(self, words: Sequence[str]) -> list[tuple[str, str]]:
+        """(key, entity) for each dictionary key among `merge_keys(words, self)`, in order."""
+        entries = self.entries
+        return [(t, entries[t]) for t in merge_keys(words, self) if t in entries]
 
 
 class Vocabulary:

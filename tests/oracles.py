@@ -10,11 +10,14 @@ import math
 import numpy as np
 
 from openqa import nn
+from openqa.answers import SOLVER_SP, AnswerCandidate
+from openqa.kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
 from openqa.ld_solver import RelationScore, _encode_side, _relation_tokens
 from openqa.reader import ReaderModel, SpanPrediction, _forward as reader_forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
 from openqa.selector import SelectorModel, _forward as selector_forward
-from openqa.text import EntityDictionary, Vocabulary, encode, tokenize
+from openqa.sp_solver import DICTIONARY_CONFIDENCE, TEMPLATE_CAPTURE_CONFIDENCE, QuestionTemplate
+from openqa.text import EntityDictionary, Vocabulary, dictionary_key, encode, normalize, tokenize
 
 
 def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float:
@@ -58,6 +61,69 @@ def merge_entries(text: str, dictionary: EntityDictionary) -> tuple[str, ...]:
         merged.append(key)
         i += w
     return tuple(merged)
+
+
+def recognize_subjects(question: str, dictionary: EntityDictionary,
+                       templates: list[QuestionTemplate]) -> list[tuple[str, float]]:
+    """(entity, confidence) of the question's subjects, best first, ties by
+    name: the dictionary keys among its tokens (1.0), then the template
+    captures that are keys (0.8); an entity keeps its first best."""
+    found: dict[str, float] = {}
+
+    def offer(entity: str, confidence: float):
+        if entity not in found or confidence > found[entity]:
+            found[entity] = confidence
+
+    for token in tokenize(question, dictionary).tokens:
+        if token in dictionary.entries:
+            offer(dictionary.entries[token], DICTIONARY_CONFIDENCE)
+    norm_q = normalize(question)
+    for tpl in templates:
+        if tpl.subject_group is None:
+            continue
+        m = tpl.regex.search(norm_q)
+        if m and m.group(tpl.subject_group) is not None:
+            entity = dictionary.entries.get(dictionary_key(m.group(tpl.subject_group)))
+            if entity is not None:
+                offer(entity, TEMPLATE_CAPTURE_CONFIDENCE)
+    return sorted(found.items(), key=lambda item: (-item[1], item[0]))
+
+
+def recognize_predicates(question: str, templates: list[QuestionTemplate]) -> list[tuple[str, float]]:
+    """(predicate, confidence) of every template that matches the normalized
+    question, each predicate at its first best, best first, ties by name."""
+    norm_q = normalize(question)
+    found: dict[str, float] = {}
+    for tpl in templates:
+        if tpl.regex.search(norm_q) and (tpl.predicate not in found or tpl.confidence > found[tpl.predicate]):
+            found[tpl.predicate] = tpl.confidence
+    return sorted(found.items(), key=lambda item: (-item[1], item[0]))
+
+
+def generate_queries(subjects: list[tuple[str, float]],
+                     predicates: list[tuple[str, float]]) -> list[tuple[SparqlQuery, float]]:
+    """Every (subject, predicate) object-unknown query, subjects-major, with
+    the product of the two confidences."""
+    return [(SparqlQuery("x", ObjectUnknown(s, p)), s_conf * p_conf)
+            for s, s_conf in subjects for p, p_conf in predicates]
+
+
+def solve_sp_staged(question: str, kb: KnowledgeBase, dictionary: EntityDictionary,
+                    templates: list[QuestionTemplate]) -> list[AnswerCandidate]:
+    """`sp_solver.solve_sp` in stages, each reading the question itself:
+    subjects, then predicates, then their queries, each executed; a query's
+    confidence is divided among its bindings, and an answer keeps the
+    first of its best."""
+    best: dict[str, AnswerCandidate] = {}
+    queries = generate_queries(recognize_subjects(question, dictionary, templates),
+                               recognize_predicates(question, templates))
+    for query, combined in queries:
+        bindings = execute_sparql(kb, query)
+        for b in bindings:
+            cand = AnswerCandidate(b, combined / len(bindings), SOLVER_SP, provenance=serialize_sparql(query))
+            if b not in best or cand.confidence > best[b].confidence:
+                best[b] = cand
+    return sorted(best.values(), key=lambda c: (-c.confidence, c.answer))
 
 
 def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from openqa.selector import (
     SelectorModel, build_sequence, init_selector, select, train_selector,
 )
 from openqa.service import make_server
-from openqa.text import Vocabulary, code_matrix, edit_distances, split_words, tokenize
+from openqa.text import Vocabulary, code_matrix, edit_distances, encode, split_words, tokenize
 
 from conftest import FIXTURES
 from oracles import detect_relation, enumerate_spans, predict_logits, score_sequence
@@ -318,7 +318,7 @@ def test_criterion_04_gradient_checks(capsys):
     vocab = Vocabulary(["alpha", "beta", "gamma"])
     p = init_selector(vocab.size, Hyper(d=6, h=6, heads=2, layers=1, seed=8))
     model = SelectorModel(p, vocab)
-    sel_ids = build_sequence("alpha beta", "gamma", vocab)
+    sel_ids = build_sequence(encode(vocab, ["alpha", "beta"]), encode(vocab, ["gamma"]))
 
     def selector_loss(p_):
         m = SelectorModel(p_, vocab)
@@ -362,7 +362,7 @@ def test_criterion_05_overfit(capsys):
 
     tagger_data = load_tagger_data(os.path.join(FIXTURES, "tagger.jsonl"))
     tagger = train_tagger(tagger_data, hyper(120), vocab)
-    tagger_acc = sum(list(tag_entities(tagger, vocab, tokenize(q).tokens).tags) == gold
+    tagger_acc = sum(list(tag_entities(tagger, vocab, tokenize(q).tokens)) == gold
                      for q, gold in tagger_data) / len(tagger_data)
 
     scorer_data = load_scorer_data(os.path.join(FIXTURES, "scorer.jsonl"))
@@ -506,7 +506,8 @@ def test_criterion_08_selector_properties(capsys):
 
         # shift invariance: adding a constant to every score leaves the
         # softmax unchanged; select() must agree with the shifted softmax
-        scores = np.array([score_sequence(model, build_sequence(question, a, vocab))
+        q_ids = encode(vocab, tokenize(question).tokens)
+        scores = np.array([score_sequence(model, build_sequence(q_ids, encode(vocab, tokenize(a).tokens)))
                            for a in answers])
         shifted = np.exp(scores + 37.5 - (scores + 37.5).max())
         shifted /= shifted.sum()

@@ -73,6 +73,15 @@ class TestAsk:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_template_that_is_not_a_regex_is_one_error_line(self, toy, tmp_path, capsys):
+        templates = tmp_path / "templates.jsonl"
+        templates.write_text(json.dumps({"pattern": "^who (", "predicate": "author"}) + "\n")
+        config = toy["write_config"](str(tmp_path / "config.json"), {"templates_path": str(templates)})
+        assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {templates}: malformed line 1: field 'pattern' is not a valid regular expression: "
+                       "missing ), unterminated subpattern at position 5\n")
+
     def test_model_vocab_mismatch_is_one_error_line(self, toy, tmp_path, capsys):
         reader = str(tmp_path / "reader.json")
         init_reader(10, Hyper(d=4, h=4)).save(reader)

@@ -1,9 +1,12 @@
 """Neural KBQA solver: BIO tagging, entity linking, relation detection."""
 
+import ast
+import inspect
 import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from openqa import ld_solver, nn, text
@@ -12,7 +15,7 @@ from openqa.errors import BadExample, MalformedLine, ShapeMismatch
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
 from openqa.ld_solver import (
     MAX_LINK_DISTANCE, PLACEHOLDER, TAGS,
-    EntityCandidate, RelationScore, TagSequence,
+    EntityCandidate, RelationScore,
     encode_relations, extract_mention, init_relation_scorer,
     link_entity, load_scorer_data, load_tagger_data,
     repair_bio, score_relation, solve_ld, tag_entities, train_relation_scorer,
@@ -34,15 +37,15 @@ class TestBio:
         assert repair_bio(tags) == repaired
 
     def test_extract_mention_takes_longest_run(self):
-        tags = TagSequence(("B", "O", "B", "I", "O"))
+        tags = ("B", "O", "B", "I", "O")
         assert extract_mention(tags, ["a", "b", "c", "d", "e"]) == "c d"
 
     def test_extract_mention_all_outside(self):
-        assert extract_mention(TagSequence(("O", "O")), ["a", "b"]) == ""
+        assert extract_mention(("O", "O"), ["a", "b"]) == ""
 
     def test_extract_mention_misaligned_names_both_lengths(self):
         with pytest.raises(ShapeMismatch, match=r"^2 tags for 3 tokens$"):
-            extract_mention(TagSequence(("O", "B")), ["a", "b", "c"])
+            extract_mention(("O", "B"), ["a", "b", "c"])
 
 
 def _scan(mention, dictionary, max_distance, levenshtein):
@@ -114,7 +117,7 @@ class TestModels:
     def test_tagger_trains_to_perfect_tags(self, fx, vocab, toy):
         tagger = nn.ModelParameters.load(toy["models"]["tagger"])
         for question, gold in load_tagger_data(os.path.join(fx, "tagger.jsonl")):
-            assert list(tag_entities(tagger, vocab, tokenize(question).tokens).tags) == gold
+            assert list(tag_entities(tagger, vocab, tokenize(question).tokens)) == gold
 
     def test_scorer_ranks_gold_first(self, fx, vocab, toy):
         scorer = nn.ModelParameters.load(toy["models"]["scorer"])
@@ -150,6 +153,11 @@ def world(fx, toy):
 def _relation_table(scorer, vocab, kb):
     """`encode_relations` over the KB's predicates, as `System` builds it."""
     return encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
+
+
+def _tags_nothing(params, ids):
+    """Tagger logits under which every token's tag is O."""
+    return np.tile([0.0, 0.0, 1.0], (len(ids), 1)), None
 
 
 class TestSolve:
@@ -201,6 +209,42 @@ class TestSolve:
         out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
         assert out[0].provenance.startswith("mention='hamlet' ")
         assert pattern.runs == 1
+
+    def test_untagged_question_falls_back_to_dictionary_keys(self, world, vocab, monkeypatch):
+        """With no mention tagged, the entity first in name order is linked,
+        under the first of its keys found among the question's words."""
+        _, _, tagger, scorer = world
+        monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_nothing)
+        kb = KnowledgeBase([Triple("alpha", "p", "x"), Triple("zeta", "p", "y")])
+        d = EntityDictionary({"zed": "zeta", "alpha one": "alpha", "ay": "alpha"})
+        out = solve_ld("zed then ay then alpha one", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        assert [(c.answer, c.provenance) for c in out] == [("x", "mention='ay' entity='alpha' relation='p'")]
+
+    def test_untagged_question_is_split_into_words_once(self, world, vocab, monkeypatch):
+        """The dictionary fallback reads the words solve_ld has already split."""
+        class CountingPattern:
+            def __init__(self, pattern):
+                self.pattern, self.runs = pattern, 0
+
+            def findall(self, text):
+                self.runs += 1
+                return self.pattern.findall(text)
+
+        kb, d, tagger, scorer = world
+        table = _relation_table(scorer, vocab, kb)
+        monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_nothing)
+        pattern = CountingPattern(text._TOKEN_RE)
+        monkeypatch.setattr(text, "_TOKEN_RE", pattern)
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
+        assert out[0].provenance.startswith("mention='hamlet' entity='hamlet' ")
+        assert pattern.runs == 1
+
+    def test_does_not_import_the_sp_solver(self):
+        """The dictionary fallback is `EntityDictionary.find`, not the rule-based solver's recognizer."""
+        tree = ast.parse(inspect.getsource(ld_solver))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert not {name for name in imported if name and name.split(".")[-1] == "sp_solver"}
 
     def test_each_relation_scored_once(self, world, vocab, monkeypatch):
         kb, d, tagger, scorer = world

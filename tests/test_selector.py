@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from openqa import nn, selector
+from openqa import nn, selector, text
 from openqa.answers import AnswerCandidate
 from openqa.errors import MalformedLine, NoCandidates
 from openqa.hyper import Hyper
@@ -15,13 +15,17 @@ from openqa.selector import (
     SelectorModel, build_sequence, init_selector, load_selector_data,
     select, train_selector,
 )
-from openqa.text import Vocabulary
+from openqa.text import Vocabulary, encode, tokenize
 
 from oracles import score_sequence
 
 
 def candidates(*answers: str) -> list[AnswerCandidate]:
     return [AnswerCandidate(a, 0.5, "sp") for a in answers]
+
+
+def sequence(question: str, answer: str, vocab: Vocabulary) -> list[int]:
+    return build_sequence(encode(vocab, tokenize(question).tokens), encode(vocab, tokenize(answer).tokens))
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +41,7 @@ def untrained(vocab):
 
 class TestBuildSequence:
     def test_structure(self, vocab):
-        ids = build_sequence("who wrote hamlet", "shakespeare", vocab)
+        ids = sequence("who wrote hamlet", "shakespeare", vocab)
         assert ids[0] == CLS
         assert ids.count(SEP) == 2
         assert ids[-1] == SEP
@@ -46,7 +50,7 @@ class TestBuildSequence:
 
     def test_truncation_drops_question_tail_first(self, vocab):
         long_q = "wrote hamlet " + "who " * 80
-        ids = build_sequence(long_q, "shakespeare", vocab)
+        ids = sequence(long_q, "shakespeare", vocab)
         assert len(ids) == MAX_LEN
         # the answer and closing separator survive truncation
         assert ids[-1] == SEP
@@ -56,7 +60,7 @@ class TestBuildSequence:
         assert ids[2] == vocab.id_of("hamlet")
 
     def test_short_sequence_not_padded(self, vocab):
-        ids = build_sequence("who", "x", vocab)
+        ids = sequence("who", "x", vocab)
         assert len(ids) == 5  # CLS q SEP a SEP
 
 
@@ -88,7 +92,7 @@ class TestSelect:
     def test_consistent_with_score_sequence(self, untrained, vocab):
         answers = ["a", "b", "c"]
         scores = np.array([
-            score_sequence(untrained, build_sequence("who wrote hamlet", a, vocab))
+            score_sequence(untrained, sequence("who wrote hamlet", a, vocab))
             for a in answers])
         probs = np.exp(scores - scores.max())
         probs /= probs.sum()
@@ -125,6 +129,19 @@ class TestOnePass:
                 ("what color is the sky", ["pride", "blue"], 1)]
         train_selector(data, Hyper(d=8, h=8, heads=2, layers=1, epochs=2, seed=7), vocab)
         assert calls == {"_forward": 4, "_backward": 4}
+
+    def test_question_is_split_into_words_once(self, monkeypatch, untrained):
+        """`select` tokenizes the question once, not once per candidate."""
+        split = []
+
+        class CountingPattern:
+            def findall(self, s, pattern=text._TOKEN_RE):
+                split.append(s)
+                return pattern.findall(s)
+
+        monkeypatch.setattr(text, "_TOKEN_RE", CountingPattern())
+        select(untrained, "who wrote hamlet", candidates("a", "b", "c"))
+        assert sorted(split) == ["a", "b", "c", "who wrote hamlet"]
 
 
 class TestTrained:

@@ -134,6 +134,16 @@ class TestAsk:
         finally:
             conn.close()
 
+    def test_question_of_9000_bytes_is_413(self, server):
+        """A question is a sentence: a body this long is refused unread, before `ask` runs."""
+        body = json.dumps({"question": "who wrote " + "x" * 8974}).encode("utf-8")
+        assert len(body) == 9000
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post_ask(server, body)
+        with err.value as resp:
+            assert resp.code == 413
+            assert json.load(resp) == {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+
     def test_short_body_is_408(self, start_server, monkeypatch):
         # Content-Length promises more bytes than the client ever sends
         monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)

@@ -2,19 +2,21 @@
 
 import json
 import os
+import random
 
 import pytest
 
 from openqa import sp_solver
 from openqa.errors import MalformedLine
-from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples, serialize_sparql
+from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
 from openqa.retrieval import tag_passage
 from openqa.sp_solver import (
     DEFAULT_TEMPLATE_CONFIDENCE, DICTIONARY_CONFIDENCE, TEMPLATE_CAPTURE_CONFIDENCE,
-    QuestionTemplate, SubjectCandidate, generate_queries, load_templates,
-    recognize_predicates, recognize_subjects, solve_sp,
+    QuestionTemplate, load_templates, solve_sp,
 )
-from openqa.text import tokenize
+from openqa.text import EntityDictionary, split_words
+
+from oracles import solve_sp_staged
 
 
 @pytest.fixture(scope="module")
@@ -23,50 +25,69 @@ def world(fx):
     return kb, build_entity_dictionary(kb), load_templates(os.path.join(fx, "templates.jsonl"))
 
 
+def answers(out):
+    return [(c.answer, c.confidence, c.provenance) for c in out]
+
+
 class TestRecognition:
     def test_dictionary_subject(self, world):
         kb, d, templates = world
-        subjects = recognize_subjects("who wrote hamlet", d, templates)
-        assert subjects[0].entity == "hamlet"
-        assert subjects[0].confidence == DICTIONARY_CONFIDENCE
-        assert subjects[0].source == "dictionary"
+        assert d.find(split_words("who wrote hamlet")) == [("hamlet", "hamlet")]
+        # a dictionary subject and a template capture of the same entity: the dictionary's 1.0 wins
+        out = solve_sp("who wrote hamlet", kb, d, templates)
+        assert answers(out) == [("shakespeare", DICTIONARY_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE,
+                                 "SELECT ?x WHERE { <hamlet> <author> ?x . }")]
 
     def test_unlinkable_capture_yields_nothing(self, world):
         kb, d, templates = world
         # "the odyssey" matches the template but is not a KB entity
-        assert recognize_subjects("who wrote the odyssey", d, templates) == []
+        assert d.find(split_words("who wrote the odyssey")) == []
+        assert solve_sp("who wrote the odyssey", kb, d, templates) == []
 
     def test_template_capture_confidence(self):
-        # the capture links to an entity the token pass cannot see
-        # (the dictionary key spans two tokens but FMM consumed the first)
-        from openqa.text import EntityDictionary
+        # the capture links to an entity the dictionary pass cannot see
+        # (the dictionary key spans two tokens but the merge consumed the first)
+        kb = KnowledgeBase([Triple("new_york", "p", "a"), Triple("york_city", "p", "b")])
         d = EntityDictionary({"new york": "new_york", "york city": "york_city"})
         templates = [QuestionTemplate(pattern="^about new (.+)$", predicate="p", subject_group=1)]
-        subjects = recognize_subjects("about new york city", d, templates)
-        by_source = {s.source: s for s in subjects}
-        assert by_source["dictionary"].entity == "new_york"
-        assert by_source["template"].entity == "york_city"
-        assert by_source["template"].confidence == TEMPLATE_CAPTURE_CONFIDENCE
+        assert d.find(split_words("about new york city")) == [("new york", "new_york")]
+        out = solve_sp("about new york city", kb, d, templates)
+        assert answers(out) == [
+            ("a", DICTIONARY_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE, "SELECT ?x WHERE { <new_york> <p> ?x . }"),
+            ("b", TEMPLATE_CAPTURE_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE, "SELECT ?x WHERE { <york_city> <p> ?x . }"),
+        ]
 
     def test_predicate_from_template(self, world):
         kb, d, templates = world
-        predicates = recognize_predicates("what is the capital of france", templates)
-        assert [p.predicate for p in predicates] == ["capital"]
-        assert predicates[0].confidence == DEFAULT_TEMPLATE_CONFIDENCE
+        out = solve_sp("what is the capital of france", kb, d, templates)
+        assert answers(out) == [("paris", DICTIONARY_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE,
+                                 "SELECT ?x WHERE { <france> <capital> ?x . }")]
 
     def test_no_template_match(self, world):
         kb, d, templates = world
-        assert recognize_predicates("tell me something nice", templates) == []
+        # a subject with no predicate makes no query
+        assert d.find(split_words("tell me about hamlet")) == [("hamlet", "hamlet")]
+        assert solve_sp("tell me about hamlet", kb, d, templates) == []
 
 
 class TestQueriesAndSolve:
-    def test_generate_queries_multiplies_confidences(self, world):
-        kb, d, templates = world
-        subjects = recognize_subjects("who wrote hamlet", d, templates)
-        predicates = recognize_predicates("who wrote hamlet", templates)
-        queries = generate_queries(subjects, predicates)
-        assert [(serialize_sparql(q), c) for q, c in queries] == [
-            ("SELECT ?x WHERE { <hamlet> <author> ?x . }", 0.9)]
+    def test_query_confidence_multiplies(self):
+        kb = KnowledgeBase([Triple("hamlet", "author", "shakespeare"), Triple("hamlet", "genre", "tragedy")])
+        d = build_entity_dictionary(kb)
+        templates = [QuestionTemplate(pattern="^who wrote (.+)$", predicate="author", subject_group=1),
+                     QuestionTemplate(pattern="wrote", predicate="genre", confidence=0.5)]
+        out = solve_sp("who wrote hamlet", kb, d, templates)
+        assert answers(out) == [("shakespeare", 0.9, "SELECT ?x WHERE { <hamlet> <author> ?x . }"),
+                                ("tragedy", 0.5, "SELECT ?x WHERE { <hamlet> <genre> ?x . }")]
+
+    def test_equal_confidences_keep_the_first_query_subjects_major(self):
+        # x is reached at 0.9 by <a> <q> and by <b> <p>; <a>'s queries come first
+        kb = KnowledgeBase([Triple("a", "q", "x"), Triple("b", "p", "x")])
+        d = build_entity_dictionary(kb)
+        templates = [QuestionTemplate(pattern="^(?:a|b) and", predicate="q"),
+                     QuestionTemplate(pattern="and (?:a|b)$", predicate="p")]
+        out = solve_sp("b and a", kb, d, templates)
+        assert answers(out) == [("x", 0.9, "SELECT ?x WHERE { <a> <q> ?x . }")]
 
     def test_solve_simple(self, world):
         kb, d, templates = world
@@ -113,6 +134,90 @@ class TestQueriesAndSolve:
         assert len(out) == 1
         assert out[0].confidence == pytest.approx(0.9)
 
+    def test_question_is_read_once(self, world, monkeypatch):
+        """One normalization and one regex search per template, captures included."""
+        kb, d, templates = world
+        normalized = []
+        normalize = sp_solver.normalize
+        monkeypatch.setattr(sp_solver, "normalize", lambda text: normalized.append(text) or normalize(text))
+        searched = []
+
+        class CountingRegex:
+            def __init__(self, tpl):
+                self.tpl, self.regex = tpl, tpl.regex
+
+            def search(self, text):
+                searched.append(self.tpl)
+                return self.regex.search(text)
+
+        for tpl in templates:
+            object.__setattr__(tpl, "regex", CountingRegex(tpl))
+        try:
+            out = solve_sp("who wrote hamlet", kb, d, templates)
+        finally:
+            for tpl in templates:
+                object.__setattr__(tpl, "regex", tpl.regex.regex)
+        assert [c.answer for c in out] == ["shakespeare"]
+        assert normalized == ["who wrote hamlet"]
+        assert searched == templates and all(t.subject_group is not None for t in templates)
+
+
+def random_world(rng: random.Random):
+    """A KB over made-up words, a dictionary with multi-token keys and several
+    keys per entity, templates with captures (some of them keys, some not,
+    some optional) and repeated predicates at equal and unequal confidences."""
+    words = ["ka", "lo", "mi", "nu", "po", "ri", "su", "te"]
+    entities = [" ".join(rng.sample(words, rng.randint(1, 2))) for _ in range(6)]
+    predicates = ["p0", "p1", "p2"]
+    triples = [Triple(rng.choice(entities), rng.choice(predicates), rng.choice(entities + ["v1", "v2", "v3"]))
+               for _ in range(rng.randint(4, 14))]
+    kb = KnowledgeBase(triples)
+    keys = dict.fromkeys(" ".join(rng.choices(words[:4], k=rng.randint(1, 3))) for _ in range(rng.randint(2, 8)))
+    d = EntityDictionary({key: rng.choice(entities) for key in keys})  # overlapping keys: a merge can hide one
+    shapes = [
+        ("^{w} (.+)$", 1),
+        ("^(?:({w}) )?{w} (.+)$", 1),  # group 1 takes no part when the first word is missing
+        ("^(?:({w}) )?{w} (.+)$", 2),
+        ("(.+) {w}$", 1),
+        ("{w}", None),
+        ("^{w} {w}", None),
+    ]
+    templates = []
+    for _ in range(rng.randint(1, 8)):
+        shape, group = rng.choice(shapes)
+        pattern = shape.replace("{w}", "{}").format(*(rng.choice(words) for _ in range(shape.count("{w}"))))
+        templates.append(QuestionTemplate(pattern=pattern, predicate=rng.choice(predicates), subject_group=group,
+                                          confidence=rng.choice([0.5, 0.9, 0.9, 1.0])))
+    return kb, d, templates, words
+
+
+def test_one_pass_equals_the_staged_oracle():
+    """`solve_sp` equals the staged recognize-subjects, recognize-predicates,
+    generate-queries path to the last bit, answers, order and provenance."""
+    rng = random.Random(20)
+    seen = {"answered": 0, "several subjects": 0, "capture non-keys": 0, "capture keys": 0,
+            "capture-only entities": 0}
+    for _ in range(1000):
+        kb, d, templates, words = random_world(rng)
+        for _ in range(10):
+            question = [rng.choice(words) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.5:  # end on a key, for a capture to take
+                question.append(rng.choice(sorted(d.entries)))
+            question = rng.choice(["{}", "{}?", "  {} .", "{}!"]).format(" ".join(question).capitalize())
+            out = solve_sp(question, kb, d, templates)
+            assert answers(out) == answers(solve_sp_staged(question, kb, d, templates)), question
+            seen["answered"] += bool(out)
+            seen["several subjects"] += len({c.provenance.split(">")[0] for c in out}) > 1
+            found = {entity for _, entity in d.find(split_words(question))}
+            for tpl in templates:
+                m = tpl.regex.search(sp_solver.normalize(question))
+                capture = m and tpl.subject_group is not None and m.group(tpl.subject_group)
+                if capture:
+                    entity = d.entries.get(capture)
+                    seen["capture non-keys" if entity is None else "capture keys"] += 1
+                    seen["capture-only entities"] += entity is not None and entity not in found
+    assert min(seen.values()) >= 4, seen
+
 
 PUNCTUATED_KB = KnowledgeBase([
     Triple("Paris, Texas", "population", "24171"),
@@ -138,16 +243,16 @@ class TestPunctuatedNames:
     @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
     def test_dictionary_pass(self, question, key, entity, answer):
         d = build_entity_dictionary(PUNCTUATED_KB)
-        assert recognize_subjects(question, d, []) == [
-            SubjectCandidate(key, entity, DICTIONARY_CONFIDENCE, "dictionary")]
+        assert d.find(split_words(question)) == [(key, entity)]
 
     @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
     def test_template_capture(self, monkeypatch, question, key, entity, answer):
-        # with the token pass merging nothing, only the capture can find the entity
-        monkeypatch.setattr(sp_solver, "tokenize", lambda text, dictionary=None: tokenize(text))
+        # with the dictionary pass finding nothing, only the capture can find the entity
+        monkeypatch.setattr(EntityDictionary, "find", lambda self, words: [])
         d = build_entity_dictionary(PUNCTUATED_KB)
-        subjects = recognize_subjects(question, d, PUNCTUATED_TEMPLATES)
-        assert [(s.entity, s.source) for s in subjects] == [(entity, "template")]
+        out = solve_sp(question, PUNCTUATED_KB, d, PUNCTUATED_TEMPLATES)
+        assert [(c.answer, c.confidence) for c in out] == [
+            (answer, TEMPLATE_CAPTURE_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE)]
 
     @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
     def test_solve(self, question, key, entity, answer):
@@ -184,3 +289,12 @@ def test_template_field_of_the_wrong_type_is_malformed(tmp_path, field, value, k
     with pytest.raises(MalformedLine) as info:
         load_templates(str(path))
     assert str(info.value) == f"{path}: malformed line 1: field {field!r} must be {kind}, got {json.dumps(value)}"
+
+
+def test_pattern_that_is_not_a_regex_is_malformed(tmp_path):
+    path = tmp_path / "templates.jsonl"
+    path.write_text(json.dumps({"pattern": "^who wrote (.+$", "predicate": "author"}) + "\n")
+    with pytest.raises(MalformedLine) as info:
+        load_templates(str(path))
+    assert str(info.value) == (f"{path}: malformed line 1: field 'pattern' is not a valid regular expression: "
+                               "missing ), unterminated subpattern at position 11")

@@ -8,7 +8,7 @@ import pytest
 from openqa.text import (
     CLS, PAD, SEP, UNK,
     EntityDictionary, TokenSequence, Vocabulary,
-    code_matrix, dictionary_key, edit_distances, encode, normalize, tokenize,
+    code_matrix, dictionary_key, edit_distances, encode, normalize, split_words, tokenize,
 )
 
 from oracles import merge_entries
@@ -66,6 +66,8 @@ class TestTokenize:
             texts = fixed + [" ".join(rng.choice(words) for _ in range(rng.randint(0, 12))) for _ in range(5)]
             for text in texts:
                 assert tokenize(text, d).tokens == merge_entries(text, d), (keys, text)
+                found = [(t, d.entries[t]) for t in merge_entries(text, d) if t in d.entries]
+                assert d.find(split_words(text)) == found, (keys, text)
 
     def test_first_tokens_mark_multi_token_keys(self):
         d = EntityDictionary({"new york": "a", "new york city": "b", "paris texas": "c", "paris": "d"})
@@ -112,6 +114,14 @@ class TestEntityDictionary:
         assert d.keys_by_length == ["ur", "zürich", "new york"]
         assert d.key_lengths.tolist() == [2, 6, 8]
         assert d.key_codes.shape == (3, 8)
+
+    def test_find_gives_the_keys_among_the_merged_words(self):
+        d = EntityDictionary({"new york": "new_york", "york city": "york_city", "paris texas": "Paris, Texas",
+                              "nyc": "new_york"})
+        words = split_words("From NYC via New York City to Paris, Texas and new york")
+        assert d.find(words) == [("nyc", "new_york"), ("new york", "new_york"),
+                                 ("paris texas", "Paris, Texas"), ("new york", "new_york")]
+        assert d.find(()) == [] and EntityDictionary().find(words) == []
 
     def test_derived_fields_stay_out_of_eq_and_repr(self):
         d = EntityDictionary({"paris": "paris"})
