@@ -159,8 +159,8 @@ def execute_sparql(kb: KnowledgeBase, q: SparqlQuery) -> list[str]:
 
 def build_entity_dictionary(kb: KnowledgeBase) -> EntityDictionary:
     """Export KB entities keyed by their tokens joined by one space
-    (`dictionary_key`), the form `tokenize` merges: "Paris, Texas" is
-    keyed "paris texas".
+    (`dictionary_key`), the form `EntityDictionary.find` matches: "Paris,
+    Texas" is keyed "paris texas".
 
     When two entities have the same key the lexicographically smallest
     canonical string wins.

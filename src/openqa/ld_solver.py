@@ -1,11 +1,11 @@
 """Neural KB solver: BiLSTM BIO tagging, Levenshtein entity linking, and
 joint attentive-CNN / attentive-BiGRU relation scoring.
 
-The tagger marks the entity mention in the question; the mention is
-linked to the closest dictionary entries by edit distance; the question
-pattern (mention replaced by a placeholder) is scored against each
-candidate relation by two encoders whose attention-pooled features are
-compared by cosine similarity.
+The tagger marks the entity mention in the question as a word span; the
+mention's words are linked to the closest dictionary entries by edit
+distance; the question pattern (the span replaced by a placeholder) is
+scored against each candidate relation by two encoders whose
+attention-pooled features are compared by cosine similarity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .answers import SOLVER_LD, AnswerCandidate
-from .errors import BadExample, ShapeMismatch
+from .errors import BadExample
 from .hyper import Hyper
 from .jsonl import read_json_lines, text_field, text_list
 from .kb import KnowledgeBase
@@ -34,18 +34,6 @@ MAX_LINK_DISTANCE = 2
 class EntityCandidate:
     entity: str
     distance: int
-    mention: str
-
-
-@dataclass(frozen=True)
-class RelationScore:
-    relation: str
-    cnn_score: float
-    gru_score: float
-
-    @property
-    def combined(self) -> float:
-        return 0.5 * self.cnn_score + 0.5 * self.gru_score
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +85,7 @@ def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, tokens: Sequence
 
 
 def _best_run(tags) -> tuple[int, int] | None:
-    """Longest contiguous B/I run as (start, end) inclusive; earliest wins ties."""
+    """Longest contiguous B/I run as the span (start, stop); earliest wins ties."""
     best = None
     i = 0
     n = len(tags)
@@ -108,19 +96,10 @@ def _best_run(tags) -> tuple[int, int] | None:
         j = i
         while j + 1 < n and tags[j + 1] != "O":
             j += 1
-        if best is None or (j - i) > (best[1] - best[0]):
-            best = (i, j)
+        if best is None or (j + 1 - i) > (best[1] - best[0]):
+            best = (i, j + 1)
         i = j + 1
     return best
-
-
-def extract_mention(tags: Sequence[str], tokens: Sequence[str]) -> str:
-    if len(tags) != len(tokens):
-        raise ShapeMismatch(f"{len(tags)} tags for {len(tokens)} tokens")
-    run = _best_run(tags)
-    if run is None:
-        return ""
-    return " ".join(tokens[run[0] : run[1] + 1])
 
 
 def link_entity(mention: str, dictionary: EntityDictionary) -> list[EntityCandidate]:
@@ -141,7 +120,7 @@ def link_entity(mention: str, dictionary: EntityDictionary) -> list[EntityCandid
         return []
     distances = edit_distances(norm, dictionary.key_codes[lo:hi, : m + MAX_LINK_DISTANCE], dictionary.key_lengths[lo:hi])
     out = [
-        EntityCandidate(dictionary.entries[dictionary.keys_by_length[lo + r]], int(distances[r]), mention)
+        EntityCandidate(dictionary.entries[dictionary.keys_by_length[lo + r]], int(distances[r]))
         for r in np.flatnonzero(distances <= MAX_LINK_DISTANCE)
     ]
     return sorted(out, key=lambda c: (c.distance, -len(c.entity), c.entity))
@@ -195,12 +174,12 @@ def _relation_tokens(relation: str) -> list[str]:
     return list(tokenize(relation.replace("_", " ")).tokens)
 
 
-def _score_backward(params: nn.ModelParameters, pattern, relation, d_combined: float) -> nn.Grads:
-    """Gradient of combined = 0.5*cnn + 0.5*gru through both encoders, from
-    the pattern's and the relation's `_encode_side` results."""
+def _score_backward(params: nn.ModelParameters, pattern, relation, d_score: float) -> nn.Grads:
+    """Gradient of the score 0.5*cnn + 0.5*gru (see `score_relation`) through
+    both encoders, from the pattern's and the relation's `_encode_side` results."""
     (p_cnn, p_gru, p_cache), (r_cnn, r_gru, r_cache) = pattern, relation
-    dp_cnn, dr_cnn = nn.cosine_backward(p_cnn, r_cnn, 0.5 * d_combined)
-    dp_gru, dr_gru = nn.cosine_backward(p_gru, r_gru, 0.5 * d_combined)
+    dp_cnn, dr_cnn = nn.cosine_backward(p_cnn, r_cnn, 0.5 * d_score)
+    dp_gru, dr_gru = nn.cosine_backward(p_gru, r_gru, 0.5 * d_score)
     grads = _encode_side_backward(params, p_cache, dp_cnn, dp_gru)
     nn.accumulate(grads, _encode_side_backward(params, r_cache, dr_cnn, dr_gru))
     return grads
@@ -215,28 +194,18 @@ def encode_relations(scorer: nn.ModelParameters, vocab: Vocabulary, relations: I
             for rel in relations if (tokens := _relation_tokens(rel))}
 
 
-def score_relation(relation: str, pattern_vectors: tuple, relation_vectors: tuple) -> RelationScore:
-    """How well `relation` fits the question pattern: the cosine of the
-    pattern's and the relation's CNN vectors and that of their BiGRU vectors,
-    each side's (CNN, BiGRU) pair as `_encode_side` gives it (a relation's is
-    its `encode_relations` entry)."""
+def score_relation(pattern_vectors: tuple, relation_vectors: tuple) -> float:
+    """How well a relation fits the question pattern: the mean of the cosine
+    of the pattern's and the relation's CNN vectors and that of their BiGRU
+    vectors, each side's (CNN, BiGRU) pair as `_encode_side` gives it (a
+    relation's is its `encode_relations` entry)."""
     (p_cnn, p_gru), (r_cnn, r_gru) = pattern_vectors, relation_vectors
-    return RelationScore(relation, nn.cosine(p_cnn, r_cnn), nn.cosine(p_gru, r_gru))
+    return 0.5 * nn.cosine(p_cnn, r_cnn) + 0.5 * nn.cosine(p_gru, r_gru)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end solve
 # ---------------------------------------------------------------------------
-
-def _pattern_tokens(tokens: list[str], mention: str) -> list[str]:
-    """Replace the mention's token run with a single placeholder."""
-    m_tokens = mention.split(" ")
-    n, m = len(tokens), len(m_tokens)
-    for i in range(n - m + 1):
-        if tokens[i : i + m] == m_tokens:
-            return tokens[:i] + [PLACEHOLDER] + tokens[i + m :]
-    return list(tokens)
-
 
 def solve_ld(
     question: str,
@@ -249,22 +218,23 @@ def solve_ld(
 ) -> list[AnswerCandidate]:
     """The objects of the linked entity's best-scoring relation. `relation_table`
     is `encode_relations` of every KB predicate under `scorer` (`System` keeps
-    one). The question pattern is encoded once, and `score_relation` is called
-    once per relation."""
+    one). The mention is the tagged word span; when the tagger marks none,
+    it is the first dictionary key found for the entity first in name order,
+    an exact link. The question pattern, the span replaced by a placeholder,
+    is encoded once, and `score_relation` is called once per relation."""
     words = tokenize(question).tokens
     if not words:
         return []
-    mention = extract_mention(tag_entities(tagger, vocab, words), words)
-
-    if mention:
-        linked = link_entity(mention, dictionary)
+    span = _best_run(tag_entities(tagger, vocab, words))
+    if span is not None:
+        start, stop = span
+        linked = link_entity(" ".join(words[start:stop]), dictionary)
     else:
-        # tagging found nothing: the dictionary keys among the words, each
-        # entity with the first key found for it, entities in name order
-        first_key: dict[str, str] = {}
-        for key, entity in dictionary.find(words):
-            first_key.setdefault(entity, key)
-        linked = [EntityCandidate(entity, 0, first_key[entity]) for entity in sorted(first_key)]
+        found = dictionary.find(words)
+        if not found:
+            return []
+        start, stop, entity = min(found, key=lambda match: match[2])  # the first entity in name order, at its first key
+        linked = [EntityCandidate(entity, 0)]
     if not linked:
         return []
     entity_cand = linked[0]
@@ -274,16 +244,16 @@ def solve_ld(
     if not relations:
         return []
 
-    # the pattern keeps at least the placeholder, so it is never empty
-    pattern = _pattern_tokens(list(words), entity_cand.mention)
+    pattern = words[:start] + (PLACEHOLDER,) + words[stop:]
     pattern_vectors = _encode_side(scorer, encode(vocab, pattern))[:2]
-    scored = [(score_relation(rel, pattern_vectors, relation_table[rel]).combined, rel) for rel in relations]
+    scored = [(score_relation(pattern_vectors, relation_table[rel]), rel) for rel in relations]
     combined = max(s for s, _ in scored)
     relation = min(rel for s, rel in scored if s == combined)  # ties go to the smallest relation string
 
     objects = kb.by_subject_predicate.get((entity_cand.entity, relation), [])
     confidence = (1.0 / (1.0 + entity_cand.distance)) * (combined + 1.0) / 2.0
-    provenance = f"mention={entity_cand.mention!r} entity={entity_cand.entity!r} relation={relation!r}"
+    mention = " ".join(words[start:stop])
+    provenance = f"mention={mention!r} entity={entity_cand.entity!r} relation={relation!r}"
     return [AnswerCandidate(obj, confidence, SOLVER_LD, provenance) for obj in objects]
 
 
@@ -332,23 +302,24 @@ def train_relation_scorer(dataset: list[tuple[list[str], str, list[str]]], hyper
             raise BadExample(idx, "pattern is empty")
         if not negatives:
             raise BadExample(idx, "at least one negative relation required")
-        relations = [(rel, encode(vocab, _relation_tokens(rel))) for rel in [gold] + negatives]
-        for rel, ids in relations:
-            if not ids:
+        relation_ids = []
+        for rel in [gold] + negatives:
+            if not (ids := encode(vocab, _relation_tokens(rel))):
                 raise BadExample(idx, f"relation {rel!r} has no tokens")
-        encoded.append((encode(vocab, pattern), relations[0], relations[1:]))
+            relation_ids.append(ids)
+        encoded.append((encode(vocab, pattern), relation_ids[0], relation_ids[1:]))
     params = init_relation_scorer(vocab.size, hyper)
 
     def step(example):  # the pattern is encoded once; the gold's gradient goes in after the negatives'
-        p_ids, (gold, gold_ids), negatives = example
+        p_ids, gold_ids, negatives = example
         pattern = _encode_side(params, p_ids)
         gold_side = _encode_side(params, gold_ids)
-        gold_score = score_relation(gold, pattern[:2], gold_side[:2]).combined
+        gold_score = score_relation(pattern[:2], gold_side[:2])
         loss, d_gold = 0.0, 0.0
         grads: nn.Grads = {}
-        for neg, neg_ids in negatives:
+        for neg_ids in negatives:
             neg_side = _encode_side(params, neg_ids)
-            margin = HINGE_MARGIN - gold_score + score_relation(neg, pattern[:2], neg_side[:2]).combined
+            margin = HINGE_MARGIN - gold_score + score_relation(pattern[:2], neg_side[:2])
             if margin > 0:
                 loss += margin
                 d_gold -= 1.0

@@ -293,8 +293,14 @@ def split_dataset(pairs: list[tuple[str, str]], train_fraction: float = 0.7, see
 
 
 def load_qa_pairs(path: str) -> list[tuple[str, str]]:
-    """JSON Lines {"question": str, "answer": str}."""
-    return read_json_lines(path, lambda obj: (text_field(obj, "question"), text_field(obj, "answer")))
+    """JSON Lines {"question": str, "answer": str}, neither empty after normalization."""
+    def qa_field(obj: dict, key: str) -> str:
+        value = text_field(obj, key)
+        if not normalize(value):
+            raise ValueError(f"field {key!r} is empty after normalization, got {json.dumps(value)}")
+        return value
+
+    return read_json_lines(path, lambda obj: (qa_field(obj, "question"), qa_field(obj, "answer")))
 
 
 def evaluate(system: System, dataset: list[tuple[str, str]]) -> EvalReport:

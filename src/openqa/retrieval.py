@@ -79,7 +79,7 @@ def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary,
     if not text:
         raise EmptyPassage(f"passage {passage_id!r} is empty")
     words = split_words(text)
-    entities = (entity for _, entity in dictionary.find(words))
+    entities = (entity for _, _, entity in dictionary.find(words))
     doc = IndexedDocument(
         doc_id=doc_id,
         subject_field=tuple(dict.fromkeys(entities)),  # distinct, in order of first mention

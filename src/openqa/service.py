@@ -18,7 +18,7 @@ from .pipeline import System, ask, split_addr
 
 MAX_BODY_BYTES = 8192  # a question is a sentence; anything larger is refused unread
 READ_TIMEOUT_S = 10.0  # a client that stalls mid-request must not hold a server thread forever
-MAX_LINE_BYTES = 65536  # per request line and per header line
+MAX_LINE_BYTES = 8192  # per request line and per header line
 MAX_HEADERS = 100
 
 log = logging.getLogger("openqa")

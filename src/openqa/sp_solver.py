@@ -83,7 +83,7 @@ def solve_sp(
     (-confidence, name) order; a query's confidence is the product of its
     sides' divided by its number of bindings, and an answer keeps the
     first of its best."""
-    subjects = {entity: DICTIONARY_CONFIDENCE for _, entity in dictionary.find(split_words(question))}
+    subjects = {entity: DICTIONARY_CONFIDENCE for _, _, entity in dictionary.find(split_words(question))}
     predicates: dict[str, float] = {}
     norm_q = normalize(question)
     for tpl in templates:

@@ -2,13 +2,13 @@
 
 Every solver shares these primitives. `tokenize` is the one rule that
 turns text into terms: dictionary keys, BM25 terms and the neural
-solvers' token ids all come from it. It is two passes kept apart,
-`split_words` then `merge_keys`, so that a caller that already holds a
-text's words merges them without splitting the text again:
-`EntityDictionary.find`, the one dictionary matcher, takes words, and the
-passage tagging, the rule-based solver and the neural solver's fallback
-all find entities with it. The rule-based solver matches normalized text
-against templates, and entity linking runs on Levenshtein distance. The distance is one DP over a
+solvers' token ids all come from it. `EntityDictionary.find`, the one
+dictionary matcher, takes a text's words (`split_words`) and gives the
+word span of each key it finds, so a caller that already holds the words
+matches them without splitting the text again: the passage tagging, the
+rule-based solver and the neural solver's fallback all find entities
+with it. The rule-based solver matches normalized text against
+templates, and entity linking runs on Levenshtein distance. The distance is one DP over a
 matrix of UTF-32 code points, one column per dictionary key, so a mention
 is compared with a whole block of keys at once.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,49 +46,17 @@ class TokenSequence:
 
 
 def split_words(text: str) -> list[str]:
-    """The word pass of `tokenize`: segment on whitespace/punctuation, then lowercase."""
+    """Segment on whitespace/punctuation, then lowercase."""
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def merge_keys(words: list[str], dictionary: Optional["EntityDictionary"]) -> list[str]:
-    """The merge pass of `tokenize`: dictionary keys over a text's words.
-
-    Merging is forward maximum matching: at each position the longest
-    window of words (up to the dictionary's longest entry), joined by one
-    space, that exactly equals a dictionary key becomes a single token.
-    Windows are tried only where a multi-token key starts (the position's
-    word is in `first_tokens`), since a window can only equal a key that
-    begins with the window's first word. With nothing to merge, the words
-    themselves are returned.
-    """
-    if dictionary is None or not dictionary.first_tokens:
-        return words
-    entries, starts, longest = dictionary.entries, dictionary.first_tokens, dictionary.max_entry_tokens
-    n = len(words)
-    merged: list[str] = []
-    done = 0  # words[done:] is not in merged yet
-    for i in [j for j, t in enumerate(words) if t in starts]:
-        if i < done:
-            continue
-        for w in range(min(longest, n - i), 1, -1):
-            key = " ".join(words[i : i + w])
-            if key in entries:
-                merged += words[done:i]
-                merged.append(key)
-                done = i + w
-                break
-    merged += words[done:]
-    return merged
-
-
-def tokenize(text: str, dictionary: Optional["EntityDictionary"] = None) -> TokenSequence:
-    """Segment on whitespace/punctuation and lowercase, then merge dictionary
-    entries: `merge_keys(split_words(text), dictionary)`."""
-    return TokenSequence(tuple(merge_keys(split_words(text), dictionary)))
+def tokenize(text: str) -> TokenSequence:
+    """Segment on whitespace/punctuation and lowercase: `split_words(text)`."""
+    return TokenSequence(tuple(split_words(text)))
 
 
 def dictionary_key(text: str) -> str:
-    """The form `tokenize` merges: the text's tokens joined by one space."""
+    """The form `find` matches: the text's tokens joined by one space."""
     return " ".join(tokenize(text).tokens)
 
 
@@ -126,8 +94,8 @@ class EntityDictionary:
     """Dictionary key (see dictionary_key) -> canonical entity string.
 
     max_entry_tokens, the longest key's token count, bounds the windows
-    `tokenize` merges, and first_tokens, the first token of every
-    multi-token key, marks the positions where it tries them. The keys
+    `find` tries, and first_tokens, the first token of every multi-token
+    key, marks the positions where it tries them. The keys
     are also kept sorted by length, with their lengths and their code
     matrix (see edit_distances), so that linking takes the keys of a
     length range as one contiguous block.
@@ -148,10 +116,31 @@ class EntityDictionary:
         object.__setattr__(self, "key_lengths", np.array([len(k) for k in keys], dtype=np.intp))
         object.__setattr__(self, "key_codes", code_matrix(keys))
 
-    def find(self, words: Sequence[str]) -> list[tuple[str, str]]:
-        """(key, entity) for each dictionary key among `merge_keys(words, self)`, in order."""
-        entries = self.entries
-        return [(t, entries[t]) for t in merge_keys(words, self) if t in entries]
+    def find(self, words: Sequence[str]) -> list[tuple[int, int, str]]:
+        """(start, stop, entity) for each key `" ".join(words[start:stop])`
+        among the words, in order, the spans not overlapping.
+
+        Matching is forward maximum matching: at each position the longest
+        window of words (up to the longest key) that equals a key is taken.
+        Windows of two or more words are tried only where a multi-token key
+        starts (the position's word is in `first_tokens`), since a window can
+        only equal a key that begins with the window's first word."""
+        entries, starts, longest = self.entries, self.first_tokens, self.max_entry_tokens
+        n = len(words)
+        found: list[tuple[int, int, str]] = []
+        stop = 0  # the end of the last span tried
+        for i, key in [(j, t) for j, t in enumerate(words) if t in entries or t in starts]:
+            if i < stop:
+                continue
+            stop = i + 1
+            if key in starts:
+                for w in range(min(longest, n - i), 1, -1):
+                    if (window := " ".join(words[i : i + w])) in entries:
+                        key, stop = window, i + w
+                        break
+            if key in entries:
+                found.append((i, stop, entries[key]))
+        return found
 
 
 class Vocabulary:

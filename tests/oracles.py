@@ -12,7 +12,7 @@ import numpy as np
 from openqa import nn
 from openqa.answers import SOLVER_SP, AnswerCandidate
 from openqa.kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
-from openqa.ld_solver import RelationScore, _encode_side, _relation_tokens
+from openqa.ld_solver import _encode_side, _relation_tokens
 from openqa.reader import ReaderModel, SpanPrediction, _forward as reader_forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
 from openqa.selector import SelectorModel, _forward as selector_forward
@@ -44,9 +44,10 @@ def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float
 
 
 def merge_entries(text: str, dictionary: EntityDictionary) -> tuple[str, ...]:
-    """`tokenize(text, dictionary)` by trying the windows at every position:
-    the longest window of tokens, joined by one space, that is a dictionary
-    key becomes one token, else the position's own token does."""
+    """The text's tokens with the dictionary keys among them merged, by
+    trying the windows at every position: the longest window of tokens,
+    joined by one space, that is a dictionary key becomes one token, else
+    the position's own token does (`EntityDictionary.find`'s oracle)."""
     base = tokenize(text).tokens
     merged: list[str] = []
     i = 0
@@ -74,7 +75,7 @@ def recognize_subjects(question: str, dictionary: EntityDictionary,
         if entity not in found or confidence > found[entity]:
             found[entity] = confidence
 
-    for token in tokenize(question, dictionary).tokens:
+    for token in merge_entries(question, dictionary):
         if token in dictionary.entries:
             offer(dictionary.entries[token], DICTIONARY_CONFIDENCE)
     norm_q = normalize(question)
@@ -140,19 +141,20 @@ def score_sequence(model: SelectorModel, ids: list[int]) -> float:
 
 
 def score_from_scratch(scorer: nn.ModelParameters, vocab: Vocabulary, pattern: list[str],
-                       relation: str) -> RelationScore:
+                       relation: str) -> float:
     """How well `relation` fits the question pattern, with both sides encoded
-    from their tokens: the cosines of their CNN and of their BiGRU vectors."""
+    from their tokens: the mean of the cosines of their CNN and of their
+    BiGRU vectors."""
     p_cnn, p_gru, _ = _encode_side(scorer, encode(vocab, pattern))
     r_cnn, r_gru, _ = _encode_side(scorer, encode(vocab, _relation_tokens(relation)))
-    return RelationScore(relation, nn.cosine(p_cnn, r_cnn), nn.cosine(p_gru, r_gru))
+    return 0.5 * nn.cosine(p_cnn, r_cnn) + 0.5 * nn.cosine(p_gru, r_gru)
 
 
 def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str],
                     candidates: list[str]) -> str:
     """The candidate relation with the best combined score; ties go to the smallest string."""
     return min(candidates,
-               key=lambda rel: (-score_from_scratch(scorer, vocab, question_pattern, rel).combined, rel))
+               key=lambda rel: (-score_from_scratch(scorer, vocab, question_pattern, rel), rel))
 
 
 def enumerate_spans(

@@ -11,12 +11,12 @@ import pytest
 
 from openqa import ld_solver, nn, text
 from openqa.hyper import Hyper
-from openqa.errors import BadExample, MalformedLine, ShapeMismatch
+from openqa.errors import BadExample, MalformedLine
 from openqa.kb import KnowledgeBase, Triple, build_entity_dictionary, load_triples
 from openqa.ld_solver import (
     MAX_LINK_DISTANCE, PLACEHOLDER, TAGS,
-    EntityCandidate, RelationScore,
-    encode_relations, extract_mention, init_relation_scorer,
+    EntityCandidate,
+    encode_relations, init_relation_scorer,
     link_entity, load_scorer_data, load_tagger_data,
     repair_bio, score_relation, solve_ld, tag_entities, train_relation_scorer,
 )
@@ -36,22 +36,20 @@ class TestBio:
     def test_repair(self, tags, repaired):
         assert repair_bio(tags) == repaired
 
-    def test_extract_mention_takes_longest_run(self):
-        tags = ("B", "O", "B", "I", "O")
-        assert extract_mention(tags, ["a", "b", "c", "d", "e"]) == "c d"
+    def test_mention_span_is_the_longest_run(self):
+        assert ld_solver._best_run(("B", "O", "B", "I", "O")) == (2, 4)
+        assert ld_solver._best_run(("O", "B", "O", "B", "I")) == (3, 5)
+        assert ld_solver._best_run(("B", "O", "B")) == (0, 1)  # the earliest of equal runs
 
-    def test_extract_mention_all_outside(self):
-        assert extract_mention(("O", "O"), ["a", "b"]) == ""
-
-    def test_extract_mention_misaligned_names_both_lengths(self):
-        with pytest.raises(ShapeMismatch, match=r"^2 tags for 3 tokens$"):
-            extract_mention(("O", "B"), ["a", "b", "c"])
+    def test_no_mention_span_when_all_outside(self):
+        assert ld_solver._best_run(("O", "O")) is None
+        assert ld_solver._best_run(()) is None
 
 
 def _scan(mention, dictionary, max_distance, levenshtein):
     """Every dictionary key, one scalar distance at a time: the linker's oracle."""
     norm = normalize(mention)
-    out = [EntityCandidate(c, levenshtein(norm, k), mention) for k, c in dictionary.entries.items()
+    out = [EntityCandidate(c, levenshtein(norm, k)) for k, c in dictionary.entries.items()
            if levenshtein(norm, k) <= max_distance]
     return sorted(out, key=lambda c: (c.distance, -len(c.entity), c.entity))
 
@@ -59,7 +57,7 @@ def _scan(mention, dictionary, max_distance, levenshtein):
 class TestLinking:
     def test_exact_match_distance_zero(self):
         d = EntityDictionary({"hamlet": "hamlet"})
-        assert link_entity("hamlet", d) == [EntityCandidate("hamlet", 0, "hamlet")]
+        assert link_entity("hamlet", d) == [EntityCandidate("hamlet", 0)]
 
     def test_typo_within_max_distance(self):
         d = EntityDictionary({"hamlet": "hamlet", "macbeth": "macbeth"})
@@ -128,11 +126,11 @@ class TestModels:
         scorer = nn.ModelParameters.load(toy["models"]["scorer"])
         pattern = ["who", "wrote", PLACEHOLDER]
         p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
-        score = score_relation("author", p_vectors, encode_relations(scorer, vocab, ["author"])["author"])
-        assert isinstance(score, RelationScore)
-        assert -1.0 <= score.cnn_score <= 1.0
-        assert -1.0 <= score.gru_score <= 1.0
-        assert score.combined == pytest.approx(0.5 * score.cnn_score + 0.5 * score.gru_score)
+        r_vectors = encode_relations(scorer, vocab, ["author"])["author"]
+        cnn, gru = (nn.cosine(p, r) for p, r in zip(p_vectors, r_vectors))
+        assert -1.0 <= cnn <= 1.0
+        assert -1.0 <= gru <= 1.0
+        assert score_relation(p_vectors, r_vectors) == 0.5 * cnn + 0.5 * gru
 
     def test_detect_relation_deterministic(self, vocab):
         scorer = init_relation_scorer(vocab.size, Hyper(d=8, h=8, seed=3))
@@ -158,6 +156,28 @@ def _relation_table(scorer, vocab, kb):
 def _tags_nothing(params, ids):
     """Tagger logits under which every token's tag is O."""
     return np.tile([0.0, 0.0, 1.0], (len(ids), 1)), None
+
+
+def _tags_only(position):
+    """Tagger logits under which the token at `position` is B, every other O."""
+    def logits(params, ids):
+        out, _ = _tags_nothing(params, ids)
+        out[position] = [1.0, 0.0, 0.0]
+        return out, None
+    return logits
+
+
+def _patterns_encoded(monkeypatch) -> list[list[str]]:
+    """The question patterns `solve_ld` encodes from now on (the token lists holding the placeholder)."""
+    patterns = []
+
+    def recording(vocab, tokens):
+        if PLACEHOLDER in tokens:
+            patterns.append(list(tokens))
+        return text.encode(vocab, tokens)
+
+    monkeypatch.setattr(ld_solver, "encode", recording)
+    return patterns
 
 
 class TestSolve:
@@ -220,6 +240,27 @@ class TestSolve:
         out = solve_ld("zed then ay then alpha one", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
         assert [(c.answer, c.provenance) for c in out] == [("x", "mention='ay' entity='alpha' relation='p'")]
 
+    def test_placeholder_goes_on_the_tagged_word(self, world, vocab, monkeypatch):
+        """The pattern replaces the tagged span, not the first equal run of words."""
+        kb, d, tagger, scorer = world
+        monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_only(4))
+        patterns = _patterns_encoded(monkeypatch)
+        out = solve_ld("who wrote hamlet in hamlet", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        assert out[0].provenance.startswith("mention='hamlet' entity='hamlet' ")
+        assert patterns == [["who", "wrote", "hamlet", "in", PLACEHOLDER]]
+
+    def test_untagged_placeholder_goes_on_the_chosen_key(self, world, vocab, monkeypatch):
+        """With no mention tagged, the pattern replaces the span of the chosen
+        entity's first key, though another key's words come first."""
+        _, _, tagger, scorer = world
+        monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_nothing)
+        kb = KnowledgeBase([Triple("nyc", "p", "x"), Triple("ny", "p", "y")])
+        d = EntityDictionary({"new york city": "nyc", "new york": "ny"})
+        patterns = _patterns_encoded(monkeypatch)
+        out = solve_ld("new york city or new york", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        assert [(c.answer, c.provenance) for c in out] == [("y", "mention='new york' entity='ny' relation='p'")]
+        assert patterns == [["new", "york", "city", "or", PLACEHOLDER]]
+
     def test_untagged_question_is_split_into_words_once(self, world, vocab, monkeypatch):
         """The dictionary fallback reads the words solve_ld has already split."""
         class CountingPattern:
@@ -248,18 +289,19 @@ class TestSolve:
 
     def test_each_relation_scored_once(self, world, vocab, monkeypatch):
         kb, d, tagger, scorer = world
+        table = _relation_table(scorer, vocab, kb)
         calls = []
 
-        def counting(*args):
-            calls.append(args[0])
-            return score_relation(*args)
+        def counting(pattern_vectors, relation_vectors):
+            calls.append(next(rel for rel, vectors in table.items() if vectors is relation_vectors))
+            return score_relation(pattern_vectors, relation_vectors)
 
         monkeypatch.setattr(ld_solver, "score_relation", counting)
-        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
         assert sorted(calls) == sorted(kb.predicates_of("hamlet"))
-        # exact link (distance 0): confidence is the winner's combined score mapped to [0, 1]
-        combined = score_from_scratch(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author").combined
-        assert out[0].confidence == (combined + 1.0) / 2.0
+        # exact link (distance 0): confidence is the winner's score mapped to [0, 1]
+        score = score_from_scratch(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author")
+        assert out[0].confidence == (score + 1.0) / 2.0
 
 
 class TestData:
@@ -316,5 +358,4 @@ class TestRelationTable:
                 p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
                 for rel in table:
                     want = score_from_scratch(scorer, vocab, pattern, rel)
-                    got = score_relation(rel, p_vectors, table[rel])
-                    assert got == want and got.combined == want.combined
+                    assert score_relation(p_vectors, table[rel]) == want

@@ -354,10 +354,12 @@ def test_load_qa_pairs(fx):
 
 
 @pytest.mark.parametrize("field", ["question", "answer"])
-@pytest.mark.parametrize("value", [5, ["a"], None])
+@pytest.mark.parametrize("value", [5, ["a"], None, "", "?"])
 def test_qa_field_that_is_not_a_string_is_malformed(tmp_path, field, value):
+    """A field that is not a string, or that normalizes to nothing, names the file and line."""
     path = tmp_path / "qa.jsonl"
     path.write_text(json.dumps({"question": "who wrote hamlet", "answer": "x", field: value}) + "\n")
     with pytest.raises(MalformedLine) as info:
         load_qa_pairs(str(path))
-    assert str(info.value) == f"{path}: malformed line 1: field {field!r} must be a string, got {json.dumps(value)}"
+    fault = "is empty after normalization" if isinstance(value, str) else "must be a string"
+    assert str(info.value) == f"{path}: malformed line 1: field {field!r} {fault}, got {json.dumps(value)}"

@@ -53,7 +53,7 @@ class TestDocuments:
         d = EntityDictionary({"new york": "new york"})
         doc, words = tag_passage("p1", "Trams of New York, then İstanbul's.", d, 0)
         assert doc.subject_field == ("new york",)
-        assert words == split_words(doc.value_field) != list(tokenize(doc.value_field, d).tokens)
+        assert words == split_words(doc.value_field) and words[2:4] == ["new", "york"]
 
     def test_tag_passage_lists_each_canonical_once(self):
         d = EntityDictionary({"nyc": "new york", "new york": "new york", "paris": "paris"})

@@ -199,12 +199,14 @@ class TestFrontEnd:
         (b"HEAD /health HTTP/1.0\r\n\r\n", 501),
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n", 414),
         (b"GET /health HTTP/1.0\r\nX: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"GET /" + b"a" * 8984 + b" HTTP/1.0\r\n\r\n", 414),  # lines of 9000 bytes, line ending included
+        (b"GET /health HTTP/1.0\r\nX: " + b"a" * 8995 + b"\r\n\r\n", 431),
         (b"GET /health HTTP/1.0\r\n" + header_lines(101) + b"\r\n", 431),
         (b"GET /health HTTP/9.9\r\n\r\n", 505),
         (b"GET /health HTTP/0.9\r\n\r\n", 505),
     ], ids=["garbage", "blank-line", "no-version", "four-words", "bad-version", "header-without-colon",
-            "folded-header", "put", "head", "long-request-line", "long-header-line", "101-headers",
-            "http-9.9", "http-0.9"])
+            "folded-header", "put", "head", "long-request-line", "long-header-line", "request-line-of-9000-bytes",
+            "header-line-of-9000-bytes", "101-headers", "http-9.9", "http-0.9"])
     def test_malformed_request_gets_status_and_json_error(self, server, request_bytes, status):
         status_line, body = raw_exchange(urllib.parse.urlsplit(server).port, request_bytes)
         assert status_line.startswith(f"HTTP/1.0 {status} ")
@@ -214,7 +216,8 @@ class TestFrontEnd:
         (b"GET /health HTTP/1.0\r\n" + header_lines(100) + b"\r\n", 200),
         (b"GET /health HTTP/1.1\r\nhost: x\r\n\r\n", 200),
         (b"GET /health HTTP/1.0\n\n", 200),
-    ], ids=["100-headers", "http-1.1", "bare-newlines"])
+        (b"GET /health HTTP/1.0\r\nX: " + b"a" * 8187 + b"\r\n\r\n", 200),  # a line of 8192 bytes
+    ], ids=["100-headers", "http-1.1", "bare-newlines", "header-line-of-8192-bytes"])
     def test_well_formed_edge_cases_are_served(self, server, request_bytes, status):
         status_line, body = raw_exchange(urllib.parse.urlsplit(server).port, request_bytes)
         assert status_line.startswith(f"HTTP/1.0 {status} ")

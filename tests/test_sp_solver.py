@@ -32,7 +32,7 @@ def answers(out):
 class TestRecognition:
     def test_dictionary_subject(self, world):
         kb, d, templates = world
-        assert d.find(split_words("who wrote hamlet")) == [("hamlet", "hamlet")]
+        assert d.find(split_words("who wrote hamlet")) == [(2, 3, "hamlet")]
         # a dictionary subject and a template capture of the same entity: the dictionary's 1.0 wins
         out = solve_sp("who wrote hamlet", kb, d, templates)
         assert answers(out) == [("shakespeare", DICTIONARY_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE,
@@ -50,7 +50,7 @@ class TestRecognition:
         kb = KnowledgeBase([Triple("new_york", "p", "a"), Triple("york_city", "p", "b")])
         d = EntityDictionary({"new york": "new_york", "york city": "york_city"})
         templates = [QuestionTemplate(pattern="^about new (.+)$", predicate="p", subject_group=1)]
-        assert d.find(split_words("about new york city")) == [("new york", "new_york")]
+        assert d.find(split_words("about new york city")) == [(1, 3, "new_york")]
         out = solve_sp("about new york city", kb, d, templates)
         assert answers(out) == [
             ("a", DICTIONARY_CONFIDENCE * DEFAULT_TEMPLATE_CONFIDENCE, "SELECT ?x WHERE { <new_york> <p> ?x . }"),
@@ -66,7 +66,7 @@ class TestRecognition:
     def test_no_template_match(self, world):
         kb, d, templates = world
         # a subject with no predicate makes no query
-        assert d.find(split_words("tell me about hamlet")) == [("hamlet", "hamlet")]
+        assert d.find(split_words("tell me about hamlet")) == [(3, 4, "hamlet")]
         assert solve_sp("tell me about hamlet", kb, d, templates) == []
 
 
@@ -208,7 +208,7 @@ def test_one_pass_equals_the_staged_oracle():
             assert answers(out) == answers(solve_sp_staged(question, kb, d, templates)), question
             seen["answered"] += bool(out)
             seen["several subjects"] += len({c.provenance.split(">")[0] for c in out}) > 1
-            found = {entity for _, entity in d.find(split_words(question))}
+            found = {entity for _, _, entity in d.find(split_words(question))}
             for tpl in templates:
                 m = tpl.regex.search(sp_solver.normalize(question))
                 capture = m and tpl.subject_group is not None and m.group(tpl.subject_group)
@@ -243,7 +243,8 @@ class TestPunctuatedNames:
     @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
     def test_dictionary_pass(self, question, key, entity, answer):
         d = build_entity_dictionary(PUNCTUATED_KB)
-        assert d.find(split_words(question)) == [(key, entity)]
+        words = split_words(question)
+        assert [(" ".join(words[start:stop]), e) for start, stop, e in d.find(words)] == [(key, entity)]
 
     @pytest.mark.parametrize("question, key, entity, answer", PUNCTUATED_QUESTIONS)
     def test_template_capture(self, monkeypatch, question, key, entity, answer):

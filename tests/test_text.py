@@ -45,14 +45,12 @@ class TestTokenize:
 
     def test_dictionary_merges_longest_match(self):
         d = EntityDictionary({"new york": "new_york", "new york city": "nyc"})
-        seq = tokenize("visit New York City now", d)
-        assert seq.tokens == ("visit", "new york city", "now")
+        assert d.find(split_words("visit New York City now")) == [(1, 4, "nyc")]
 
     def test_dictionary_match_is_forward_greedy(self):
         d = EntityDictionary({"new york": "new_york"})
-        seq = tokenize("in new york today", d)
-        assert seq.tokens == ("in", "new york", "today")
-        assert tokenize("new new york", d).tokens == ("new", "new york")
+        assert d.find(split_words("in new york today")) == [(1, 3, "new_york")]
+        assert d.find(split_words("new new york")) == [(1, 3, "new_york")]
 
     def test_merge_equals_every_position_oracle(self):
         names = ["new york", "new york city", "new jersey", "a b", "b c", "a", "c",
@@ -65,9 +63,17 @@ class TestTokenize:
             d = EntityDictionary({dictionary_key(k): k for k in keys})
             texts = fixed + [" ".join(rng.choice(words) for _ in range(rng.randint(0, 12))) for _ in range(5)]
             for text in texts:
-                assert tokenize(text, d).tokens == merge_entries(text, d), (keys, text)
-                found = [(t, d.entries[t]) for t in merge_entries(text, d) if t in d.entries]
-                assert d.find(split_words(text)) == found, (keys, text)
+                # find's spans are the oracle's keys, in order, at the oracle's positions
+                tokens, oracle = split_words(text), merge_entries(text, d)
+                found = d.find(tokens)
+                spans = [" ".join(tokens[start:stop]) for start, stop, _ in found]
+                assert spans == [t for t in oracle if t in d.entries], (keys, text)
+                assert [entity for _, _, entity in found] == [d.entries[key] for key in spans]
+                merged, done = [], 0
+                for start, stop, _ in found:
+                    merged += tokens[done:start] + [" ".join(tokens[start:stop])]
+                    done = stop
+                assert tuple(merged + tokens[done:]) == oracle, (keys, text)
 
     def test_first_tokens_mark_multi_token_keys(self):
         d = EntityDictionary({"new york": "a", "new york city": "b", "paris texas": "c", "paris": "d"})
@@ -119,8 +125,7 @@ class TestEntityDictionary:
         d = EntityDictionary({"new york": "new_york", "york city": "york_city", "paris texas": "Paris, Texas",
                               "nyc": "new_york"})
         words = split_words("From NYC via New York City to Paris, Texas and new york")
-        assert d.find(words) == [("nyc", "new_york"), ("new york", "new_york"),
-                                 ("paris texas", "Paris, Texas"), ("new york", "new_york")]
+        assert d.find(words) == [(1, 2, "new_york"), (3, 5, "new_york"), (7, 9, "Paris, Texas"), (10, 12, "new_york")]
         assert d.find(()) == [] and EntityDictionary().find(words) == []
 
     def test_derived_fields_stay_out_of_eq_and_repr(self):
