@@ -177,6 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OpenQAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C ends any command with the shell's 128 + SIGINT, no traceback
+        return 130
     return 0
 
 

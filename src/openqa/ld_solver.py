@@ -283,6 +283,7 @@ def train_tagger(dataset: list[tuple[str, list[str]]], hyper: Hyper, vocab: Voca
             raise BadExample(idx, "tags not aligned with tokens")
         encoded.append((encode(vocab, tokens.tokens), [TAGS.index(t) for t in tags]))
     params = init_tagger(vocab.size, hyper)
+    params.arch["vocab_crc"] = vocab.crc
 
     def step(example):
         ids, gold = example
@@ -309,6 +310,7 @@ def train_relation_scorer(dataset: list[tuple[list[str], str, list[str]]], hyper
             relation_ids.append(ids)
         encoded.append((encode(vocab, pattern), relation_ids[0], relation_ids[1:]))
     params = init_relation_scorer(vocab.size, hyper)
+    params.arch["vocab_crc"] = vocab.crc
 
     def step(example):  # the pattern is encoded once; the gold's gradient goes in after the negatives'
         p_ids, gold_ids, negatives = example

@@ -2,9 +2,11 @@
 three-solver ask path, dataset splitting, evaluation, and selector
 training-data generation.
 
-`ask` runs `sp`, `ld` and `rr` in turn in the calling thread, then fuses
-their top answers. `build_corpus` builds the retrieval index from the
-knowledge base and the passages, for `System` and `openqa index` alike."""
+`ask` alone runs the solvers (`sp`, `ld`, `rr`, in turn in the calling
+thread) and fuses `fusion_input`, their tops; `evaluate` and
+`make_selector_data` go through it, so the selector learns from the lists
+it fuses. `build_corpus` builds the retrieval index from the knowledge
+base and the passages, for `System` and `openqa index` alike."""
 
 from __future__ import annotations
 
@@ -110,20 +112,8 @@ class AskResponse:
     timings: dict[str, float]  # milliseconds per solver
 
     def to_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "confidence": self.confidence,
-            "solver": self.solver,
-            "candidates": {
-                tag: [
-                    {"answer": c.answer, "confidence": c.confidence,
-                     "solver": c.solver, "provenance": c.provenance}
-                    for c in cands
-                ]
-                for tag, cands in self.candidates.items()
-            },
-            "timings": self.timings,
-        }
+        candidates = {tag: [{**vars(c)} for c in cands] for tag, cands in self.candidates.items()}
+        return {**vars(self), "candidates": candidates}
 
 
 @dataclass
@@ -177,10 +167,11 @@ class System:
 
     def _load_model(self, name: str) -> Optional[nn.ModelParameters]:
         """The configured model `name`, checked against its slot, the vocabulary
+        (its size, and for a trained model the CRC of its words in id order)
         and the arch keys, parameter names and shapes that its kind's init
         function gives its `arch` (worked out without drawing weights): a
-        mismatch would otherwise turn into no answer, or into an error on
-        every question."""
+        mismatch would otherwise turn into wrong answers or none, or into an
+        error on every question."""
         path = getattr(self.config, name)
         if path is None:
             return None
@@ -195,6 +186,9 @@ class System:
         if vocab != self.vocab.size:
             raise ConfigError(f"{name} {path}: built for a vocabulary of {vocab} words, "
                               f"but {self.config.vocab_path} has {self.vocab.size}")
+        if ("vocab_crc" in arch or "epoch_losses" in arch) and arch.get("vocab_crc") != self.vocab.crc:
+            raise ConfigError(f"{name} {path}: trained on other words than {self.config.vocab_path} "
+                              f"(vocab_crc {arch.get('vocab_crc')}, the vocabulary's is {self.vocab.crc})")
         try:  # a zero model of the recorded arch: its arch keys and shapes are the ones to have
             hyper = Hyper(**{key: arch[key] for key in ("d", "h", "heads", "layers") if key in arch})
             reference = init(vocab, hyper, draw=False)
@@ -232,54 +226,54 @@ def _listed(names: list[str], most: int = 3) -> str:
     return ", ".join(names[:most]) + (f" and {len(names) - most} more" if len(names) > most else "")
 
 
-def run_solvers(system: System, question: str) -> tuple[dict[str, list[AnswerCandidate]], dict[str, float]]:
-    """Run sp, ld and rr in turn in the calling thread.
+def fusion_input(candidates: dict[str, list[AnswerCandidate]]) -> list[AnswerCandidate]:
+    """Each solver's top candidate, in SOLVER_ORDER: what `ask` fuses, and
+    what `make_selector_data` writes for the selector to learn from."""
+    return [candidates[tag][0] for tag in SOLVER_ORDER if candidates[tag]]
+
+
+def ask(system: System, question: str) -> AskResponse:
+    """Run sp, ld and rr in turn in the calling thread, fuse their tops, return the winner.
 
     `solver_timeout` is the question's budget: a solver starts only while
     less than that many seconds have passed since this call began. A
     running solver is not interrupted, so `ask` can overrun the budget by
     the time of the last solver started. A failed or skipped solver
-    contributes an empty list; `timings` are each solver's own milliseconds.
+    contributes an empty list, logged on one line; `timings` are each
+    solver's own milliseconds. The selector fuses `fusion_input`; without
+    one, the most confident top wins, ties going to the earlier solver.
     """
+    if not normalize(question):
+        raise EmptyQuestion("question is empty after normalization")
     solvers = {SOLVER_SP: system.run_sp, SOLVER_LD: system.run_ld, SOLVER_RR: system.run_rr}
     budget = system.config.solver_timeout
     started = time.perf_counter()
     candidates: dict[str, list[AnswerCandidate]] = {}
     timings: dict[str, float] = {}
-    for tag, fn in solvers.items():
+    for tag, run in solvers.items():
         begin = time.perf_counter()
         candidates[tag] = []
         if begin - started >= budget:
             log.warning("solver %s skipped on %r: the %gs budget is spent", tag, question, budget)
         else:
             try:
-                candidates[tag] = fn(question)
+                candidates[tag] = run(question)
             except Exception as exc:  # one line per failure, no traceback
                 log.error("solver %s failed on %r: %s: %s", tag, question, type(exc).__name__, exc)
         timings[tag] = (time.perf_counter() - begin) * 1000.0
-    return candidates, timings
 
-
-def ask(system: System, question: str) -> AskResponse:
-    """Run all solvers, fuse their top candidates, return the winner."""
-    if not normalize(question):
-        raise EmptyQuestion("question is empty after normalization")
-    candidates, timings = run_solvers(system, question)
-    tops = [candidates[tag][0] for tag in SOLVER_ORDER if candidates[tag]]
-
+    tops = fusion_input(candidates)
     if not tops:
-        return AskResponse(None, 0.0, "none", candidates, timings)
-
-    if system.selector is not None:
-        if len(tops) == 1:  # the softmax of one score is exactly 1.0: no transformer run
-            return AskResponse(tops[0].answer, 1.0, "selector", candidates, timings)
+        fused = None, 0.0, "none"
+    elif system.selector is None:  # cold start: max confidence, ties broken by solver priority
+        best = max(tops, key=lambda c: (c.confidence, -SOLVER_ORDER.index(c.solver)))
+        fused = best.answer, best.confidence, best.solver
+    elif len(tops) == 1:  # the softmax of one score is exactly 1.0: no transformer run
+        fused = tops[0].answer, 1.0, "selector"
+    else:
         result = select(system.selector, question, tops)
-        return AskResponse(result.answer.answer, result.probabilities[result.chosen],
-                           "selector", candidates, timings)
-
-    # cold-start fallback: max confidence, ties broken by solver priority
-    best = max(tops, key=lambda c: (c.confidence, -SOLVER_ORDER.index(c.solver)))
-    return AskResponse(best.answer, best.confidence, best.solver, candidates, timings)
+        fused = result.answer.answer, result.probabilities[result.chosen], "selector"
+    return AskResponse(*fused, candidates, timings)
 
 
 def split_dataset(pairs: list[tuple[str, str]], train_fraction: float = 0.7, seed: int = 0) -> tuple[list, list]:
@@ -314,10 +308,9 @@ def evaluate(system: System, dataset: list[tuple[str, str]]) -> EvalReport:
         gold_norm = normalize(gold)
         if response.answer is not None and normalize(response.answer) == gold_norm:
             correct += 1
-        for tag in SOLVER_ORDER:
-            cands = response.candidates.get(tag, [])
-            if cands and normalize(cands[0].answer) == gold_norm:
-                hits[tag] += 1
+        for top in fusion_input(response.candidates):
+            if normalize(top.answer) == gold_norm:
+                hits[top.solver] += 1
     rates = {tag: hits[tag] / len(dataset) for tag in SOLVER_ORDER}
     return EvalReport(total=len(dataset), correct=correct, per_solver_hit_rate=rates)
 
@@ -325,17 +318,16 @@ def evaluate(system: System, dataset: list[tuple[str, str]]) -> EvalReport:
 def make_selector_data(system: System, dataset: list[tuple[str, str]], out_path: str) -> tuple[int, int]:
     """Write selector training lines; returns (written, skipped).
 
-    A question is written when at least two solver-top candidates exist
-    and at least one matches the gold answer; the gold index is the first
-    matching candidate.
+    A line's candidates are the answers of `fusion_input` on the question's
+    `ask` response, written when there are two or more and one matches the
+    gold answer; the gold index is the first matching candidate.
     """
     if not dataset:
         raise EmptyDataset("dataset is empty")
     written = skipped = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for question, gold in dataset:
-            candidates, _ = run_solvers(system, question)
-            tops = [candidates[tag][0] for tag in SOLVER_ORDER if candidates[tag]]
+            tops = fusion_input(ask(system, question).candidates)
             gold_norm = normalize(gold)
             matches = [i for i, c in enumerate(tops) if normalize(c.answer) == gold_norm]
             if len(tops) >= 2 and matches:

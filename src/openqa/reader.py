@@ -190,6 +190,7 @@ def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: 
             raise BadExample(idx, "gold span outside passage")
         encoded.append((encode(vocab, q_tokens), encode(vocab, p_tokens), gs, ge))
     params = init_reader(vocab.size, hyper)
+    params.arch["vocab_crc"] = vocab.crc
 
     def step(example):
         q_ids, p_ids, gs, ge = example

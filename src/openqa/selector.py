@@ -144,6 +144,7 @@ def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, voca
         q_ids = _token_ids(vocab, question)
         encoded.append(([build_sequence(q_ids, _token_ids(vocab, a)) for a in cands], gold))
     model = SelectorModel(init_selector(vocab.size, hyper), vocab)
+    model.params.arch["vocab_crc"] = vocab.crc
 
     def step(example):
         seqs, gold = example

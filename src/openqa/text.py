@@ -16,6 +16,7 @@ is compared with a whole block of keys at once.
 from __future__ import annotations
 
 import re
+import zlib
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
@@ -147,36 +148,22 @@ class Vocabulary:
     """Dense token -> id map with four reserved ids (PAD/UNK/CLS/SEP)."""
 
     def __init__(self, tokens: list[str] | None = None):
-        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED_TOKENS)}
-        self._id_to_token: list[str] = list(RESERVED_TOKENS)
-        for t in tokens or []:
-            self.add(t)
-
-    def add(self, token: str) -> int:
-        if token in self._token_to_id:
-            return self._token_to_id[token]
-        idx = len(self._id_to_token)
-        self._token_to_id[token] = idx
-        self._id_to_token.append(token)
-        return idx
-
-    def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, UNK)
-
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
-    def __len__(self) -> int:
-        return len(self._id_to_token)
+        unique = dict.fromkeys(RESERVED_TOKENS + list(tokens or []))
+        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(unique)}
 
     @property
     def size(self) -> int:
-        return len(self._id_to_token)
+        return len(self._token_to_id)
+
+    @property
+    def crc(self) -> int:
+        """CRC-32 of the tokens in id order, reserved ones included: a trained
+        model records it, since its weights pair each id with one word."""
+        return zlib.crc32("\n".join(self._token_to_id).encode("utf-8"))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for t in self._id_to_token[len(RESERVED_TOKENS) :]:
-                fh.write(t + "\n")
+            fh.writelines(t + "\n" for t in list(self._token_to_id)[len(RESERVED_TOKENS):])
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":

@@ -37,6 +37,17 @@ def _scalar_levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def write_changed_vocab(path, change: str) -> str:
+    """The toy vocabulary's words `reversed`, or with `one-word-replaced`,
+    written to `path`: the same size as the toy vocabulary, other words."""
+    with open(os.path.join(FIXTURES, "vocab.txt"), encoding="utf-8") as fh:
+        words = fh.read().split()
+    words = words[::-1] if change == "reversed" else words[:5] + ["zorp"] + words[6:]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(w + "\n" for w in words)
+    return str(path)
+
+
 @pytest.fixture(scope="session")
 def scalar_levenshtein():
     return _scalar_levenshtein
@@ -83,10 +94,10 @@ def toy(tmp_path_factory):
     pairs = load_qa_pairs(os.path.join(FIXTURES, "qa.jsonl"))
 
     started = time.perf_counter()
-    tagger_path = str(out / "tagger.json")
-    scorer_path = str(out / "scorer.json")
-    reader_path = str(out / "reader.json")
-    selector_path = str(out / "selector.json")
+    tagger_path = str(out / "tagger.npz")
+    scorer_path = str(out / "scorer.npz")
+    reader_path = str(out / "reader.npz")
+    selector_path = str(out / "selector.npz")
 
     train_tagger(load_tagger_data(os.path.join(FIXTURES, "tagger.jsonl")),
                  _toy_hyper(TOY_EPOCHS["tagger"]), vocab).save(tagger_path)

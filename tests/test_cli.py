@@ -2,16 +2,23 @@
 
 import json
 import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
 import zipfile
 
 import numpy as np
 import pytest
 
-from openqa import nn
+from openqa import cli, nn
 from openqa.cli import main
 from openqa.hyper import Hyper
 from openqa.pipeline import System, SystemConfig
 from openqa.reader import init_reader
+
+from conftest import write_changed_vocab
 
 
 def _per_gate_layout(params: nn.ModelParameters) -> nn.ModelParameters:
@@ -89,6 +96,18 @@ class TestAsk:
         assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: reader_model {reader}: built for a vocabulary of 10") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change", ["reversed", "one-word-replaced"])
+    def test_models_trained_on_other_words_are_one_error_line(self, toy, tmp_path, capsys, change):
+        """A vocabulary of the same size but other words, or the same words in
+        another order, is refused: the trained models' ids stand for the old words."""
+        vocab = write_changed_vocab(tmp_path / "vocab.txt", change)
+        config = toy["write_config"](str(tmp_path / "config.json"), {
+            "vocab_path": vocab, **{f"{kind}_model": path for kind, path in toy["models"].items()}})
+        assert main(["--config", config, "ask", "who wrote hamlet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tagger_model {toy['models']['tagger']}: trained on other words than {vocab} ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("damage", ["truncated", "json-layout", "empty", "bare-npy", "unclosed-npy-header",
                                         "no-meta", "meta-is-a-list", "int32-array", "object-array",
@@ -244,6 +263,33 @@ class TestServe:
         assert main(["--config", toy["config"], "serve", "--addr", "localhost:http"]) == 1
         err = capsys.readouterr().err
         assert err == "error: http_addr must be host:port with a port in 1..65535, got 'localhost:http'\n"
+
+
+class TestCtrlC:
+    @pytest.mark.parametrize("command", ["serve", "repl"])
+    def test_sigint_exits_130_without_a_traceback(self, toy, command):
+        with socket.socket() as sock:  # a port that is free now
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONUNBUFFERED": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = ["--addr", f"127.0.0.1:{port}"] if command == "serve" else []
+        with subprocess.Popen([sys.executable, "-m", "openqa.cli", "--config", toy["config"], command, *args],
+                              env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            killer = threading.Timer(60, proc.kill)  # bounds the wait for the ready line
+            killer.start()
+            try:
+                ready = proc.stdout.readline()  # printed once the system is built
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                killer.cancel()
+                proc.kill()
+        assert ready.startswith("serving on" if command == "serve" else "openqa repl")
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
 
 
 class TestMakeSelectorData:

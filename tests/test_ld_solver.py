@@ -125,7 +125,7 @@ class TestModels:
     def test_score_relation_components(self, vocab, toy):
         scorer = nn.ModelParameters.load(toy["models"]["scorer"])
         pattern = ["who", "wrote", PLACEHOLDER]
-        p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
+        p_vectors = ld_solver._encode_side(scorer, text.encode(vocab, pattern))[:2]
         r_vectors = encode_relations(scorer, vocab, ["author"])["author"]
         cnn, gru = (nn.cosine(p, r) for p, r in zip(p_vectors, r_vectors))
         assert -1.0 <= cnn <= 1.0
@@ -340,13 +340,14 @@ class TestData:
 
 
 class TestRelationTable:
-    def test_table_scores_equal_scoring_from_scratch(self, vocab):
+    def test_table_scores_equal_scoring_from_scratch(self, fx, vocab):
         """Scores from the pattern's vectors and `encode_relations`' table are
         `score_from_scratch`'s combined scores to the bit, on seeded random
         scorers, patterns and relations (some without tokens, some out of
         vocabulary)."""
         rng = random.Random(31)
-        words = [vocab.token_of(i) for i in range(4, vocab.size)] + ["zorp", "blix"]
+        with open(os.path.join(fx, "vocab.txt"), encoding="utf-8") as fh:
+            words = fh.read().split() + ["zorp", "blix"]
         for seed in range(4):
             scorer = init_relation_scorer(vocab.size, Hyper(d=8, h=6, seed=seed))
             relations = ["_".join(rng.sample(words, rng.randint(1, 3))) for _ in range(8)] + ["_", "author"]
@@ -355,7 +356,7 @@ class TestRelationTable:
             for _ in range(5):
                 pattern = rng.sample(words, rng.randint(0, 4)) + [PLACEHOLDER]
                 rng.shuffle(pattern)
-                p_vectors = ld_solver._encode_side(scorer, [vocab.id_of(t) for t in pattern])[:2]
+                p_vectors = ld_solver._encode_side(scorer, text.encode(vocab, pattern))[:2]
                 for rel in table:
                     want = score_from_scratch(scorer, vocab, pattern, rel)
                     assert score_relation(p_vectors, table[rel]) == want

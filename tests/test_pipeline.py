@@ -12,18 +12,20 @@ import time
 import numpy as np
 import pytest
 
-from openqa import pipeline, text
+from openqa import nn, pipeline, text
 from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion, MalformedLine
 from openqa.hyper import Hyper
 from openqa.kb import build_entity_dictionary, load_triples
 from openqa.pipeline import (
     System, SystemConfig, ask, evaluate, load_qa_pairs,
-    make_selector_data, run_solvers, split_dataset,
+    fusion_input, make_selector_data, split_dataset,
 )
 from openqa.reader import init_reader
 from openqa.retrieval import load_passages
 from openqa.selector import select
 from openqa.text import normalize
+
+from conftest import write_changed_vocab
 
 
 class TestConfig:
@@ -117,6 +119,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"reader_model {reader}: built for a vocabulary of {size + 5}")):
             System(SystemConfig.load(config_path))
 
+    @pytest.mark.parametrize("change", ["reversed", "one-word-replaced"])
+    def test_models_trained_on_other_words_fail_at_load(self, toy, tmp_path, change):
+        vocab = write_changed_vocab(tmp_path / "vocab.txt", change)
+        for kind, model in toy["models"].items():
+            config_path = toy["write_config"](str(tmp_path / f"{kind}.json"),
+                                              {"vocab_path": vocab, f"{kind}_model": model})
+            message = f"{kind}_model {model}: trained on other words than {vocab} "
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                System(SystemConfig.load(config_path))
+
+    def test_trained_model_without_a_vocabulary_checksum_fails_at_load(self, toy, tmp_path):
+        params = nn.ModelParameters.load(toy["models"]["reader"])
+        del params.arch["vocab_crc"]
+        reader = str(tmp_path / "reader.npz")
+        params.save(reader)
+        config_path = toy["write_config"](str(tmp_path / "no_crc.json"), {"reader_model": reader})
+        with pytest.raises(ConfigError, match=re.escape(f"reader_model {reader}: trained on other words than ")):
+            System(SystemConfig.load(config_path))
+
+    def test_seed_model_loads_with_any_words_of_its_size(self, toy, tmp_path):
+        """An untrained model pairs no id with a word, so it records no checksum and loads."""
+        vocab = write_changed_vocab(tmp_path / "vocab.txt", "reversed")
+        reader = str(tmp_path / "reader.npz")
+        init_reader(toy["system"].vocab.size, Hyper(d=4, h=4)).save(reader)
+        config_path = toy["write_config"](str(tmp_path / "seed.json"), {"vocab_path": vocab, "reader_model": reader})
+        assert System(SystemConfig.load(config_path)).reader is not None
+
+    def test_build_and_ask_load_no_hashlib(self, toy):
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        code = ("import sys; from openqa.pipeline import System, SystemConfig, ask; "
+                f"ask(System(SystemConfig.load({toy['config']!r})), 'who wrote hamlet'); "
+                "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
 
 class TestAsk:
     def test_empty_question_raises(self, toy):
@@ -178,8 +217,8 @@ class TestAsk:
 
 
 class TestSolverDegradation:
-    def test_run_solvers_shape(self, toy):
-        candidates, timings = run_solvers(toy["system"], "who wrote hamlet")
+    def test_every_solver_has_a_candidate_list(self, toy):
+        candidates = ask(toy["system"], "who wrote hamlet").candidates
         assert set(candidates) == {"sp", "ld", "rr"}
 
     def test_timings_are_each_solvers_own_time(self, toy, monkeypatch):
@@ -191,7 +230,8 @@ class TestSolverDegradation:
             return run_sp(question)
 
         monkeypatch.setattr(system, "run_sp", slow_sp)
-        candidates, timings = run_solvers(system, "who wrote hamlet")
+        response = ask(system, "who wrote hamlet")
+        candidates, timings = response.candidates, response.timings
         assert candidates["sp"][0].answer == "shakespeare"
         assert timings["sp"] >= 300.0
         assert timings["ld"] < 150.0 and timings["rr"] < 150.0
@@ -204,7 +244,7 @@ class TestSolverDegradation:
                 threads[tag] = threading.get_ident()
                 return run(question)
             monkeypatch.setattr(system, f"run_{tag}", record)
-        run_solvers(system, "who wrote hamlet")
+        ask(system, "who wrote hamlet")
         assert threads == dict.fromkeys(("sp", "ld", "rr"), threading.get_ident())
 
     def test_budget_skips_solvers_not_yet_started(self, toy, tmp_path, monkeypatch, caplog):
@@ -224,7 +264,7 @@ class TestSolverDegradation:
         monkeypatch.setattr(system, "run_ld", never)
         monkeypatch.setattr(system, "run_rr", never)
         with caplog.at_level(logging.WARNING, logger="openqa"):
-            candidates, timings = run_solvers(system, "who wrote hamlet")
+            candidates = ask(system, "who wrote hamlet").candidates
         assert candidates["sp"][0].answer == "shakespeare"
         assert calls == []
         assert candidates["ld"] == [] and candidates["rr"] == []
@@ -250,11 +290,12 @@ class TestSolverDegradation:
     def test_missing_models_degrade_to_empty(self, toy, tmp_path):
         config_path = toy["write_config"](str(tmp_path / "bare.json"), {})
         bare = System(SystemConfig.load(config_path))
-        candidates, _ = run_solvers(bare, "who wrote hamlet")
+        response = ask(bare, "who wrote hamlet")
+        candidates = response.candidates
         assert candidates["ld"] == [] and candidates["rr"] == []
         assert candidates["sp"][0].answer == "shakespeare"
         # ask remains total
-        assert ask(bare, "who wrote hamlet").answer == "shakespeare"
+        assert response.answer == "shakespeare"
 
 
 class TestBuildCorpus:
@@ -345,6 +386,17 @@ class TestSelectorData:
                 doc = json.loads(line)
                 gold = normalize(gold_by_q[doc["question"]])
                 assert normalize(doc["candidates"][doc["gold"]]) == gold
+
+    def test_rows_are_what_ask_fuses(self, toy, tmp_path):
+        """Each written row's candidates are the answers `ask` hands the selector."""
+        out = str(tmp_path / "sel.jsonl")
+        written, _ = make_selector_data(toy["system_three"], toy["pairs"], out)
+        with open(out) as fh:
+            rows = [json.loads(line) for line in fh]
+        assert len(rows) == written >= 1
+        for row in rows:
+            tops = fusion_input(ask(toy["system_three"], row["question"]).candidates)
+            assert row["candidates"] == [c.answer for c in tops]
 
 
 def test_load_qa_pairs(fx):

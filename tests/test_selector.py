@@ -54,10 +54,9 @@ class TestBuildSequence:
         assert len(ids) == MAX_LEN
         # the answer and closing separator survive truncation
         assert ids[-1] == SEP
-        assert vocab.id_of("shakespeare") in ids
+        assert encode(vocab, ["shakespeare"])[0] in ids
         # the head of the question is preserved, the tail is cut
-        assert ids[1] == vocab.id_of("wrote")
-        assert ids[2] == vocab.id_of("hamlet")
+        assert ids[1:3] == encode(vocab, ["wrote", "hamlet"])
 
     def test_short_sequence_not_padded(self, vocab):
         ids = sequence("who", "x", vocab)

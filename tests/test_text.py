@@ -1,6 +1,7 @@
 """Normalization, tokenization, edit distance, and vocabulary."""
 
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -140,18 +141,13 @@ class TestVocabulary:
     def test_reserved_ids(self):
         v = Vocabulary()
         assert (PAD, UNK, CLS, SEP) == (0, 1, 2, 3)
-        assert v.token_of(PAD) == "<pad>"
-        assert v.token_of(UNK) == "<unk>"
-        assert v.token_of(CLS) == "<cls>"
-        assert v.token_of(SEP) == "<sep>"
+        assert encode(v, ["<pad>", "<unk>", "<cls>", "<sep>"]) == [PAD, UNK, CLS, SEP]
+        assert v.size == 4
 
     def test_add_and_lookup(self):
-        v = Vocabulary(["alpha", "beta"])
-        assert v.id_of("alpha") == 4
-        assert v.id_of("beta") == 5
-        assert v.id_of("missing") == UNK
-        assert v.add("beta") == 5  # idempotent
-        assert len(v) == 6
+        v = Vocabulary(["alpha", "beta", "beta", "<unk>"])  # a repeated token keeps its first id
+        assert encode(v, ["alpha", "beta", "missing", "<unk>"]) == [4, 5, UNK, UNK]
+        assert v.size == 6
 
     def test_save_load_roundtrip(self, tmp_path):
         v = Vocabulary(["alpha", "beta", "gamma"])
@@ -159,7 +155,15 @@ class TestVocabulary:
         v.save(path)
         loaded = Vocabulary.load(path)
         assert loaded.size == v.size
-        assert loaded.id_of("gamma") == v.id_of("gamma")
+        assert encode(loaded, ["gamma"]) == encode(v, ["gamma"]) == [6]
+        assert loaded.crc == v.crc
+
+    def test_crc_binds_the_words_in_id_order(self):
+        v = Vocabulary(["alpha", "beta"])
+        assert v.crc == zlib.crc32(b"<pad>\n<unk>\n<cls>\n<sep>\nalpha\nbeta")
+        assert v.crc == Vocabulary(["alpha", "beta"]).crc
+        assert v.crc != Vocabulary(["beta", "alpha"]).crc
+        assert v.crc != Vocabulary(["alpha", "gamma"]).crc
 
     def test_encode_decode(self):
         v = Vocabulary(["who", "wrote"])
