@@ -7,6 +7,7 @@
 
 import os
 
+from openqa import nn
 from openqa.hyper import Hyper
 from openqa.kb import build_entity_dictionary, load_triples
 from openqa.ld_solver import (
@@ -33,13 +34,13 @@ for q in ("who wrote hamlet", "what is the capital of france"):
 
 print("\n-- ld: neural tagging, linking, relation detection --")
 hyper.epochs = 60
-tagger = train_tagger(load_tagger_data(os.path.join(TOYWORLD, "tagger.jsonl")), hyper, vocab)
+tagger = nn.Model(train_tagger(load_tagger_data(os.path.join(TOYWORLD, "tagger.jsonl")), hyper, vocab), vocab)
 hyper.epochs = 30
-scorer = train_relation_scorer(load_scorer_data(os.path.join(TOYWORLD, "scorer.jsonl")), hyper, vocab)
-relation_table = encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
+scorer = nn.Model(train_relation_scorer(load_scorer_data(os.path.join(TOYWORLD, "scorer.jsonl")), hyper, vocab), vocab)
+relation_table = encode_relations(scorer, dict.fromkeys(t.predicate for t in kb.triples))
 for q in ("who wrote hamlet", "who wrote hamlit"):  # note the typo
-    tags = tag_entities(tagger, vocab, tokenize(q).tokens)
-    print(f"  {q!r} tags {list(tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, vocab, relation_table)[0])
+    tags = tag_entities(tagger, tokenize(q).tokens)
+    print(f"  {q!r} tags {list(tags)} ->", solve_ld(q, kb, dictionary, tagger, scorer, relation_table)[0])
 
 print("\n-- rr: retrieve and read --")
 idx = build_corpus(kb, dictionary, os.path.join(TOYWORLD, "passages.jsonl"))

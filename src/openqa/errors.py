@@ -40,10 +40,6 @@ class NoCandidates(OpenQAError):
     pass
 
 
-class EmptyPassage(OpenQAError):
-    pass
-
-
 class BadExample(OpenQAError):
     """A training example that cannot be trained on, found before the first step."""
 

@@ -5,7 +5,9 @@ The tagger marks the entity mention in the question as a word span; the
 mention's words are linked to the closest dictionary entries by edit
 distance; the question pattern (the span replaced by a placeholder) is
 scored against each candidate relation by two encoders whose
-attention-pooled features are compared by cosine similarity.
+attention-pooled features are compared by cosine similarity. The tagger
+and the scorer arrive as `nn.Model`s, each bound to the vocabulary whose
+ids it reads; training takes the vocabulary and returns bare parameters.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ def repair_bio(tags: list[str]) -> list[str]:
     return out
 
 
-def tag_entities(tagger: nn.ModelParameters, vocab: Vocabulary, tokens: Sequence[str]) -> tuple[str, ...]:
+def tag_entities(tagger: nn.Model, tokens: Sequence[str]) -> tuple[str, ...]:
     """BIO tags of a question's tokens (at least one), as `tokenize` gives them."""
-    logits, _ = _tagger_logits(tagger, encode(vocab, tokens))
+    logits, _ = _tagger_logits(tagger.params, encode(tagger.vocab, tokens))
     raw = [TAGS[i] for i in logits.argmax(axis=1)]
     return tuple(repair_bio(raw))
 
@@ -185,12 +187,12 @@ def _score_backward(params: nn.ModelParameters, pattern, relation, d_score: floa
     return grads
 
 
-def encode_relations(scorer: nn.ModelParameters, vocab: Vocabulary, relations: Iterable[str]) -> dict[str, tuple]:
+def encode_relations(scorer: nn.Model, relations: Iterable[str]) -> dict[str, tuple]:
     """relation -> its (CNN, BiGRU) vectors under the scorer's weights as they
     are now, for every relation with tokens. The vectors depend only on the
     weights, so a loaded scorer's table holds for every question; training
     changes the weights and never uses one."""
-    return {rel: _encode_side(scorer, encode(vocab, tokens))[:2]
+    return {rel: _encode_side(scorer.params, encode(scorer.vocab, tokens))[:2]
             for rel in relations if (tokens := _relation_tokens(rel))}
 
 
@@ -211,9 +213,8 @@ def solve_ld(
     question: str,
     kb: KnowledgeBase,
     dictionary: EntityDictionary,
-    tagger: nn.ModelParameters,
-    scorer: nn.ModelParameters,
-    vocab: Vocabulary,
+    tagger: nn.Model,
+    scorer: nn.Model,
     relation_table: dict[str, tuple],
 ) -> list[AnswerCandidate]:
     """The objects of the linked entity's best-scoring relation. `relation_table`
@@ -225,7 +226,7 @@ def solve_ld(
     words = tokenize(question).tokens
     if not words:
         return []
-    span = _best_run(tag_entities(tagger, vocab, words))
+    span = _best_run(tag_entities(tagger, words))
     if span is not None:
         start, stop = span
         linked = link_entity(" ".join(words[start:stop]), dictionary)
@@ -245,7 +246,7 @@ def solve_ld(
         return []
 
     pattern = words[:start] + (PLACEHOLDER,) + words[stop:]
-    pattern_vectors = _encode_side(scorer, encode(vocab, pattern))[:2]
+    pattern_vectors = _encode_side(scorer.params, encode(scorer.vocab, pattern))[:2]
     scored = [(score_relation(pattern_vectors, relation_table[rel]), rel) for rel in relations]
     combined = max(s for s, _ in scored)
     relation = min(rel for s, rel in scored if s == combined)  # ties go to the smallest relation string

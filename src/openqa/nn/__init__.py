@@ -11,7 +11,7 @@ from .ops import (
     softmax_backward,
     softmax_cross_entropy,
 )
-from .params import Grads, ModelParameters, accumulate, fit, grad_check, sgd_step
+from .params import Grads, Model, ModelParameters, accumulate, fit, grad_check, sgd_step
 from .layers import (
     attention,
     attention_backward,

@@ -1,4 +1,5 @@
-"""Named parameter collections: initialization, serialization, SGD, the training loop, grad check.
+"""Named parameter collections: initialization, serialization, SGD, the training loop, grad check;
+and `Model`, a collection bound to the vocabulary it reads.
 
 Everything is float64. Initialization is uniform(-r, r) with
 r = sqrt(6 / (fan_in + fan_out)) from a generator seeded by a recorded
@@ -14,11 +15,13 @@ import json
 import math
 import tokenize
 import zipfile
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import Diverged, EmptyDataset, ShapeMismatch
+from ..text import Vocabulary
 
 Grads = dict[str, np.ndarray]
 META = "__meta__"  # the archive entry that holds rng_seed and arch as a JSON string
@@ -102,6 +105,13 @@ class ModelParameters:
         out = cls(doc["rng_seed"], doc["arch"])
         out.entries.update(arrays)
         return out
+
+
+@dataclass(frozen=True)
+class Model:
+    """A model's parameters bound to the vocabulary whose ids they read."""
+    params: ModelParameters
+    vocab: Vocabulary
 
 
 def accumulate(total: Grads, delta: Grads) -> None:

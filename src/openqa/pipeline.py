@@ -25,9 +25,9 @@ from .hyper import Hyper, require_int, require_positive
 from .jsonl import read_json_lines, text_field
 from .kb import KnowledgeBase, build_entity_dictionary, load_triples
 from .ld_solver import encode_relations, init_relation_scorer, init_tagger, solve_ld
-from .reader import ReaderModel, init_reader, read
+from .reader import init_reader, read
 from .retrieval import InvertedIndex, build_index, load_passages, search, splice_triple, tag_passage
-from .selector import SelectorModel, init_selector, select
+from .selector import init_selector, select
 from .sp_solver import QuestionTemplate, load_templates, solve_sp
 from .text import EntityDictionary, Vocabulary, normalize, split_words
 
@@ -155,23 +155,19 @@ class System:
 
         self.index: InvertedIndex = build_corpus(self.kb, self.dictionary, config.passages_path)
 
-        self.tagger = self._load_model("tagger_model")
-        self.scorer = self._load_model("scorer_model")
+        self.tagger, self.scorer, self.reader, self.selector = map(self._load_model, MODEL_KINDS)
         self.relation_table = None  # every KB predicate's relation vectors, encoded once for the loaded scorer
         if self.scorer is not None:
-            predicates = dict.fromkeys(t.predicate for t in self.kb.triples)
-            self.relation_table = encode_relations(self.scorer, self.vocab, predicates)
-        reader, selector = self._load_model("reader_model"), self._load_model("selector_model")
-        self.reader = ReaderModel(reader, self.vocab) if reader is not None else None
-        self.selector = SelectorModel(selector, self.vocab) if selector is not None else None
+            self.relation_table = encode_relations(self.scorer, dict.fromkeys(t.predicate for t in self.kb.triples))
 
-    def _load_model(self, name: str) -> Optional[nn.ModelParameters]:
-        """The configured model `name`, checked against its slot, the vocabulary
-        (its size, and for a trained model the CRC of its words in id order)
-        and the arch keys, parameter names and shapes that its kind's init
-        function gives its `arch` (worked out without drawing weights): a
-        mismatch would otherwise turn into wrong answers or none, or into an
-        error on every question."""
+    def _load_model(self, name: str) -> Optional[nn.Model]:
+        """The configured model `name`, bound to the vocabulary it was checked
+        against. The checks are its slot, the vocabulary (its size, and for a
+        trained model the CRC of its words in id order) and the arch keys,
+        parameter names and shapes that its kind's init function gives its
+        `arch` (worked out without drawing weights): a mismatch would
+        otherwise turn into wrong answers or none, or into an error on every
+        question."""
         path = getattr(self.config, name)
         if path is None:
             return None
@@ -204,7 +200,7 @@ class System:
                         "wrong shape": {key for key in want.keys() & got.keys() if got[key] != want[key]}}
             raise ConfigError(f"{name} {path}: parameters differ from a {kind!r} model of its arch: " + "; ".join(
                 f"{problem} {_listed(sorted(keys))}" for problem, keys in problems.items() if keys))
-        return params
+        return nn.Model(params, self.vocab)
 
     # per-solver entry points; a missing model degrades to an empty list
     def run_sp(self, question: str) -> list[AnswerCandidate]:
@@ -213,7 +209,7 @@ class System:
     def run_ld(self, question: str) -> list[AnswerCandidate]:
         if self.tagger is None or self.scorer is None:
             return []
-        return solve_ld(question, self.kb, self.dictionary, self.tagger, self.scorer, self.vocab, self.relation_table)
+        return solve_ld(question, self.kb, self.dictionary, self.tagger, self.scorer, self.relation_table)
 
     def run_rr(self, question: str) -> list[AnswerCandidate]:
         if self.reader is None:

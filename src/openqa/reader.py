@@ -4,7 +4,9 @@ One forward, `_forward`, serves answering and training: it encodes the
 question once and a list of passages as one padded batch (training passes
 one passage). Each passage is scored independently; span scores stay in
 raw log space so they are comparable across passages, and the global
-answer is the argmax over every passage's best span.
+answer is the argmax over every passage's best span. `read` takes the
+reader as an `nn.Model`, bound to the vocabulary it encodes with, and
+`train_reader` returns one.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ class SpanPrediction:
     end: int  # inclusive
     raw_score: float
     text: str
-
-
-@dataclass
-class ReaderModel:
-    params: nn.ModelParameters
-    vocab: Vocabulary
 
 
 def init_reader(vocab_size: int, hyper: Hyper, draw: bool = True) -> nn.ModelParameters:
@@ -143,7 +139,7 @@ def best_spans(
 
 
 def read(
-    model: ReaderModel,
+    model: nn.Model,
     question: str,
     results: list[RetrievalResult],
 ) -> list[AnswerCandidate]:
@@ -178,7 +174,7 @@ def load_reader_data(path: str) -> list[tuple[str, str, int, int]]:
                                               int_field(obj, "answer_start_token"), int_field(obj, "answer_end_token")))
 
 
-def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: Vocabulary) -> ReaderModel:
+def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: Vocabulary) -> nn.Model:
     """Online SGD on start + end cross entropy over gold span boundaries."""
     encoded = []
     for idx, (question, passage, gs, ge) in enumerate(dataset):
@@ -199,4 +195,4 @@ def train_reader(dataset: list[tuple[str, str, int, int]], hyper: Hyper, vocab: 
         loss_e, d_end = nn.softmax_cross_entropy(end[0], ge)
         return loss_s + loss_e, _backward(params, cache, d_start[None], d_end[None])
 
-    return ReaderModel(nn.fit(params, encoded, step, hyper.epochs, hyper.lr), vocab)
+    return nn.Model(nn.fit(params, encoded, step, hyper.epochs, hyper.lr), vocab)

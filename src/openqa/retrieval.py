@@ -22,13 +22,13 @@ to the last bit.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyPassage
 from .jsonl import read_json_lines, text_field
 from .kb import Triple
 from .text import EntityDictionary, split_words, tokenize
@@ -76,8 +76,6 @@ def tag_passage(passage_id: str, text: str, dictionary: EntityDictionary,
     """Passage document tagged with the dictionary entities found in its
     text, with the text's words: the one word pass over the passage feeds
     the tagging here and the term counts in `build_index`."""
-    if not text:
-        raise EmptyPassage(f"passage {passage_id!r} is empty")
     words = split_words(text)
     entities = (entity for _, _, entity in dictionary.find(words))
     doc = IndexedDocument(
@@ -173,5 +171,12 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
 
 
 def load_passages(path: str) -> list[tuple[str, str]]:
-    """JSON Lines {"id": str, "text": str} -> [(id, text)]."""
-    return read_json_lines(path, lambda obj: (str(obj["id"]), text_field(obj, "text")))
+    """JSON Lines {"id": str, "text": str} -> [(id, text)]; a text that is
+    empty or only whitespace is a malformed line."""
+    def row(obj: dict) -> tuple[str, str]:
+        pid, text = text_field(obj, "id"), text_field(obj, "text")
+        if not text.strip():
+            raise ValueError(f"field 'text' is blank, got {json.dumps(text)}")
+        return pid, text
+
+    return read_json_lines(path, row)

@@ -5,7 +5,10 @@ token ids; the question is tokenized once, however many candidates it
 has. All of a question's sequences are encoded by the transformer stack in
 one pass, as a zero-padded batch under a key mask, each is scored from its
 leading position by a linear head, and the scores are softmaxed across
-candidates.
+candidates. `select` takes the selector as an `nn.Model`, bound to the
+vocabulary it encodes with, and `train_selector` returns one; the forward
+and backward passes read only the parameters, `heads` and `layers` from
+their `arch`.
 """
 
 from __future__ import annotations
@@ -22,20 +25,6 @@ from .jsonl import int_field, read_json_lines, text_field, text_list
 from .text import CLS, SEP, Vocabulary, encode, tokenize
 
 MAX_LEN = 64
-
-
-@dataclass
-class SelectorModel:
-    params: nn.ModelParameters
-    vocab: Vocabulary
-
-    @property
-    def heads(self) -> int:
-        return self.params.arch["heads"]
-
-    @property
-    def layers(self) -> int:
-        return self.params.arch["layers"]
 
 
 @dataclass(frozen=True)
@@ -79,17 +68,16 @@ def build_sequence(q_ids: list[int], a_ids: list[int]) -> list[int]:
     return [CLS] + q_ids + [SEP] + a_ids + [SEP]
 
 
-def _forward(model: SelectorModel, seqs: list[list[int]]):
+def _forward(params: nn.ModelParameters, seqs: list[list[int]]):
     """Scores of the sequences, encoded together as one zero-padded, key-masked batch."""
-    params = model.params
     lengths = np.array([len(ids) for ids in seqs])
     mask = np.arange(lengths.max()) < lengths[:, None]
     ids = [i for seq in seqs for i in seq]
     x = np.zeros(mask.shape + (params["emb"].shape[1],))
     x[mask] = nn.embedding_lookup(params["emb"], ids) + params["pos"][np.nonzero(mask)[1]]
     caches = []
-    for layer in range(model.layers):
-        x, cache = nn.transformer_encoder_layer(params, f"enc{layer}.", x, model.heads, mask)
+    for layer in range(params.arch["layers"]):
+        x, cache = nn.transformer_encoder_layer(params, f"enc{layer}.", x, params.arch["heads"], mask)
         caches.append(cache)
     # one [1, d] @ [d, 1] product per sequence: a single matrix-vector product
     # over the batch rounds by row position, and equal sequences must tie
@@ -97,8 +85,7 @@ def _forward(model: SelectorModel, seqs: list[list[int]]):
     return scores, {"ids": ids, "mask": mask, "caches": caches, "top": x}
 
 
-def _backward(model: SelectorModel, cache, d_scores: np.ndarray) -> nn.Grads:
-    params = model.params
+def _backward(params: nn.ModelParameters, cache, d_scores: np.ndarray) -> nn.Grads:
     top = cache["top"]
     grads: nn.Grads = {
         "head_W": (d_scores @ top[:, 0]).reshape(1, -1),
@@ -114,12 +101,12 @@ def _backward(model: SelectorModel, cache, d_scores: np.ndarray) -> nn.Grads:
     return grads
 
 
-def select(model: SelectorModel, question: str, candidates: list[AnswerCandidate]) -> SelectionResult:
+def select(model: nn.Model, question: str, candidates: list[AnswerCandidate]) -> SelectionResult:
     """Softmax over the candidates' sequence scores; argmax wins (lowest index on ties)."""
     if not candidates:
         raise NoCandidates("selector needs at least one candidate")
     q_ids = _token_ids(model.vocab, question)
-    scores, _ = _forward(model, [build_sequence(q_ids, _token_ids(model.vocab, c.answer)) for c in candidates])
+    scores, _ = _forward(model.params, [build_sequence(q_ids, _token_ids(model.vocab, c.answer)) for c in candidates])
     probs = nn.softmax(scores)
     chosen = int(np.argmax(probs))
     return SelectionResult(tuple(float(p) for p in probs), chosen, candidates[chosen])
@@ -131,7 +118,7 @@ def load_selector_data(path: str) -> list[tuple[str, list[str], int]]:
                                               int_field(obj, "gold")))
 
 
-def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, vocab: Vocabulary) -> SelectorModel:
+def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, vocab: Vocabulary) -> nn.Model:
     """Online SGD on cross entropy over the per-example candidate softmax."""
     encoded = []
     for idx, (question, cands, gold) in enumerate(dataset):
@@ -143,14 +130,13 @@ def train_selector(dataset: list[tuple[str, list[str], int]], hyper: Hyper, voca
             raise BadExample(idx, "gold index outside candidate list")
         q_ids = _token_ids(vocab, question)
         encoded.append(([build_sequence(q_ids, _token_ids(vocab, a)) for a in cands], gold))
-    model = SelectorModel(init_selector(vocab.size, hyper), vocab)
-    model.params.arch["vocab_crc"] = vocab.crc
+    params = init_selector(vocab.size, hyper)
+    params.arch["vocab_crc"] = vocab.crc
 
     def step(example):
         seqs, gold = example
-        scores, cache = _forward(model, seqs)
+        scores, cache = _forward(params, seqs)
         loss, d_scores = nn.softmax_cross_entropy(scores, gold)
-        return loss, _backward(model, cache, d_scores)
+        return loss, _backward(params, cache, d_scores)
 
-    nn.fit(model.params, encoded, step, hyper.epochs, hyper.lr)
-    return model
+    return nn.Model(nn.fit(params, encoded, step, hyper.epochs, hyper.lr), vocab)

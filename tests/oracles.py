@@ -13,11 +13,11 @@ from openqa import nn
 from openqa.answers import SOLVER_SP, AnswerCandidate
 from openqa.kb import KnowledgeBase, ObjectUnknown, SparqlQuery, execute_sparql, serialize_sparql
 from openqa.ld_solver import _encode_side, _relation_tokens
-from openqa.reader import ReaderModel, SpanPrediction, _forward as reader_forward, _question_tokens
+from openqa.reader import SpanPrediction, _forward as reader_forward, _question_tokens
 from openqa.retrieval import B, K1, SUBJECT_BOOST, InvertedIndex
-from openqa.selector import SelectorModel, _forward as selector_forward
+from openqa.selector import _forward as selector_forward
 from openqa.sp_solver import DICTIONARY_CONFIDENCE, TEMPLATE_CAPTURE_CONFIDENCE, QuestionTemplate
-from openqa.text import EntityDictionary, Vocabulary, dictionary_key, encode, normalize, tokenize
+from openqa.text import EntityDictionary, dictionary_key, encode, normalize, tokenize
 
 
 def bm25_score(idx: InvertedIndex, query_terms: list[str], doc_id: int) -> float:
@@ -127,34 +127,32 @@ def solve_sp_staged(question: str, kb: KnowledgeBase, dictionary: EntityDictiona
     return sorted(best.values(), key=lambda c: (-c.confidence, c.answer))
 
 
-def predict_logits(model: ReaderModel, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def predict_logits(model: nn.Model, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Raw, per-position start/end scores of one passage (no per-passage normalization)."""
     start, end, _ = reader_forward(model.params, encode(model.vocab, _question_tokens(question)),
                                    [encode(model.vocab, passage_tokens)])
     return start[0], end[0]
 
 
-def score_sequence(model: SelectorModel, ids: list[int]) -> float:
+def score_sequence(model: nn.Model, ids: list[int]) -> float:
     """The selector's score of one sequence, encoded alone: a batch of one."""
-    scores, _ = selector_forward(model, [ids])
+    scores, _ = selector_forward(model.params, [ids])
     return float(scores[0])
 
 
-def score_from_scratch(scorer: nn.ModelParameters, vocab: Vocabulary, pattern: list[str],
-                       relation: str) -> float:
+def score_from_scratch(scorer: nn.Model, pattern: list[str], relation: str) -> float:
     """How well `relation` fits the question pattern, with both sides encoded
     from their tokens: the mean of the cosines of their CNN and of their
     BiGRU vectors."""
-    p_cnn, p_gru, _ = _encode_side(scorer, encode(vocab, pattern))
-    r_cnn, r_gru, _ = _encode_side(scorer, encode(vocab, _relation_tokens(relation)))
+    p_cnn, p_gru, _ = _encode_side(scorer.params, encode(scorer.vocab, pattern))
+    r_cnn, r_gru, _ = _encode_side(scorer.params, encode(scorer.vocab, _relation_tokens(relation)))
     return 0.5 * nn.cosine(p_cnn, r_cnn) + 0.5 * nn.cosine(p_gru, r_gru)
 
 
-def detect_relation(scorer: nn.ModelParameters, vocab: Vocabulary, question_pattern: list[str],
-                    candidates: list[str]) -> str:
+def detect_relation(scorer: nn.Model, question_pattern: list[str], candidates: list[str]) -> str:
     """The candidate relation with the best combined score; ties go to the smallest string."""
     return min(candidates,
-               key=lambda rel: (-score_from_scratch(scorer, vocab, question_pattern, rel), rel))
+               key=lambda rel: (-score_from_scratch(scorer, question_pattern, rel), rel))
 
 
 def enumerate_spans(

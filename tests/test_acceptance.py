@@ -30,7 +30,7 @@ from openqa.pipeline import System, SystemConfig, ask, evaluate, split_dataset
 from openqa.reader import MAX_SPAN_LEN, load_reader_data, train_reader
 from openqa.retrieval import IndexedDocument, KIND_PASSAGE, build_index, search
 from openqa.selector import (
-    SelectorModel, build_sequence, init_selector, select, train_selector,
+    build_sequence, init_selector, select, train_selector,
 )
 from openqa.service import make_server
 from openqa.text import Vocabulary, code_matrix, edit_distances, encode, split_words, tokenize
@@ -317,13 +317,11 @@ def test_criterion_04_gradient_checks(capsys):
     from openqa.selector import _backward as sel_backward, _forward as sel_forward
     vocab = Vocabulary(["alpha", "beta", "gamma"])
     p = init_selector(vocab.size, Hyper(d=6, h=6, heads=2, layers=1, seed=8))
-    model = SelectorModel(p, vocab)
     sel_ids = build_sequence(encode(vocab, ["alpha", "beta"]), encode(vocab, ["gamma"]))
 
     def selector_loss(p_):
-        m = SelectorModel(p_, vocab)
-        scores, cache = sel_forward(m, [sel_ids])
-        return float(scores[0]), sel_backward(m, cache, np.ones(1))
+        scores, cache = sel_forward(p_, [sel_ids])
+        return float(scores[0]), sel_backward(p_, cache, np.ones(1))
 
     _check("selector head", selector_loss, p, worst)
 
@@ -361,13 +359,13 @@ def test_criterion_05_overfit(capsys):
     started = time.perf_counter()
 
     tagger_data = load_tagger_data(os.path.join(FIXTURES, "tagger.jsonl"))
-    tagger = train_tagger(tagger_data, hyper(120), vocab)
-    tagger_acc = sum(list(tag_entities(tagger, vocab, tokenize(q).tokens)) == gold
+    tagger = nn.Model(train_tagger(tagger_data, hyper(120), vocab), vocab)
+    tagger_acc = sum(list(tag_entities(tagger, tokenize(q).tokens)) == gold
                      for q, gold in tagger_data) / len(tagger_data)
 
     scorer_data = load_scorer_data(os.path.join(FIXTURES, "scorer.jsonl"))
-    scorer = train_relation_scorer(scorer_data, hyper(40), vocab)
-    scorer_acc = sum(detect_relation(scorer, vocab, pattern, [gold] + negs) == gold
+    scorer = nn.Model(train_relation_scorer(scorer_data, hyper(40), vocab), vocab)
+    scorer_acc = sum(detect_relation(scorer, pattern, [gold] + negs) == gold
                      for pattern, gold, negs in scorer_data) / len(scorer_data)
 
     reader_data = load_reader_data(os.path.join(FIXTURES, "reader.jsonl"))
@@ -481,7 +479,7 @@ def test_criterion_07_end_to_end(capsys, toy, tmp_path):
 
 def test_criterion_08_selector_properties(capsys):
     vocab = Vocabulary.load(os.path.join(FIXTURES, "vocab.txt"))
-    model = SelectorModel(init_selector(vocab.size, Hyper(d=16, h=16, heads=2, layers=1, seed=88)), vocab)
+    model = nn.Model(init_selector(vocab.size, Hyper(d=16, h=16, heads=2, layers=1, seed=88)), vocab)
     with open(os.path.join(FIXTURES, "vocab.txt"), encoding="utf-8") as fh:
         words = fh.read().split()
     rng = random.Random(808)

@@ -194,6 +194,18 @@ class TestIndex:
         assert main(["--config", toy["config"], "index", os.path.join(fx, "passages.jsonl")]) == 0
         assert "indexed 42 documents" in capsys.readouterr().out  # 30 triples + 12 passages
 
+    @pytest.mark.parametrize("row, reason", [
+        ({"id": "p13", "text": ""}, "field 'text' is blank, got \"\""),
+        ({"id": 13, "text": "the sky is green"}, "field 'id' must be a string, got 13"),
+    ], ids=["empty-text", "integer-id"])
+    def test_bad_passage_is_one_error_line(self, fx, toy, tmp_path, capsys, row, reason):
+        with open(os.path.join(fx, "passages.jsonl"), encoding="utf-8") as fh:
+            passages = fh.read()
+        bad = tmp_path / "passages.jsonl"
+        bad.write_text(passages + json.dumps(row) + "\n", encoding="utf-8")
+        assert main(["--config", toy["config"], "index", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: malformed line 13: {reason}\n"
+
 
 TRAIN_TARGETS = ["tagger", "scorer", "reader", "selector"]
 

@@ -1,5 +1,4 @@
-"""The quick demos run to completion. 04 and 05 train all four models, so
-CI runs them in a step of their own rather than in this suite."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -10,7 +9,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("name", ["01_knowledge_base.py", "02_retrieval.py", "03_neural_kernel.py"])
+@pytest.mark.parametrize("name", ["01_knowledge_base.py", "02_retrieval.py", "03_neural_kernel.py",
+                                  "04_solvers.py", "05_full_pipeline.py"])
 def test_demo_exits_cleanly(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))

@@ -113,44 +113,44 @@ class TestLinking:
 
 class TestModels:
     def test_tagger_trains_to_perfect_tags(self, fx, vocab, toy):
-        tagger = nn.ModelParameters.load(toy["models"]["tagger"])
+        tagger = nn.Model(nn.ModelParameters.load(toy["models"]["tagger"]), vocab)
         for question, gold in load_tagger_data(os.path.join(fx, "tagger.jsonl")):
-            assert list(tag_entities(tagger, vocab, tokenize(question).tokens)) == gold
+            assert list(tag_entities(tagger, tokenize(question).tokens)) == gold
 
     def test_scorer_ranks_gold_first(self, fx, vocab, toy):
-        scorer = nn.ModelParameters.load(toy["models"]["scorer"])
+        scorer = nn.Model(nn.ModelParameters.load(toy["models"]["scorer"]), vocab)
         for pattern, gold, negatives in load_scorer_data(os.path.join(fx, "scorer.jsonl")):
-            assert detect_relation(scorer, vocab, pattern, [gold] + negatives) == gold
+            assert detect_relation(scorer, pattern, [gold] + negatives) == gold
 
     def test_score_relation_components(self, vocab, toy):
-        scorer = nn.ModelParameters.load(toy["models"]["scorer"])
+        scorer = nn.Model(nn.ModelParameters.load(toy["models"]["scorer"]), vocab)
         pattern = ["who", "wrote", PLACEHOLDER]
-        p_vectors = ld_solver._encode_side(scorer, text.encode(vocab, pattern))[:2]
-        r_vectors = encode_relations(scorer, vocab, ["author"])["author"]
+        p_vectors = ld_solver._encode_side(scorer.params, text.encode(vocab, pattern))[:2]
+        r_vectors = encode_relations(scorer, ["author"])["author"]
         cnn, gru = (nn.cosine(p, r) for p, r in zip(p_vectors, r_vectors))
         assert -1.0 <= cnn <= 1.0
         assert -1.0 <= gru <= 1.0
         assert score_relation(p_vectors, r_vectors) == 0.5 * cnn + 0.5 * gru
 
     def test_detect_relation_deterministic(self, vocab):
-        scorer = init_relation_scorer(vocab.size, Hyper(d=8, h=8, seed=3))
+        scorer = nn.Model(init_relation_scorer(vocab.size, Hyper(d=8, h=8, seed=3)), vocab)
         candidates = ["author", "birthplace", "capital"]
-        first = detect_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], candidates)
+        first = detect_relation(scorer, ["who", "wrote", PLACEHOLDER], candidates)
         assert first in candidates
-        assert detect_relation(scorer, vocab, ["who", "wrote", PLACEHOLDER], candidates) == first
+        assert detect_relation(scorer, ["who", "wrote", PLACEHOLDER], candidates) == first
 
 
 @pytest.fixture(scope="module")
-def world(fx, toy):
+def world(fx, toy, vocab):
     kb = load_triples(os.path.join(fx, "kb.tsv"))
     return (kb, build_entity_dictionary(kb),
-            nn.ModelParameters.load(toy["models"]["tagger"]),
-            nn.ModelParameters.load(toy["models"]["scorer"]))
+            nn.Model(nn.ModelParameters.load(toy["models"]["tagger"]), vocab),
+            nn.Model(nn.ModelParameters.load(toy["models"]["scorer"]), vocab))
 
 
-def _relation_table(scorer, vocab, kb):
+def _relation_table(scorer, kb):
     """`encode_relations` over the KB's predicates, as `System` builds it."""
-    return encode_relations(scorer, vocab, dict.fromkeys(t.predicate for t in kb.triples))
+    return encode_relations(scorer, dict.fromkeys(t.predicate for t in kb.triples))
 
 
 def _tags_nothing(params, ids):
@@ -181,38 +181,38 @@ def _patterns_encoded(monkeypatch) -> list[list[str]]:
 
 
 class TestSolve:
-    def test_answers_trained_question(self, world, vocab):
+    def test_answers_trained_question(self, world):
         kb, d, tagger, scorer = world
-        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, _relation_table(scorer, kb))
         assert out[0].answer == "shakespeare"
         assert 0.0 < out[0].confidence <= 1.0
         assert out[0].solver == "ld"
 
-    def test_survives_typo_via_linking(self, world, vocab):
+    def test_survives_typo_via_linking(self, world):
         kb, d, tagger, scorer = world
-        table = _relation_table(scorer, vocab, kb)
-        out = solve_ld("who wrote hamlit", kb, d, tagger, scorer, vocab, table)
+        table = _relation_table(scorer, kb)
+        out = solve_ld("who wrote hamlit", kb, d, tagger, scorer, table)
         assert out and out[0].answer == "shakespeare"
         # distance-1 link halves nothing but does shrink confidence
-        exact = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
+        exact = solve_ld("who wrote hamlet", kb, d, tagger, scorer, table)
         assert out[0].confidence < exact[0].confidence
 
-    def test_unknown_entity_is_empty(self, world, vocab):
+    def test_unknown_entity_is_empty(self, world):
         kb, d, tagger, scorer = world
-        assert solve_ld("who wrote ulysses", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb)) == []
+        assert solve_ld("who wrote ulysses", kb, d, tagger, scorer, _relation_table(scorer, kb)) == []
 
     def test_relation_without_tokens_is_not_scored(self, world, vocab):
         _, _, tagger, scorer = world
         kb = KnowledgeBase([Triple("hamlet", "author", "shakespeare"), Triple("hamlet", "_", "x")])
-        table = _relation_table(scorer, vocab, kb)
-        out = solve_ld("who wrote hamlet", kb, build_entity_dictionary(kb), tagger, scorer, vocab, table)
+        table = _relation_table(scorer, kb)
+        out = solve_ld("who wrote hamlet", kb, build_entity_dictionary(kb), tagger, scorer, table)
         assert [c.answer for c in out] == ["shakespeare"]
         assert table.keys() == {"author"}
         with pytest.raises(BadExample, match=r"^example 1: relation '_' has no tokens$"):
             train_relation_scorer([(["who", "wrote", PLACEHOLDER], "author", ["capital"]),
                                    (["who", "wrote", PLACEHOLDER], "author", ["_"])], Hyper(d=4, h=4, epochs=1), vocab)
 
-    def test_question_is_split_into_words_once(self, world, vocab, monkeypatch):
+    def test_question_is_split_into_words_once(self, world, monkeypatch):
         """The tagger tags the tokens solve_ld has already taken from the question."""
         class CountingPattern:
             def __init__(self, pattern):
@@ -223,33 +223,33 @@ class TestSolve:
                 return self.pattern.findall(text)
 
         kb, d, tagger, scorer = world
-        table = _relation_table(scorer, vocab, kb)
+        table = _relation_table(scorer, kb)
         pattern = CountingPattern(text._TOKEN_RE)
         monkeypatch.setattr(text, "_TOKEN_RE", pattern)
-        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, table)
         assert out[0].provenance.startswith("mention='hamlet' ")
         assert pattern.runs == 1
 
-    def test_untagged_question_falls_back_to_dictionary_keys(self, world, vocab, monkeypatch):
+    def test_untagged_question_falls_back_to_dictionary_keys(self, world, monkeypatch):
         """With no mention tagged, the entity first in name order is linked,
         under the first of its keys found among the question's words."""
         _, _, tagger, scorer = world
         monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_nothing)
         kb = KnowledgeBase([Triple("alpha", "p", "x"), Triple("zeta", "p", "y")])
         d = EntityDictionary({"zed": "zeta", "alpha one": "alpha", "ay": "alpha"})
-        out = solve_ld("zed then ay then alpha one", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        out = solve_ld("zed then ay then alpha one", kb, d, tagger, scorer, _relation_table(scorer, kb))
         assert [(c.answer, c.provenance) for c in out] == [("x", "mention='ay' entity='alpha' relation='p'")]
 
-    def test_placeholder_goes_on_the_tagged_word(self, world, vocab, monkeypatch):
+    def test_placeholder_goes_on_the_tagged_word(self, world, monkeypatch):
         """The pattern replaces the tagged span, not the first equal run of words."""
         kb, d, tagger, scorer = world
         monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_only(4))
         patterns = _patterns_encoded(monkeypatch)
-        out = solve_ld("who wrote hamlet in hamlet", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        out = solve_ld("who wrote hamlet in hamlet", kb, d, tagger, scorer, _relation_table(scorer, kb))
         assert out[0].provenance.startswith("mention='hamlet' entity='hamlet' ")
         assert patterns == [["who", "wrote", "hamlet", "in", PLACEHOLDER]]
 
-    def test_untagged_placeholder_goes_on_the_chosen_key(self, world, vocab, monkeypatch):
+    def test_untagged_placeholder_goes_on_the_chosen_key(self, world, monkeypatch):
         """With no mention tagged, the pattern replaces the span of the chosen
         entity's first key, though another key's words come first."""
         _, _, tagger, scorer = world
@@ -257,11 +257,11 @@ class TestSolve:
         kb = KnowledgeBase([Triple("nyc", "p", "x"), Triple("ny", "p", "y")])
         d = EntityDictionary({"new york city": "nyc", "new york": "ny"})
         patterns = _patterns_encoded(monkeypatch)
-        out = solve_ld("new york city or new york", kb, d, tagger, scorer, vocab, _relation_table(scorer, vocab, kb))
+        out = solve_ld("new york city or new york", kb, d, tagger, scorer, _relation_table(scorer, kb))
         assert [(c.answer, c.provenance) for c in out] == [("y", "mention='new york' entity='ny' relation='p'")]
         assert patterns == [["new", "york", "city", "or", PLACEHOLDER]]
 
-    def test_untagged_question_is_split_into_words_once(self, world, vocab, monkeypatch):
+    def test_untagged_question_is_split_into_words_once(self, world, monkeypatch):
         """The dictionary fallback reads the words solve_ld has already split."""
         class CountingPattern:
             def __init__(self, pattern):
@@ -272,11 +272,11 @@ class TestSolve:
                 return self.pattern.findall(text)
 
         kb, d, tagger, scorer = world
-        table = _relation_table(scorer, vocab, kb)
+        table = _relation_table(scorer, kb)
         monkeypatch.setattr(ld_solver, "_tagger_logits", _tags_nothing)
         pattern = CountingPattern(text._TOKEN_RE)
         monkeypatch.setattr(text, "_TOKEN_RE", pattern)
-        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, table)
         assert out[0].provenance.startswith("mention='hamlet' entity='hamlet' ")
         assert pattern.runs == 1
 
@@ -287,9 +287,9 @@ class TestSolve:
         imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
         assert not {name for name in imported if name and name.split(".")[-1] == "sp_solver"}
 
-    def test_each_relation_scored_once(self, world, vocab, monkeypatch):
+    def test_each_relation_scored_once(self, world, monkeypatch):
         kb, d, tagger, scorer = world
-        table = _relation_table(scorer, vocab, kb)
+        table = _relation_table(scorer, kb)
         calls = []
 
         def counting(pattern_vectors, relation_vectors):
@@ -297,10 +297,10 @@ class TestSolve:
             return score_relation(pattern_vectors, relation_vectors)
 
         monkeypatch.setattr(ld_solver, "score_relation", counting)
-        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, vocab, table)
+        out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, table)
         assert sorted(calls) == sorted(kb.predicates_of("hamlet"))
         # exact link (distance 0): confidence is the winner's score mapped to [0, 1]
-        score = score_from_scratch(scorer, vocab, ["who", "wrote", PLACEHOLDER], "author")
+        score = score_from_scratch(scorer, ["who", "wrote", PLACEHOLDER], "author")
         assert out[0].confidence == (score + 1.0) / 2.0
 
 
@@ -349,14 +349,14 @@ class TestRelationTable:
         with open(os.path.join(fx, "vocab.txt"), encoding="utf-8") as fh:
             words = fh.read().split() + ["zorp", "blix"]
         for seed in range(4):
-            scorer = init_relation_scorer(vocab.size, Hyper(d=8, h=6, seed=seed))
+            scorer = nn.Model(init_relation_scorer(vocab.size, Hyper(d=8, h=6, seed=seed)), vocab)
             relations = ["_".join(rng.sample(words, rng.randint(1, 3))) for _ in range(8)] + ["_", "author"]
-            table = encode_relations(scorer, vocab, relations)
+            table = encode_relations(scorer, relations)
             assert set(table) == set(relations) - {"_"}
             for _ in range(5):
                 pattern = rng.sample(words, rng.randint(0, 4)) + [PLACEHOLDER]
                 rng.shuffle(pattern)
-                p_vectors = ld_solver._encode_side(scorer, text.encode(vocab, pattern))[:2]
+                p_vectors = ld_solver._encode_side(scorer.params, text.encode(vocab, pattern))[:2]
                 for rel in table:
-                    want = score_from_scratch(scorer, vocab, pattern, rel)
+                    want = score_from_scratch(scorer, pattern, rel)
                     assert score_relation(p_vectors, table[rel]) == want

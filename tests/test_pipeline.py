@@ -97,7 +97,7 @@ class TestConfig:
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         system = System(SystemConfig.load(toy["config"]))
-        models = [system.tagger, system.scorer, system.reader.params, system.selector.params]
+        models = [model.params for model in (system.tagger, system.scorer, system.reader, system.selector)]
         assert all(model is not None and model._rng is None for model in models)
 
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
@@ -110,6 +110,11 @@ class TestConfig:
         assert done.returncode == 0, done.stderr
         before, after = done.stdout.split()
         assert after == before
+
+    def test_every_model_is_bound_to_the_vocabulary_it_was_checked_against(self, toy):
+        system = toy["system"]
+        for model in (system.tagger, system.scorer, system.reader, system.selector):
+            assert type(model) is nn.Model and model.vocab is system.vocab
 
     def test_model_for_another_vocabulary_fails_at_load(self, toy, tmp_path):
         reader = str(tmp_path / "reader.json")

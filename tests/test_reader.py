@@ -14,7 +14,7 @@ from openqa.hyper import Hyper
 from openqa.kb import Triple
 from openqa.reader import (
     MAX_SPAN_LEN, TOP_K_PASSAGES,
-    ReaderModel, _backward, _forward, best_spans, init_reader, load_reader_data, read, train_reader,
+    _backward, _forward, best_spans, init_reader, load_reader_data, read, train_reader,
 )
 from openqa.retrieval import (
     IndexedDocument, KIND_PASSAGE, RetrievalResult, splice_triple,
@@ -30,7 +30,7 @@ def passage_result(doc_id: int, text: str, score: float = 1.0) -> RetrievalResul
 
 @pytest.fixture(scope="module")
 def reader(toy, vocab):
-    return ReaderModel(nn.ModelParameters.load(toy["models"]["reader"]), vocab)
+    return nn.Model(nn.ModelParameters.load(toy["models"]["reader"]), vocab)
 
 
 class TestEnumerateSpans:
@@ -115,7 +115,7 @@ class TestRead:
     def test_equals_per_passage_reading(self):
         rng = np.random.default_rng(11)
         words = [f"w{i}" for i in range(40)]
-        model = ReaderModel(init_reader(len(words) + 4, Hyper(d=8, h=8, seed=5)), Vocabulary(words[:36]))
+        model = nn.Model(init_reader(len(words) + 4, Hyper(d=8, h=8, seed=5)), Vocabulary(words[:36]))
         for _ in range(12):
             question = " ".join(rng.choice(words, int(rng.integers(0, 6))))
             results = [passage_result(i, " ".join(rng.choice(words, int(rng.integers(1, 25)))))

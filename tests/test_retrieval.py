@@ -232,6 +232,10 @@ class TestPersistence:
         ('{"id": "p2", "text": 5}', "malformed line 2: field 'text' must be a string, got 5"),
         ('{"id": "p2", "text": ["a"]}', "malformed line 2: field 'text' must be a string, got [\"a\"]"),
         ('{"id": "p2", "text": null}', "malformed line 2: field 'text' must be a string, got null"),
+        ('{"id": "p2", "text": ""}', "malformed line 2: field 'text' is blank, got \"\""),
+        ('{"id": "p2", "text": "  "}', "malformed line 2: field 'text' is blank, got \"  \""),
+        ('{"id": 2, "text": "fine"}', "malformed line 2: field 'id' must be a string, got 2"),
+        ('{"id": null, "text": "fine"}', "malformed line 2: field 'id' must be a string, got null"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "passages.jsonl"

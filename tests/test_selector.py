@@ -12,7 +12,7 @@ from openqa.errors import MalformedLine, NoCandidates
 from openqa.hyper import Hyper
 from openqa.selector import (
     CLS, MAX_LEN, SEP,
-    SelectorModel, build_sequence, init_selector, load_selector_data,
+    build_sequence, init_selector, load_selector_data,
     select, train_selector,
 )
 from openqa.text import Vocabulary, encode, tokenize
@@ -30,13 +30,13 @@ def sequence(question: str, answer: str, vocab: Vocabulary) -> list[int]:
 
 @pytest.fixture(scope="module")
 def trained(toy, vocab):
-    return SelectorModel(nn.ModelParameters.load(toy["models"]["selector"]), vocab)
+    return nn.Model(nn.ModelParameters.load(toy["models"]["selector"]), vocab)
 
 
 @pytest.fixture(scope="module")
 def untrained(vocab):
     params = init_selector(vocab.size, Hyper(d=16, h=16, heads=2, layers=1, seed=5))
-    return SelectorModel(params, vocab)
+    return nn.Model(params, vocab)
 
 
 class TestBuildSequence:
@@ -110,12 +110,12 @@ class TestSelect:
 class TestOnePass:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_select_runs_each_layer_once(self, monkeypatch, vocab, k):
-        model = SelectorModel(init_selector(vocab.size, Hyper(d=8, h=8, heads=2, layers=2, seed=3)), vocab)
+        model = nn.Model(init_selector(vocab.size, Hyper(d=8, h=8, heads=2, layers=2, seed=3)), vocab)
         calls = []
         layer = nn.transformer_encoder_layer
         monkeypatch.setattr(nn, "transformer_encoder_layer", lambda *args: calls.append(1) or layer(*args))
         select(model, "who wrote hamlet", candidates(*"abcd"[:k]))
-        assert len(calls) == model.layers
+        assert len(calls) == model.params.arch["layers"]
 
     def test_train_step_is_one_forward_and_one_backward(self, monkeypatch, vocab):
         calls = {"_forward": 0, "_backward": 0}
