@@ -15,7 +15,7 @@ TOYWORLD = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures", "t
 
 kb = load_triples(os.path.join(TOYWORLD, "kb.tsv"))
 print(f"loaded {len(kb)} triples, {len(kb.entities)} entities")
-print("predicates of 'paris':", kb.predicates_of("paris"))
+print("predicates of 'paris':", kb.predicates_by_subject["paris"])
 
 print("\n-- object-unknown query: who wrote hamlet? --")
 query = SparqlQuery("x", ObjectUnknown("hamlet", "author"))

@@ -31,29 +31,22 @@ class Triple:
 
 
 class KnowledgeBase:
-    """Immutable triple collection with (s,p)->objects and (p,o)->subjects
-    indices. Its `entities`, the names the entity dictionary is built from,
-    are its subjects."""
+    """Immutable triple collection with a (s,p)->objects index. Its
+    `entities`, the names the entity dictionary is built from, are its
+    subjects, in order of first occurrence."""
 
     def __init__(self, triples: list[Triple]):
         self.triples: list[Triple] = list(dict.fromkeys(triples))  # first occurrence of each, in order
 
         self.by_subject_predicate: dict[tuple[str, str], list[str]] = {}
-        self.by_predicate_object: dict[tuple[str, str], list[str]] = {}
         self.predicates_by_subject: dict[str, list[str]] = {}  # subject -> predicates, first occurrence first
         for t in self.triples:
-            # each triple is kept once, so a key's objects (subjects) are already distinct
+            # each triple is kept once, so a key's objects are already distinct
             objs = self.by_subject_predicate.setdefault((t.subject, t.predicate), [])
             if not objs:
                 self.predicates_by_subject.setdefault(t.subject, []).append(t.predicate)
             objs.append(t.object)
-            self.by_predicate_object.setdefault((t.predicate, t.object), []).append(t.subject)
-
-        self.entities: set[str] = {t.subject for t in self.triples}
-
-    def predicates_of(self, subject: str) -> list[str]:
-        """Outgoing predicates of a subject, in first-occurrence order."""
-        return list(self.predicates_by_subject.get(subject, ()))
+        self.entities = self.predicates_by_subject.keys()
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -149,11 +142,13 @@ def _passes_filter(binding: str, filt: Optional[tuple[str, str]]) -> bool:
 
 
 def execute_sparql(kb: KnowledgeBase, q: SparqlQuery) -> list[str]:
-    """All bindings matching the pattern, filtered, first-insertion order."""
+    """All bindings matching the pattern, filtered, first-insertion order.
+    No solver sends a `SubjectUnknown` pattern, so it is a scan of the triples."""
     if isinstance(q.pattern, ObjectUnknown):
         candidates = kb.by_subject_predicate.get((q.pattern.subject, q.pattern.predicate), [])
     else:
-        candidates = kb.by_predicate_object.get((q.pattern.predicate, q.pattern.object), [])
+        p, o = q.pattern.predicate, q.pattern.object
+        candidates = [t.subject for t in kb.triples if t.predicate == p and t.object == o]
     return [binding for binding in candidates if _passes_filter(binding, q.filter)]
 
 

@@ -241,7 +241,7 @@ def solve_ld(
     entity_cand = linked[0]
 
     # a relation without tokens is not scored
-    relations = [r for r in kb.predicates_of(entity_cand.entity) if r in relation_table]
+    relations = [r for r in kb.predicates_by_subject.get(entity_cand.entity, ()) if r in relation_table]
     if not relations:
         return []
 

@@ -145,13 +145,12 @@ def read(
 ) -> list[AnswerCandidate]:
     """Best span per passage; confidences are a softmax over raw scores.
 
-    The passages are those of the first TOP_K_PASSAGES passage-kind results
-    that have a token. One `_forward` encodes the question once and the
-    passages as one padded batch, and one banded argmax over its logits
-    takes every passage's best span (`best_spans`)."""
+    The passages are those of the first TOP_K_PASSAGES passage-kind results,
+    each holding a word (`load_passages`). One `_forward` encodes the
+    question once and the passages as one padded batch, and one banded
+    argmax over its logits takes every passage's best span (`best_spans`)."""
     docs = [r.doc for r in results if r.doc.kind == KIND_PASSAGE][:TOP_K_PASSAGES]
     passages = [(doc.doc_id, tokenize(doc.value_field).tokens) for doc in docs]
-    passages = [(doc_id, tokens) for doc_id, tokens in passages if tokens]
     if not passages:
         return []
     q_ids = encode(model.vocab, _question_tokens(question))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .jsonl import read_json_lines, text_field
 from .kb import Triple
-from .text import EntityDictionary, split_words, tokenize
+from .text import EntityDictionary, first_word, split_words, tokenize
 
 K1 = 1.2
 B = 0.75
@@ -48,10 +48,6 @@ class IndexedDocument:
     value_field: str
     kind: str
     origin: str = ""
-
-    def __post_init__(self):
-        if not self.value_field:
-            raise ValueError("value_field must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -171,12 +167,13 @@ def search(idx: InvertedIndex, query: str, k: int = 10) -> list[RetrievalResult]
 
 
 def load_passages(path: str) -> list[tuple[str, str]]:
-    """JSON Lines {"id": str, "text": str} -> [(id, text)]; a text that is
-    empty or only whitespace is a malformed line."""
+    """JSON Lines {"id": str, "text": str} -> [(id, text)]; a text that
+    holds no word (no `tokenize` term, so no query could find it) is a
+    malformed line."""
     def row(obj: dict) -> tuple[str, str]:
         pid, text = text_field(obj, "id"), text_field(obj, "text")
-        if not text.strip():
-            raise ValueError(f"field 'text' is blank, got {json.dumps(text)}")
+        if not first_word(text):
+            raise ValueError(f"field 'text' holds no word, got {json.dumps(text)}")
         return pid, text
 
     return read_json_lines(path, row)

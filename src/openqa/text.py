@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 _TOKEN_RE = re.compile(r"\w+(?:[.'\-]\w+)*")
+first_word = _TOKEN_RE.search  # the match of a text's first word, or None: one scan that stops there
 _TERMINAL_PUNCT = ".?!,;:"
 
 PAD, UNK, CLS, SEP = 0, 1, 2, 3

@@ -195,9 +195,10 @@ class TestIndex:
         assert "indexed 42 documents" in capsys.readouterr().out  # 30 triples + 12 passages
 
     @pytest.mark.parametrize("row, reason", [
-        ({"id": "p13", "text": ""}, "field 'text' is blank, got \"\""),
+        ({"id": "p13", "text": ""}, "field 'text' holds no word, got \"\""),
+        ({"id": "p13", "text": "... !!! ---"}, "field 'text' holds no word, got \"... !!! ---\""),
         ({"id": 13, "text": "the sky is green"}, "field 'id' must be a string, got 13"),
-    ], ids=["empty-text", "integer-id"])
+    ], ids=["empty-text", "wordless-text", "integer-id"])
     def test_bad_passage_is_one_error_line(self, fx, toy, tmp_path, capsys, row, reason):
         with open(os.path.join(fx, "passages.jsonl"), encoding="utf-8") as fh:
             passages = fh.read()

@@ -2,6 +2,8 @@
 
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from openqa.kb import (
     KnowledgeBase, ObjectUnknown, SparqlQuery, SubjectUnknown, Triple,
     build_entity_dictionary, execute_sparql, load_triples, serialize_sparql,
 )
-from openqa.text import tokenize
+from openqa.text import dictionary_key, tokenize
 
 SERIALIZED = {
     "SELECT ?x WHERE { <paris> <capital_of> ?x . }": SparqlQuery("x", ObjectUnknown("paris", "capital_of")),
@@ -42,8 +44,8 @@ class TestKnowledgeBase:
         assert "2100000" not in kb.entities  # object that is never a subject
 
     def test_predicates_of(self):
-        assert small_kb().predicates_of("paris") == ["capital_of", "population"]
-        assert small_kb().predicates_of("unknown") == []
+        assert small_kb().predicates_by_subject["paris"] == ["capital_of", "population"]
+        assert "unknown" not in small_kb().predicates_by_subject
 
     def test_predicates_by_subject_equals_scan(self):
         rng = random.Random(5)
@@ -58,7 +60,7 @@ class TestKnowledgeBase:
             return out
 
         for subject in names + ["unknown"]:
-            assert kb.predicates_of(subject) == scan(subject)
+            assert kb.predicates_by_subject.get(subject, []) == scan(subject)
         assert set(kb.predicates_by_subject) == {t.subject for t in kb.triples}
 
     def test_triple_rejects_empty_and_control_fields(self):
@@ -143,6 +145,22 @@ class TestEntityDictionary:
         assert d.entries == {" ".join(tokenize(n).tokens): n for n in names}
         assert sorted(d.entries) == ["dr no", "jean-luc picard", "new york", "paris texas"]
         assert d.max_entry_tokens == 2
+
+    def test_key_order_is_first_occurrence_under_any_hash_seed(self, fx):
+        """The keys follow each subject's first line in kb.tsv; a set of entities would order them by string hash."""
+        path = os.path.join(fx, "kb.tsv")
+        code = ("import sys; from openqa.kb import build_entity_dictionary, load_triples; "
+                "print(list(build_entity_dictionary(load_triples(sys.argv[1])).entries))")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        first_occurrence = list(dict.fromkeys(dictionary_key(t.subject) for t in load_triples(path).triples))
+        assert outs == [f"{first_occurrence}\n"] * 2
 
     def test_collision_keeps_lexicographically_smallest(self):
         kb = KnowledgeBase([Triple("X", "p", "o"), Triple("x", "p", "o")])

@@ -298,7 +298,7 @@ class TestSolve:
 
         monkeypatch.setattr(ld_solver, "score_relation", counting)
         out = solve_ld("who wrote hamlet", kb, d, tagger, scorer, table)
-        assert sorted(calls) == sorted(kb.predicates_of("hamlet"))
+        assert sorted(calls) == sorted(kb.predicates_by_subject["hamlet"])
         # exact link (distance 0): confidence is the winner's score mapped to [0, 1]
         score = score_from_scratch(scorer, ["who", "wrote", PLACEHOLDER], "author")
         assert out[0].confidence == (score + 1.0) / 2.0

@@ -232,8 +232,9 @@ class TestPersistence:
         ('{"id": "p2", "text": 5}', "malformed line 2: field 'text' must be a string, got 5"),
         ('{"id": "p2", "text": ["a"]}', "malformed line 2: field 'text' must be a string, got [\"a\"]"),
         ('{"id": "p2", "text": null}', "malformed line 2: field 'text' must be a string, got null"),
-        ('{"id": "p2", "text": ""}', "malformed line 2: field 'text' is blank, got \"\""),
-        ('{"id": "p2", "text": "  "}', "malformed line 2: field 'text' is blank, got \"  \""),
+        ('{"id": "p2", "text": ""}', "malformed line 2: field 'text' holds no word, got \"\""),
+        ('{"id": "p2", "text": "  "}', "malformed line 2: field 'text' holds no word, got \"  \""),
+        ('{"id": "p2", "text": "... !!! ---"}', "malformed line 2: field 'text' holds no word, got \"... !!! ---\""),
         ('{"id": 2, "text": "fine"}', "malformed line 2: field 'id' must be a string, got 2"),
         ('{"id": null, "text": "fine"}', "malformed line 2: field 'id' must be a string, got null"),
     ])
