@@ -20,7 +20,7 @@ from .ld_solver import load_scorer_data, load_tagger_data, train_relation_scorer
 from .pipeline import System, SystemConfig, ask, build_corpus, evaluate, load_qa_pairs, make_selector_data, split_addr
 from .reader import load_reader_data, train_reader
 from .selector import load_selector_data, train_selector
-from .service import serve
+from .service import make_server
 from .text import Vocabulary
 
 
@@ -119,10 +119,11 @@ def cmd_make_selector_data(args):
 def cmd_serve(args):
     config = _load_config(args)
     addr = args.addr or config.http_addr
-    split_addr(addr)  # a bad address fails before the build, not after it
+    host, port = split_addr(addr)  # a bad address fails before the build, not after it
     system = System(config)
-    print(f"serving on http://{addr}")
-    serve(system, addr)
+    with make_server(system, host, port) as server:
+        print(f"serving on http://{host}:{server.server_address[1]}")
+        server.serve_forever()
 
 
 def build_parser() -> argparse.ArgumentParser:

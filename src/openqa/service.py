@@ -3,6 +3,11 @@
 One request per connection, answered with an HTTP/1.0 status line and a
 JSON body. Every refusal, a malformed request included, is a 4xx or 5xx
 status with {"error": message}; the connection is never dropped unanswered.
+
+A thread per connection reads the request and writes the reply; the asks
+themselves run one at a time, in arrival order, on the server's one ask
+thread, so every ask allocates from the same malloc arena and GET /health
+never waits behind one.
 """
 
 from __future__ import annotations
@@ -11,10 +16,11 @@ import json
 import logging
 import re
 import socketserver
+from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 
 from .errors import EmptyQuestion
-from .pipeline import System, ask, split_addr
+from .pipeline import System, ask
 
 MAX_BODY_BYTES = 8192  # a question is a sentence; anything larger is refused unread
 READ_TIMEOUT_S = 10.0  # a client that stalls mid-request must not hold a server thread forever
@@ -35,6 +41,15 @@ class Refused(Exception):
 class Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+
+    def __init__(self, address, handler):
+        # made before the socket is bound: a failed bind calls server_close()
+        self.asker = ThreadPoolExecutor(max_workers=1)
+        super().__init__(address, handler)
+
+    def server_close(self):
+        super().server_close()
+        self.asker.shutdown()
 
 
 def make_server(system: System, host: str, port: int) -> Server:
@@ -128,7 +143,7 @@ def make_server(system: System, host: str, port: int) -> Server:
             if not isinstance(question, str):
                 return 400, {"error": "question must be a string"}
             try:
-                response = ask(system, question)
+                response = self.server.asker.submit(ask, system, question).result()
             except EmptyQuestion:
                 return 400, {"error": "question is empty"}
             except Exception as exc:  # one log line, no traceback, and the client still gets an answer
@@ -137,11 +152,3 @@ def make_server(system: System, host: str, port: int) -> Server:
             return 200, response.to_dict()
 
     return Server((host, port), Handler)
-
-
-def serve(system: System, addr: str) -> None:
-    server = make_server(system, *split_addr(addr))
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

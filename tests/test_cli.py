@@ -277,6 +277,16 @@ class TestServe:
         err = capsys.readouterr().err
         assert err == "error: http_addr must be host:port with a port in 1..65535, got 'localhost:http'\n"
 
+    def test_busy_port_is_one_error_line_and_no_serving_line(self, toy, capsys):
+        with socket.socket() as held:  # a port another socket is listening on
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            assert main(["--config", toy["config"], "serve", "--addr", f"127.0.0.1:{port}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "in use" in err and err.count("\n") == 1
+
 
 class TestCtrlC:
     @pytest.mark.parametrize("command", ["serve", "repl"])

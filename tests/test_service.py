@@ -180,6 +180,86 @@ class TestAsk:
         assert answers == ["herbert"] * 6
 
 
+class TestAskThread:
+    """Every ask runs on the server's one ask thread; connection threads only
+    read requests and write replies."""
+
+    def test_one_thread_runs_every_ask_and_stops_with_the_server(self, toy, monkeypatch):
+        ask_threads, handler_threads = [], []
+        real_ask = service.ask
+
+        def recording_ask(system, question):
+            ask_threads.append(threading.current_thread())
+            return real_ask(system, question)
+
+        monkeypatch.setattr(service, "ask", recording_ask)
+        srv = make_server(toy["system"], "127.0.0.1", 0)
+        real_handle = srv.RequestHandlerClass.handle
+
+        def recording_handle(handler):
+            handler_threads.append(threading.current_thread())
+            return real_handle(handler)
+
+        monkeypatch.setattr(srv.RequestHandlerClass, "handle", recording_handle)
+        serving = threading.Thread(target=srv.serve_forever, daemon=True)
+        serving.start()
+        base = f"http://127.0.0.1:{srv.server_address[1]}"
+        answers = []
+
+        def hit():
+            with post_ask(base, json.dumps({"question": "who wrote dune"}).encode()) as resp:
+                answers.append(json.load(resp)["answer"])
+
+        try:
+            clients = [threading.Thread(target=hit) for _ in range(6)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            serving.join(timeout=10)
+        assert not serving.is_alive()
+        assert answers == ["herbert"] * 6
+        assert len(ask_threads) == 6 and len(set(ask_threads)) == 1
+        assert len(handler_threads) == 6 and ask_threads[0] not in handler_threads
+        assert not ask_threads[0].is_alive()  # server_close() ended the ask thread
+
+    def test_health_does_not_wait_for_a_running_ask(self, start_server, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+        real_ask = service.ask
+
+        def blocking_ask(system, question):
+            started.set()
+            release.wait(timeout=30)
+            return real_ask(system, question)
+
+        monkeypatch.setattr(service, "ask", blocking_ask)
+        port = start_server()
+        statuses = []
+
+        def post():
+            status_line, body = raw_exchange(port, b"POST /ask HTTP/1.0\r\nContent-Length: 30\r\n\r\n"
+                                                   b'{"question": "who wrote dune"}')
+            statuses.append((status_line, json.loads(body)["answer"]))
+
+        asking = threading.Thread(target=post)
+        asking.start()
+        try:
+            assert started.wait(timeout=30)
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=5) as resp:
+                assert resp.status == 200
+                assert json.load(resp) == {"status": "ok"}
+            assert asking.is_alive()  # the ask is still held
+        finally:
+            release.set()
+            asking.join(timeout=30)
+        assert not asking.is_alive()
+        assert statuses == [("HTTP/1.0 200 OK", "herbert")]
+
+
 def header_lines(n: int) -> bytes:
     return b"".join(b"X-%d: y\r\n" % i for i in range(n))
 
