@@ -54,8 +54,8 @@ system = System(SystemConfig.load(write_config("three.json", {
     "reader_model": paths["reader"]})))
 pairs = load_qa_pairs(os.path.join(TOYWORLD, "qa.jsonl"))
 selector_jsonl = os.path.join(workdir, "selector.jsonl")
-written, skipped = make_selector_data(system, pairs, selector_jsonl)
-print(f"  {written} examples written, {skipped} skipped")
+written, skipped, alone = make_selector_data(system, pairs, selector_jsonl)
+print(f"  {written} examples written, {skipped} skipped ({alone} answered by sp alone)")
 
 train_selector(load_selector_data(selector_jsonl), hyper(100), vocab).params.save(paths["selector"])
 system = System(SystemConfig.load(write_config("full.json", {

@@ -105,15 +105,18 @@ def cmd_repl(args):
 def cmd_eval(args):
     system = System(_load_config(args))
     report = evaluate(system, load_qa_pairs(args.dataset))
-    print(f"accuracy {report.accuracy:.4f} ({report.correct}/{report.total})")
+    for name, correct in (("accuracy", report.correct), ("oracle accuracy", report.oracle_correct),
+                          ("max-confidence accuracy", report.max_confidence_correct)):
+        print(f"{name} {correct / report.total:.4f} ({correct}/{report.total})")
+    print(f"sp answered alone {report.sp_alone}/{report.total}")
     for tag, rate in report.per_solver_hit_rate.items():
         print(f"  {tag} hit rate {rate:.4f}")
 
 
 def cmd_make_selector_data(args):
     system = System(_load_config(args))
-    written, skipped = make_selector_data(system, load_qa_pairs(args.dataset), args.out)
-    print(f"wrote {written} examples to {args.out} ({skipped} skipped)")
+    written, skipped, alone = make_selector_data(system, load_qa_pairs(args.dataset), args.out)
+    print(f"wrote {written} examples to {args.out} ({skipped} skipped, {alone} of them answered by sp alone)")
 
 
 def cmd_serve(args):

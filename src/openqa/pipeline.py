@@ -3,9 +3,10 @@ three-solver ask path, dataset splitting, evaluation, and selector
 training-data generation.
 
 `ask` alone runs the solvers (`sp`, `ld`, `rr`, in turn in the calling
-thread) and fuses `fusion_input`, their tops; `evaluate` and
-`make_selector_data` go through it, so the selector learns from the lists
-it fuses. `build_corpus` builds the retrieval index from the knowledge
+thread) and fuses `fusion_input`, their tops. When `sp` parses a question
+in full, the KB holds its answer and `ld` and `rr` do not run. `evaluate`
+and `make_selector_data` go through `ask`, so the selector learns from the
+lists it fuses. `build_corpus` builds the retrieval index from the knowledge
 base and the passages, for `System` and `openqa index` alike."""
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class AskResponse:
     confidence: float
     solver: str
     candidates: dict[str, list[AnswerCandidate]]
-    timings: dict[str, float]  # milliseconds per solver
+    timings: dict[str, float]  # milliseconds per solver that ran
 
     def to_dict(self) -> dict:
         candidates = {tag: [{**vars(c)} for c in cands] for tag, cands in self.candidates.items()}
@@ -121,6 +122,9 @@ class EvalReport:
     total: int
     correct: int
     per_solver_hit_rate: dict[str, float]
+    oracle_correct: int  # some solver's top is right
+    max_confidence_correct: int  # `max_confidence` over the tops is right: what no selector would get
+    sp_alone: int  # `sp` answered, and no other solver ran
 
     @property
     def accuracy(self) -> float:
@@ -228,41 +232,51 @@ def fusion_input(candidates: dict[str, list[AnswerCandidate]]) -> list[AnswerCan
     return [candidates[tag][0] for tag in SOLVER_ORDER if candidates[tag]]
 
 
-def ask(system: System, question: str) -> AskResponse:
-    """Run sp, ld and rr in turn in the calling thread, fuse their tops, return the winner.
+def max_confidence(tops: list[AnswerCandidate]) -> AnswerCandidate:
+    """The fusion rule without a selector: the most confident top, ties
+    going to the earlier solver in SOLVER_ORDER."""
+    return max(tops, key=lambda c: (c.confidence, -SOLVER_ORDER.index(c.solver)))
 
-    `solver_timeout` is the question's budget: a solver starts only while
-    less than that many seconds have passed since this call began. A
-    running solver is not interrupted, so `ask` can overrun the budget by
-    the time of the last solver started. A failed or skipped solver
-    contributes an empty list, logged on one line; `timings` are each
-    solver's own milliseconds. The selector fuses `fusion_input`; without
-    one, the most confident top wins, ties going to the earlier solver.
+
+def ask(system: System, question: str) -> AskResponse:
+    """Run sp, then ld and rr, in turn in the calling thread; fuse their tops, return the winner.
+
+    When `sp` parses the question in full (`SpAnswers.full_parse`: a
+    template's capture is a dictionary key and its query has bindings), the
+    KB holds the answer, and `ld` and `rr` do not run. `solver_timeout` is
+    the question's budget: a solver starts only while less than that many
+    seconds have passed since this call began. A running solver is not
+    interrupted, so `ask` can overrun the budget by the time of the last
+    solver started. A solver that did not run, or failed, contributes an
+    empty list; a failure or a budget skip is logged on one line. `timings`
+    holds each solver's own milliseconds, for the solvers that ran. The
+    selector fuses `fusion_input`; without one, `max_confidence` picks.
     """
     if not normalize(question):
         raise EmptyQuestion("question is empty after normalization")
     solvers = {SOLVER_SP: system.run_sp, SOLVER_LD: system.run_ld, SOLVER_RR: system.run_rr}
     budget = system.config.solver_timeout
     started = time.perf_counter()
-    candidates: dict[str, list[AnswerCandidate]] = {}
+    candidates: dict[str, list[AnswerCandidate]] = {tag: [] for tag in solvers}
     timings: dict[str, float] = {}
     for tag, run in solvers.items():
+        if getattr(candidates[SOLVER_SP], "full_parse", False):
+            break  # the KB's own fact for the parsed subject and predicate
         begin = time.perf_counter()
-        candidates[tag] = []
         if begin - started >= budget:
             log.warning("solver %s skipped on %r: the %gs budget is spent", tag, question, budget)
-        else:
-            try:
-                candidates[tag] = run(question)
-            except Exception as exc:  # one line per failure, no traceback
-                log.error("solver %s failed on %r: %s: %s", tag, question, type(exc).__name__, exc)
+            continue
+        try:
+            candidates[tag] = run(question)
+        except Exception as exc:  # one line per failure, no traceback
+            log.error("solver %s failed on %r: %s: %s", tag, question, type(exc).__name__, exc)
         timings[tag] = (time.perf_counter() - begin) * 1000.0
 
     tops = fusion_input(candidates)
     if not tops:
         fused = None, 0.0, "none"
-    elif system.selector is None:  # cold start: max confidence, ties broken by solver priority
-        best = max(tops, key=lambda c: (c.confidence, -SOLVER_ORDER.index(c.solver)))
+    elif system.selector is None:  # cold start
+        best = max_confidence(tops)
         fused = best.answer, best.confidence, best.solver
     elif len(tops) == 1:  # the softmax of one score is exactly 1.0: no transformer run
         fused = tops[0].answer, 1.0, "selector"
@@ -270,6 +284,11 @@ def ask(system: System, question: str) -> AskResponse:
         result = select(system.selector, question, tops)
         fused = result.answer.answer, result.probabilities[result.chosen], "selector"
     return AskResponse(*fused, candidates, timings)
+
+
+def sp_alone(response: AskResponse) -> bool:
+    """Whether `sp` answered and was the only solver that ran."""
+    return bool(response.candidates[SOLVER_SP]) and response.timings.keys() == {SOLVER_SP}
 
 
 def split_dataset(pairs: list[tuple[str, str]], train_fraction: float = 0.7, seed: int = 0) -> tuple[list, list]:
@@ -294,25 +313,32 @@ def load_qa_pairs(path: str) -> list[tuple[str, str]]:
 
 
 def evaluate(system: System, dataset: list[tuple[str, str]]) -> EvalReport:
-    """Exact-match accuracy after normalization, plus per-solver hit rates."""
+    """Exact-match accuracy after normalization, per-solver hit rates, the
+    oracle and max-confidence accuracies, and how often `sp` answered alone."""
     if not dataset:
         raise EmptyDataset("evaluation dataset is empty")
-    correct = 0
+    correct = oracle = by_confidence = alone = 0
     hits = {tag: 0 for tag in SOLVER_ORDER}
     for question, gold in dataset:
         response = ask(system, question)
         gold_norm = normalize(gold)
         if response.answer is not None and normalize(response.answer) == gold_norm:
             correct += 1
-        for top in fusion_input(response.candidates):
-            if normalize(top.answer) == gold_norm:
-                hits[top.solver] += 1
+        tops = fusion_input(response.candidates)
+        right = [top for top in tops if normalize(top.answer) == gold_norm]
+        for top in right:
+            hits[top.solver] += 1
+        oracle += bool(right)
+        by_confidence += bool(tops) and max_confidence(tops) in right
+        alone += sp_alone(response)
     rates = {tag: hits[tag] / len(dataset) for tag in SOLVER_ORDER}
-    return EvalReport(total=len(dataset), correct=correct, per_solver_hit_rate=rates)
+    return EvalReport(total=len(dataset), correct=correct, per_solver_hit_rate=rates,
+                      oracle_correct=oracle, max_confidence_correct=by_confidence, sp_alone=alone)
 
 
-def make_selector_data(system: System, dataset: list[tuple[str, str]], out_path: str) -> tuple[int, int]:
-    """Write selector training lines; returns (written, skipped).
+def make_selector_data(system: System, dataset: list[tuple[str, str]], out_path: str) -> tuple[int, int, int]:
+    """Write selector training lines; returns (written, skipped, skipped
+    because `sp` answered alone).
 
     A line's candidates are the answers of `fusion_input` on the question's
     `ask` response, written when there are two or more and one matches the
@@ -320,10 +346,11 @@ def make_selector_data(system: System, dataset: list[tuple[str, str]], out_path:
     """
     if not dataset:
         raise EmptyDataset("dataset is empty")
-    written = skipped = 0
+    written = skipped = alone = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for question, gold in dataset:
-            tops = fusion_input(ask(system, question).candidates)
+            response = ask(system, question)
+            tops = fusion_input(response.candidates)
             gold_norm = normalize(gold)
             matches = [i for i, c in enumerate(tops) if normalize(c.answer) == gold_norm]
             if len(tops) >= 2 and matches:
@@ -335,4 +362,5 @@ def make_selector_data(system: System, dataset: list[tuple[str, str]], out_path:
                 written += 1
             else:
                 skipped += 1
-    return written, skipped
+                alone += sp_alone(response)
+    return written, skipped, alone

@@ -8,7 +8,8 @@ template's predicate and its capture. The subjects and predicates are
 cross-multiplied into object-unknown queries, each executed against the
 knowledge base, and the bindings become confidence-scored answers.
 Queries are built as `SparqlQuery` values; their SPARQL text is only the
-answers' provenance.
+answers' provenance. The same pass tells whether the question parsed in
+full (`SpAnswers.full_parse`), which lets `ask` skip the other solvers.
 """
 
 from __future__ import annotations
@@ -67,12 +68,24 @@ def load_templates(path: str) -> list[QuestionTemplate]:
     ))
 
 
+class SpAnswers(list):
+    """`solve_sp`'s answers: a list of candidates that also says whether the
+    question parsed in full, that is, a matching template's capture is itself
+    a dictionary key and the query on that entity and the template's
+    predicate has bindings. Such an answer is the KB's own fact."""
+    __slots__ = ("full_parse",)
+
+    def __init__(self, candidates=(), full_parse: bool = False):
+        super().__init__(candidates)
+        self.full_parse = full_parse
+
+
 def solve_sp(
     question: str,
     kb: KnowledgeBase,
     dictionary: EntityDictionary,
     templates: list[QuestionTemplate],
-) -> list[AnswerCandidate]:
+) -> SpAnswers:
     """Answers of every (subject, predicate) query the question yields, in one
     pass over the templates.
 
@@ -82,9 +95,11 @@ def solve_sp(
     best confidence. Queries go subjects-major, each side in
     (-confidence, name) order; a query's confidence is the product of its
     sides' divided by its number of bindings, and an answer keeps the
-    first of its best."""
+    first of its best. The result is a full parse when one of these queries
+    pairs a template's key capture with that template's predicate."""
     subjects = {entity: DICTIONARY_CONFIDENCE for _, _, entity in dictionary.find(split_words(question))}
     predicates: dict[str, float] = {}
+    parsed: set[tuple[str, str]] = set()  # (key capture's entity, its template's predicate)
     norm_q = normalize(question)
     for tpl in templates:
         m = tpl.regex.search(norm_q)
@@ -96,11 +111,13 @@ def solve_sp(
         entity = dictionary.entries.get(dictionary_key(surface))
         if entity is not None:
             subjects.setdefault(entity, TEMPLATE_CAPTURE_CONFIDENCE)  # never above a dictionary match
+            parsed.add((entity, tpl.predicate))
 
     def ranked(confidences: dict[str, float]) -> list[tuple[str, float]]:
         return sorted(confidences.items(), key=lambda item: (-item[1], item[0]))
 
     best: dict[str, AnswerCandidate] = {}
+    full_parse = False
     ranked_predicates = ranked(predicates)
     for entity, s_conf in ranked(subjects):
         for predicate, p_conf in ranked_predicates:
@@ -108,10 +125,11 @@ def solve_sp(
             bindings = execute_sparql(kb, query)
             if not bindings:
                 continue
+            full_parse = full_parse or (entity, predicate) in parsed
             query_text = serialize_sparql(query)
             conf = s_conf * p_conf / len(bindings)
             for b in bindings:
                 old = best.get(b)
                 if old is None or conf > old.confidence:
                     best[b] = AnswerCandidate(b, conf, SOLVER_SP, provenance=query_text)
-    return sorted(best.values(), key=lambda c: (-c.confidence, c.answer))
+    return SpAnswers(sorted(best.values(), key=lambda c: (-c.confidence, c.answer)), full_parse)

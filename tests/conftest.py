@@ -112,7 +112,7 @@ def toy(tmp_path_factory):
     system_three = System(SystemConfig.load(three_config))
 
     selector_data = str(out / "selector.jsonl")
-    written, skipped = make_selector_data(system_three, pairs, selector_data)
+    written, skipped, sp_alone = make_selector_data(system_three, pairs, selector_data)
     train_selector(load_selector_data(selector_data),
                    _toy_hyper(TOY_EPOCHS["selector"]), vocab).params.save(selector_path)
     train_seconds = time.perf_counter() - started
@@ -132,7 +132,7 @@ def toy(tmp_path_factory):
         "pairs": pairs,
         "models": {"tagger": tagger_path, "scorer": scorer_path,
                    "reader": reader_path, "selector": selector_path},
-        "selector_data": {"written": written, "skipped": skipped},
+        "selector_data": {"written": written, "skipped": skipped, "sp_alone": sp_alone},
         "train_seconds": train_seconds,
         "write_config": _write_config,
     }

@@ -127,6 +127,21 @@ def solve_sp_staged(question: str, kb: KnowledgeBase, dictionary: EntityDictiona
     return sorted(best.values(), key=lambda c: (-c.confidence, c.answer))
 
 
+def full_parse_staged(question: str, kb: KnowledgeBase, dictionary: EntityDictionary,
+                      templates: list[QuestionTemplate]) -> bool:
+    """Whether some template matches the normalized question with a capture
+    that is itself a dictionary key, and the query on that entity and the
+    template's predicate has bindings (`SpAnswers.full_parse`'s oracle)."""
+    norm_q = normalize(question)
+    for tpl in templates:
+        m = tpl.regex.search(norm_q)
+        capture = m and tpl.subject_group is not None and m.group(tpl.subject_group)
+        entity = capture and dictionary.entries.get(dictionary_key(capture))
+        if entity and execute_sparql(kb, SparqlQuery("x", ObjectUnknown(entity, tpl.predicate))):
+            return True
+    return False
+
+
 def predict_logits(model: nn.Model, question: str, passage_tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Raw, per-position start/end scores of one passage (no per-passage normalization)."""
     start, end, _ = reader_forward(model.params, encode(model.vocab, _question_tokens(question)),

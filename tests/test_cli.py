@@ -19,6 +19,7 @@ from openqa.pipeline import System, SystemConfig
 from openqa.reader import init_reader
 
 from conftest import write_changed_vocab
+from oracles import full_parse_staged
 
 
 def _per_gate_layout(params: nn.ModelParameters) -> nn.ModelParameters:
@@ -187,6 +188,8 @@ class TestEval:
         assert main(["--config", toy["config"], "eval", os.path.join(fx, "qa.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "accuracy 1.0000 (25/25)" in out
+        assert "\noracle accuracy 1.0000 (25/25)\nmax-confidence accuracy 1.0000 (25/25)\n" in out
+        assert "\nsp answered alone 14/25\n" in out
 
 
 class TestIndex:
@@ -322,6 +325,31 @@ class TestMakeSelectorData:
                      os.path.join(fx, "qa.jsonl"), out_path]) == 0
         assert os.path.exists(out_path)
         assert "wrote" in capsys.readouterr().out
+
+    def test_skips_say_how_many_sp_answered_alone(self, fx, toy, tmp_path, capsys):
+        out_path = str(tmp_path / "sel.jsonl")
+        assert main(["--config", toy["three_config"], "make-selector-data",
+                     os.path.join(fx, "qa.jsonl"), out_path]) == 0
+        assert capsys.readouterr().out == f"wrote 2 examples to {out_path} (23 skipped, 14 of them answered by sp alone)\n"
+
+    def test_full_parses_only_make_no_rows_and_training_is_one_error_line(self, fx, toy, tmp_path, capsys):
+        """`sp` answers every full-parse question alone, so no row has two
+        candidates; training on the empty file is an error, not a traceback."""
+        system = toy["system_three"]
+        with open(os.path.join(fx, "qa.jsonl"), encoding="utf-8") as fh:
+            full = [line for line in fh
+                    if full_parse_staged(json.loads(line)["question"], system.kb, system.dictionary, system.templates)]
+        dataset = tmp_path / "qa.jsonl"
+        dataset.write_text("".join(full), encoding="utf-8")
+        rows, model = tmp_path / "sel.jsonl", tmp_path / "selector.npz"
+        assert main(["--config", toy["three_config"], "make-selector-data", str(dataset), str(rows)]) == 0
+        n = len(full)
+        assert capsys.readouterr().out == f"wrote 0 examples to {rows} ({n} skipped, {n} of them answered by sp alone)\n"
+        assert n == 14 and rows.read_text() == ""
+        assert main(["--config", toy["config"], "train", "selector", str(rows), "--out", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no training examples\n" and captured.out == ""
+        assert not model.exists()
 
 
 class TestInputFiles:

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 from openqa import nn, pipeline, text
+from openqa.answers import AnswerCandidate
 from openqa.errors import ConfigError, EmptyDataset, EmptyQuestion, MalformedLine
 from openqa.hyper import Hyper
 from openqa.kb import build_entity_dictionary, load_triples
 from openqa.pipeline import (
     System, SystemConfig, ask, evaluate, load_qa_pairs,
-    fusion_input, make_selector_data, split_dataset,
+    fusion_input, make_selector_data, max_confidence, split_dataset,
 )
 from openqa.reader import init_reader
 from openqa.retrieval import load_passages
@@ -26,6 +28,7 @@ from openqa.selector import select
 from openqa.text import normalize
 
 from conftest import write_changed_vocab
+from oracles import full_parse_staged
 
 
 class TestConfig:
@@ -162,6 +165,12 @@ class TestConfig:
         assert done.stdout.strip() == "[]"
 
 
+# `sp` answers it (the dictionary finds "hamlet", the "who wrote" template
+# matches), but the capture "the foreword of hamlet" is no key: not a full
+# parse, so every solver runs
+PARTIAL_PARSE = "who wrote the foreword of hamlet"
+
+
 class TestAsk:
     def test_empty_question_raises(self, toy):
         with pytest.raises(EmptyQuestion):
@@ -184,7 +193,7 @@ class TestAsk:
         assert response.confidence == 0.0
 
     def test_response_carries_candidates_and_timings(self, toy):
-        response = ask(toy["system"], "who wrote hamlet")
+        response = ask(toy["system"], PARTIAL_PARSE)
         assert set(response.candidates) == {"sp", "ld", "rr"}
         assert set(response.timings) == {"sp", "ld", "rr"}
         assert all(t >= 0.0 for t in response.timings.values())
@@ -217,7 +226,7 @@ class TestAsk:
             (want.answer.answer, want.probabilities[want.chosen], "selector") == (top.answer, 1.0, "selector")
         monkeypatch.undo()
         monkeypatch.setattr(pipeline, "select", lambda *args: calls.append(args) or select(*args))
-        ask(system, "who wrote hamlet")
+        ask(system, PARTIAL_PARSE)
         assert len(calls) == 1 and len(calls[0][2]) == 2
 
 
@@ -235,7 +244,7 @@ class TestSolverDegradation:
             return run_sp(question)
 
         monkeypatch.setattr(system, "run_sp", slow_sp)
-        response = ask(system, "who wrote hamlet")
+        response = ask(system, PARTIAL_PARSE)
         candidates, timings = response.candidates, response.timings
         assert candidates["sp"][0].answer == "shakespeare"
         assert timings["sp"] >= 300.0
@@ -249,7 +258,7 @@ class TestSolverDegradation:
                 threads[tag] = threading.get_ident()
                 return run(question)
             monkeypatch.setattr(system, f"run_{tag}", record)
-        ask(system, "who wrote hamlet")
+        ask(system, PARTIAL_PARSE)
         assert threads == dict.fromkeys(("sp", "ld", "rr"), threading.get_ident())
 
     def test_budget_skips_solvers_not_yet_started(self, toy, tmp_path, monkeypatch, caplog):
@@ -269,7 +278,7 @@ class TestSolverDegradation:
         monkeypatch.setattr(system, "run_ld", never)
         monkeypatch.setattr(system, "run_rr", never)
         with caplog.at_level(logging.WARNING, logger="openqa"):
-            candidates = ask(system, "who wrote hamlet").candidates
+            candidates = ask(system, PARTIAL_PARSE).candidates
         assert candidates["sp"][0].answer == "shakespeare"
         assert calls == []
         assert candidates["ld"] == [] and candidates["rr"] == []
@@ -301,6 +310,83 @@ class TestSolverDegradation:
         assert candidates["sp"][0].answer == "shakespeare"
         # ask remains total
         assert response.answer == "shakespeare"
+
+
+def without_timings(response) -> dict:
+    return {key: value for key, value in response.to_dict().items() if key != "timings"}
+
+
+class TestSpExit:
+    """A question that `sp` parses in full is answered by `sp` alone."""
+
+    @staticmethod
+    def questions(system, rng: random.Random, n: int) -> list[tuple[str, str]]:
+        """(kind, question) in the form of a toy template: with an exact
+        dictionary key as the capture (half of them a subject of the
+        template's predicate), with extra words around a key, or with words
+        that are no key."""
+        keys = sorted(system.dictionary.entries)
+        facts = {(t.subject, t.predicate) for t in system.kb.triples}
+        out = []
+        for _ in range(n):
+            tpl, kind = rng.choice(system.templates), rng.choice(["exact", "extra words", "non-key"])
+            fitting = [key for key in keys if (system.dictionary.entries[key], tpl.predicate) in facts]
+            if kind == "exact":
+                capture = rng.choice(fitting if rng.random() < 0.5 else keys)
+            elif kind == "extra words":
+                capture = rng.choice(["the foreword of {}", "{} today", "all of {} and more"]).format(rng.choice(fitting))
+            else:
+                capture = " ".join(rng.sample(["odyssey", "zorp", "the", "blix", "sky"], 2))
+            out.append((kind, tpl.pattern.strip("^$").replace("(.+)", capture)))
+        return out
+
+    def test_exit_against_the_full_path(self, toy, monkeypatch):
+        """The exit fires exactly on a full parse, and changes nothing else:
+        without one, the response is what running every solver gives."""
+        system = toy["system"]
+        ran = []
+        for tag in ("ld", "rr"):
+            run = getattr(system, f"run_{tag}")
+            monkeypatch.setattr(system, f"run_{tag}", lambda q, run=run, tag=tag: ran.append(tag) or run(q))
+        rng = random.Random(31)
+        seen = {}
+        for kind, question in self.questions(system, rng, 150):
+            ran.clear()
+            response = ask(system, question)
+            full = full_parse_staged(question, system.kb, system.dictionary, system.templates)
+            key = kind, full, bool(response.candidates["sp"])
+            seen[key] = seen.get(key, 0) + 1
+            if full:
+                assert ran == [] and set(response.timings) == {"sp"}, question
+                assert response.candidates["sp"] == System.run_sp(system, question) != []
+                assert response.candidates["ld"] == response.candidates["rr"] == []
+                continue
+            assert ran == ["ld", "rr"] and set(response.timings) == {"sp", "ld", "rr"}, question
+            with monkeypatch.context() as patched:  # `sp`'s answers as a plain list: every solver runs
+                patched.setattr(system, "run_sp", lambda q: list(System.run_sp(system, q)))
+                assert without_timings(response) == without_timings(ask(system, question)), question
+        # every kind without a full parse, and extra words that `sp` still answers
+        assert set(seen) == {("exact", True, True), ("exact", False, False), ("extra words", False, True),
+                             ("non-key", False, False)}, seen
+        assert min(seen.values()) >= 10, seen
+
+    def test_partial_parse_runs_every_solver(self, toy):
+        """`sp` answers from the dictionary's "hamlet" and the template's
+        predicate, but its capture is no key: `ld` and `rr` still run."""
+        response = ask(toy["system"], PARTIAL_PARSE)
+        assert response.candidates["sp"][0].answer == "shakespeare"
+        assert set(response.timings) == {"sp", "ld", "rr"}
+
+    def test_exit_logs_nothing(self, toy, caplog):
+        with caplog.at_level(logging.DEBUG, logger="openqa"):
+            response = ask(toy["system"], "who wrote hamlet")
+        assert set(response.timings) == {"sp"} and caplog.records == []
+
+    def test_budget_skip_leaves_no_timing(self, toy, tmp_path, monkeypatch):
+        config_path = toy["write_config"](str(tmp_path / "budget.json"), {"solver_timeout": 0.05})
+        system = System(SystemConfig.load(config_path))
+        monkeypatch.setattr(system, "run_ld", lambda q: time.sleep(0.1) or [])
+        assert set(ask(system, PARTIAL_PARSE).timings) == {"sp", "ld"}
 
 
 class TestBuildCorpus:
@@ -364,17 +450,43 @@ class TestEvaluate:
             evaluate(toy["system"], [])
 
     def test_per_solver_hit_rates(self, toy):
-        report = evaluate(toy["system"], toy["pairs"])
+        system = toy["system"]
+        report = evaluate(system, [(q, a) for q, a in toy["pairs"] if not System.run_sp(system, q).full_parse])
         assert set(report.per_solver_hit_rate) == {"sp", "ld", "rr"}
         assert all(0.0 <= r <= 1.0 for r in report.per_solver_hit_rate.values())
         assert report.per_solver_hit_rate["ld"] >= 0.5
+
+    def test_fusion_figures_on_toy_world(self, toy):
+        report = evaluate(toy["system"], toy["pairs"])
+        assert (report.oracle_correct, report.max_confidence_correct, report.sp_alone) == (25, 25, 14)
+
+    def test_fusion_figures_part_ways(self, toy, monkeypatch):
+        """A confident wrong `rr` top: the oracle still counts `ld`'s right
+        top, the max-confidence rule does not; `sp` answers "who wrote hamlet"
+        alone, so that one keeps its right answer."""
+        system = toy["system"]
+        monkeypatch.setattr(system, "run_rr", lambda q: [AnswerCandidate("nobody", 2.0, "rr")])
+        report = evaluate(system, [("dune was written by whom", "herbert"), ("who wrote hamlet", "shakespeare")])
+        assert (report.oracle_correct, report.max_confidence_correct, report.sp_alone) == (2, 1, 1)
+
+    def test_no_selector_fuses_by_max_confidence(self, toy):
+        """`ask` without a selector answers what `max_confidence` picks, ties
+        going to the earlier solver."""
+        for question, _ in toy["pairs"]:
+            response = ask(toy["system_three"], question)
+            best = max_confidence(fusion_input(response.candidates))
+            assert (response.answer, response.confidence, response.solver) == \
+                (best.answer, best.confidence, best.solver)
+        tie = [AnswerCandidate("b", 0.5, "rr"), AnswerCandidate("a", 0.5, "ld"), AnswerCandidate("c", 0.4, "sp")]
+        assert max_confidence(tie) is tie[1]
 
 
 class TestSelectorData:
     def test_counts_and_format(self, toy, tmp_path):
         out = str(tmp_path / "sel.jsonl")
-        written, skipped = make_selector_data(toy["system_three"], toy["pairs"], out)
+        written, skipped, alone = make_selector_data(toy["system_three"], toy["pairs"], out)
         assert written + skipped == 25
+        assert alone == 14 <= skipped
         assert written >= 1
         with open(out) as fh:
             for line in fh:
@@ -395,7 +507,7 @@ class TestSelectorData:
     def test_rows_are_what_ask_fuses(self, toy, tmp_path):
         """Each written row's candidates are the answers `ask` hands the selector."""
         out = str(tmp_path / "sel.jsonl")
-        written, _ = make_selector_data(toy["system_three"], toy["pairs"], out)
+        written, _, _ = make_selector_data(toy["system_three"], toy["pairs"], out)
         with open(out) as fh:
             rows = [json.loads(line) for line in fh]
         assert len(rows) == written >= 1

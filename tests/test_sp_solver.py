@@ -16,7 +16,7 @@ from openqa.sp_solver import (
 )
 from openqa.text import EntityDictionary, split_words
 
-from oracles import solve_sp_staged
+from oracles import full_parse_staged, solve_sp_staged
 
 
 @pytest.fixture(scope="module")
@@ -193,10 +193,11 @@ def random_world(rng: random.Random):
 
 def test_one_pass_equals_the_staged_oracle():
     """`solve_sp` equals the staged recognize-subjects, recognize-predicates,
-    generate-queries path to the last bit, answers, order and provenance."""
+    generate-queries path to the last bit, answers, order and provenance,
+    and its one pass flags a full parse exactly when the oracle finds one."""
     rng = random.Random(20)
     seen = {"answered": 0, "several subjects": 0, "capture non-keys": 0, "capture keys": 0,
-            "capture-only entities": 0}
+            "capture-only entities": 0, "full parses": 0, "answered without a full parse": 0}
     for _ in range(1000):
         kb, d, templates, words = random_world(rng)
         for _ in range(10):
@@ -206,7 +207,10 @@ def test_one_pass_equals_the_staged_oracle():
             question = rng.choice(["{}", "{}?", "  {} .", "{}!"]).format(" ".join(question).capitalize())
             out = solve_sp(question, kb, d, templates)
             assert answers(out) == answers(solve_sp_staged(question, kb, d, templates)), question
+            assert out.full_parse == full_parse_staged(question, kb, d, templates), question
             seen["answered"] += bool(out)
+            seen["full parses"] += out.full_parse
+            seen["answered without a full parse"] += bool(out) and not out.full_parse
             seen["several subjects"] += len({c.provenance.split(">")[0] for c in out}) > 1
             found = {entity for _, _, entity in d.find(split_words(question))}
             for tpl in templates:
